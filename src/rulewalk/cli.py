@@ -169,9 +169,12 @@ def _load_task(args):
         graphs, labels = dataio.load_corpus(args.data, args.split_multi_tail)
         if args.target_label is None:
             raise UsageError("--target-label is required for a corpus directory")
-        return graphs, evaluation.build_classification_queries(
-            [l or "" for l in labels], args.target_label
-        )
+        try:
+            return graphs, evaluation.build_classification_queries(
+                [l or "" for l in labels], args.target_label
+            )
+        except ValueError as exc:
+            raise DataFormatError(str(exc)) from None
     graph, _ = dataio.load_graph(args.data, args.split_multi_tail)
     if not args.positive_predicates:
         raise UsageError("--positive-predicates is required for a single graph file")
@@ -182,8 +185,16 @@ def _load_task(args):
         raise DataFormatError(str(exc)) from None
 
 
+def _split(args, query_set):
+    """(train, test) split of the task's queries."""
+    try:
+        return evaluation.split_queries(query_set, args.train_frac, args.seed)
+    except ValueError as exc:
+        raise UsageError(f"--train-frac: {exc}") from None
+
+
 def _mine(args, graphs, query_set):
-    train_set, _ = evaluation.split_queries(query_set, args.train_frac, args.seed)
+    train_set, _ = _split(args, query_set)
     params = MiningParams(
         num_walks=args.walks,
         max_steps=args.max_steps,
@@ -216,8 +227,7 @@ def cmd_train(args) -> int:
     labels = [1.0] * len(train_set.positives) + [0.0] * len(train_set.negatives)
     matrix = learner.build_features(rules, graphs, queries, labels,
                                     scorer=args.features)
-    result = learner.train(matrix, lr=args.lr, epochs=args.epochs, l2=args.l2,
-                           seed=args.seed)
+    result = learner.train(matrix, lr=args.lr, epochs=args.epochs, l2=args.l2)
     learner.save_model(args.model_out, result.params, rules)
     print(f"mined {len(rules)} rules -> {args.out}")
     print(f"trained scorer on {len(queries)} queries "
@@ -227,19 +237,19 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     graphs, query_set = _load_task(args)
-    _, test_set = evaluation.split_queries(query_set, args.train_frac, args.seed)
+    _, test_set = _split(args, query_set)
     if args.use == "all":
         test_set = query_set
-    rules = _read_rules(args.rules)
-    if args.model is not None:
-        bias, weights = learner.load_model(args.model)
-        params = learner.ModelParams(
-            np.array([weights.get(r.signature, 0.0) for r in rules]), bias
+    if not test_set.positives:
+        raise DataFormatError(
+            f"no positive query left to rank in the {args.use} split "
+            f"({len(query_set.positives)} positive in all); "
+            "add positives or pass --use all"
         )
-        scorer = evaluation.model_scorer(rules, graphs, params, args.features)
-    else:
-        scorer = evaluation.count_scorer(rules, graphs)
-    ranks = evaluation.ranked_evaluation(scorer, test_set)
+    rules = _read_rules(args.rules)
+    params = _load_params(args.model, rules) if args.model is not None else None
+    scores = evaluation.score_pools(rules, graphs, test_set, params, args.features)
+    ranks = evaluation.ranked_evaluation(scores, test_set)
     record = evaluation.metrics_record(ranks, test_set.mode, args.seed)
     text = evaluation.format_metrics(record)
     print(text)
@@ -247,6 +257,21 @@ def cmd_eval(args) -> int:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text.splitlines()[0] + "\n")
     return 0
+
+
+def _load_params(path, rules):
+    """Model weights in rule order; every rule must have one."""
+    try:
+        bias, weights = learner.load_model(path)
+    except ValueError as exc:
+        raise DataFormatError(str(exc)) from None
+    for rule in rules:
+        if rule.signature not in weights:
+            raise DataFormatError(
+                f"{path}: no weight for rule {rule.signature!r}; "
+                "the model was trained on other rules"
+            )
+    return learner.ModelParams(np.array([weights[r.signature] for r in rules]), bias)
 
 
 def cmd_convert(args) -> int:

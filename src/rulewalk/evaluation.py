@@ -1,9 +1,11 @@
 """Query sets, ranking metrics, splits, and end-to-end scoring helpers.
 
 Classification queries label whole graphs (one-vs-rest per target label);
-event queries partition a single graph's events by predicate.  Ranking
-uses mean-rank tie handling, so an undiscriminating scorer lands in the
-middle of its pool instead of being rewarded or punished by sort order.
+event queries partition a single graph's events by predicate.  Every
+distinct query of the candidate pools is scored once; ranking then looks
+the scores up, pool by pool.  Ranking uses mean-rank tie handling, so an
+undiscriminating scorer lands in the middle of its pool instead of being
+rewarded or punished by sort order.
 """
 from __future__ import annotations
 
@@ -13,7 +15,9 @@ from dataclasses import dataclass
 
 from . import learner
 from .hypergraph import TemporalHypergraph
-from .rules import Query, evaluate
+# `evaluate` is unused here but stays bound: the benchmark's tracer test
+# (bench/tests/test_bench.py) checks that it is wrapped at this binding too.
+from .rules import Query, evaluate  # noqa: F401
 from .walk import derive_seed
 
 CLASSIFICATION = "classification"
@@ -98,16 +102,6 @@ def rank_with_ties(scores, true_index: int) -> float:
     return higher + (tied + 1) / 2.0
 
 
-def rank_positive(query: Query, scorer, candidate_pool) -> float:
-    """Rank of `query` in its pool under the given scoring callable."""
-    try:
-        true_index = candidate_pool.index(query)
-    except ValueError:
-        raise ValueError("the true query must be part of its candidate pool") from None
-    scores = [scorer(candidate) for candidate in candidate_pool]
-    return rank_with_ties(scores, true_index)
-
-
 # -- splits ------------------------------------------------------------------
 
 
@@ -135,34 +129,6 @@ def split_queries(
 # -- scoring -----------------------------------------------------------------
 
 
-def count_scorer(rules, graphs, top_k: int = 1, eval_budget: int = 1_000_000):
-    """Untrained scoring: occurrence count of the best matching top rule."""
-    top = rules[:top_k]
-
-    def scorer(query: Query) -> float:
-        graph = graphs[query.graph_index]
-        best = 0.0
-        for rule in top:
-            if evaluate(rule, graph, query, budget=eval_budget):
-                best = max(best, float(rule.support))
-        return best
-
-    return scorer
-
-
-def model_scorer(rules, graphs, params, scorer_kind: str = "binary",
-                 eval_budget: int = 1_000_000):
-    """Trained scoring: logistic model over the rule feature row of a query."""
-
-    def scorer(query: Query) -> float:
-        matrix = learner.build_features(
-            rules, graphs, [query], [0.0], scorer=scorer_kind, eval_budget=eval_budget
-        )
-        return learner.score(matrix.features[0], params)
-
-    return scorer
-
-
 def candidate_pool(query: Query, test_set: QuerySet) -> list[Query]:
     """The true query plus the negatives it is ranked against.
 
@@ -180,12 +146,48 @@ def candidate_pool(query: Query, test_set: QuerySet) -> list[Query]:
     return [query] + negatives
 
 
-def ranked_evaluation(scorer, test_set: QuerySet) -> list[float]:
-    """Rank every positive test query within its candidate pool."""
+def pool_queries(test_set: QuerySet) -> list[Query]:
+    """Distinct queries over every positive's candidate pool, first seen first."""
+    seen: dict[Query, None] = {}
+    for query in test_set.positives:
+        seen.update(dict.fromkeys(candidate_pool(query, test_set)))
+    return list(seen)
+
+
+def score_pools(
+    rules, graphs, test_set: QuerySet, params=None, features: str = "binary"
+) -> dict[Query, float]:
+    """One score per distinct pool query, from a single feature build.
+
+    With `params`: the logistic model score of the query's feature row.
+    Without: the untrained baseline, the occurrence count of the top rule
+    where it matches and 0 elsewhere.
+    """
+    queries = pool_queries(test_set)
+    if params is None:
+        rules, features = rules[:1], "binary"
+    matrix = learner.build_features(
+        rules, graphs, queries, [0.0] * len(queries), scorer=features
+    )
+    if params is None:
+        values = [
+            max([0.0] + [float(r.support) for r, f in zip(rules, row) if f])
+            for row in matrix.features
+        ]
+    else:
+        values = [learner.score(row, params) for row in matrix.features]
+    return dict(zip(queries, values))
+
+
+def ranked_evaluation(scores: dict[Query, float], test_set: QuerySet) -> list[float]:
+    """Rank every positive test query within its candidate pool by its score."""
     ranks = []
     for query in test_set.positives:
-        pool = candidate_pool(query, test_set)
-        ranks.append(rank_positive(query, scorer, pool))
+        try:
+            pool_scores = [scores[q] for q in candidate_pool(query, test_set)]
+        except KeyError as exc:
+            raise ValueError(f"no score for pool query {exc.args[0]!r}") from None
+        ranks.append(rank_with_ties(pool_scores, 0))
     return ranks
 
 

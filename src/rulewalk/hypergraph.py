@@ -5,6 +5,14 @@ tail entity set, and a closed integer time interval.  Entities and
 predicates are interned to dense integer ids on first sight.  The graph is
 append-only; after loading it is treated as immutable and is safe to read
 from any number of threads.
+
+`add_event` maintains every index, each list in ascending event-id order:
+
+- `head_index`: entity id -> events with the entity in their head set;
+- `tail_index`: entity id -> events with the entity in their tail set;
+- `shape_index`: (predicate id, head count, tail count) -> events of that
+  shape, the candidate lists of rule grounding;
+- a count of multi-tail events, so `is_b_graph` is O(1).
 """
 from __future__ import annotations
 
@@ -91,6 +99,8 @@ class TemporalHypergraph:
         self.events: list[Event] = []
         self.head_index: dict[int, list[int]] = {}
         self.tail_index: dict[int, list[int]] = {}
+        self.shape_index: dict[tuple[int, int, int], list[int]] = {}
+        self._multi_tail_events = 0
 
     # -- construction -----------------------------------------------------
 
@@ -126,6 +136,10 @@ class TemporalHypergraph:
         for x in head_ids + tail_ids:
             self.head_index.setdefault(x, [])
             self.tail_index.setdefault(x, [])
+        shape = (pred_id, len(head_ids), len(tail_ids))
+        self.shape_index.setdefault(shape, []).append(event_id)
+        if len(tail_ids) != 1:
+            self._multi_tail_events += 1
         return event_id
 
     def _intern_predicate(self, name: str, n_heads: int, n_tails: int) -> int:
@@ -154,7 +168,7 @@ class TemporalHypergraph:
 
     def is_b_graph(self) -> bool:
         """True iff every event has exactly one tail entity."""
-        return all(len(e.tails) == 1 for e in self.events)
+        return self._multi_tail_events == 0
 
     def enabled_edges(self, reached: set[int], traversed: set[int]) -> list[int]:
         """Event ids not yet traversed whose whole head set is reached.

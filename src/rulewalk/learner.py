@@ -91,7 +91,6 @@ def train(
     lr: float = 0.1,
     epochs: int = 500,
     l2: float = 1e-4,
-    seed: int = 0,
 ) -> TrainResult:
     """Full-batch gradient descent from zero; deterministic given inputs."""
     if lr <= 0:
@@ -119,11 +118,13 @@ def build_features(
     """Feature matrix: one row per query, one column per rule.
 
     Binary features are rule-match indicators.  The reach scorer weights a
-    match by the walk reach score of the query's target (capped at 1);
-    queries without a target fall back to the binary value.
+    match by the walk reach score of the query's target (capped at 1),
+    computed once per (query, rule body length); queries without a target
+    fall back to the binary value.
     """
     if scorer not in ("binary", "reach"):
         raise ValueError(f"unknown feature scorer {scorer!r}")
+    reach: dict[tuple, float] = {}
     rows = []
     for query in queries:
         graph = graphs[query.graph_index]
@@ -132,11 +133,14 @@ def build_features(
             matched = evaluate(rule, graph, query, budget=eval_budget)
             value = 1.0 if matched else 0.0
             if matched and scorer == "reach" and query.heads and query.tails:
-                starts = {graph.entities.id_of(h) for h in query.heads}
-                target = graph.entities.id_of(query.tails[0])
-                value = min(
-                    1.0, reach_probability(graph, starts, target, len(rule.body))
-                )
+                key = (query, len(rule.body))
+                if key not in reach:
+                    starts = {graph.entities.id_of(h) for h in query.heads}
+                    target = graph.entities.id_of(query.tails[0])
+                    reach[key] = min(
+                        1.0, reach_probability(graph, starts, target, len(rule.body))
+                    )
+                value = reach[key]
             row.append(value)
         rows.append(row)
     features = np.array(rows, dtype=float) if rows else np.zeros((0, len(rules)))

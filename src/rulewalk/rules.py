@@ -273,8 +273,10 @@ def evaluate(
     The query's entities are bound to the head atom's variables; body
     atoms are matched in order by exhaustive backtracking over events in
     ascending id order, with every pairwise interval relation required to
-    lie in the rule's constraint network.  Exhausting the step budget
-    returns False and flags `diagnostics['budget_exhausted']`.
+    lie in the rule's constraint network.  Each atom visits only the events
+    of its shape that contain its already-bound entities, and each visit
+    costs one budget step.  Exhausting the step budget returns False and
+    flags `diagnostics['budget_exhausted']`.
     """
     return first_grounding(rule, graph, query, budget, diagnostics) is not None
 
@@ -314,7 +316,7 @@ def iter_groundings(
             return
 
     candidates = _candidate_events(rule, graph)
-    if any(not c for c in candidates):
+    if any(not events for _, events in candidates):
         return
 
     head_entities = tuple(graph.entities.id_of(h) for h in query.heads)
@@ -326,26 +328,49 @@ def iter_groundings(
             yield from _match_body(rule, graph, candidates, bind, [], steps)
 
 
-def _candidate_events(rule: TemporalRule, graph: TemporalHypergraph) -> list[list[int]]:
-    by_pred: dict[str, int] = {}
-    out: list[list[int]] = []
+def _candidate_events(
+    rule: TemporalRule, graph: TemporalHypergraph
+) -> list[tuple[tuple[int, int, int], list[int]]]:
+    """Per body atom: its shape key and the graph's events of that shape."""
+    out = []
     for atom in rule.body:
-        if atom.predicate not in by_pred:
-            if atom.predicate in graph.predicates:
-                by_pred[atom.predicate] = graph.predicates.id_of(atom.predicate)
-            else:
-                by_pred[atom.predicate] = -1
-        pid = by_pred[atom.predicate]
-        out.append(
-            [
-                e.event_id
-                for e in graph.events
-                if e.predicate == pid
-                and len(e.heads) == len(atom.head_vars)
-                and len(e.tails) == len(atom.tail_vars)
-            ]
-        )
+        if atom.predicate in graph.predicates:
+            pid = graph.predicates.id_of(atom.predicate)
+        else:
+            pid = -1
+        shape = (pid, len(atom.head_vars), len(atom.tail_vars))
+        out.append((shape, graph.shape_index.get(shape, [])))
     return out
+
+
+def _narrowed(graph, atom, shape, events, binding) -> list[int]:
+    """Candidate events of one body atom under the current binding.
+
+    A head (tail) variable that is already bound confines the atom to the
+    events with that entity in their head (tail) set.  The shortest of those
+    index lists, filtered to the atom's shape, replaces the shape list; all
+    of them are in ascending event-id order, so the grounding order is the
+    same as over the shape list.
+    """
+    best = events
+    for variables, index in (
+        (atom.head_vars, graph.head_index),
+        (atom.tail_vars, graph.tail_index),
+    ):
+        for var in variables:
+            if var in binding:
+                bound = index[binding[var]]
+                if len(bound) < len(best):
+                    best = bound
+    if best is events:
+        return events
+    all_events = graph.events
+    return [
+        e
+        for e in best
+        if (all_events[e].predicate, len(all_events[e].heads), len(all_events[e].tails))
+        == shape
+    ]
 
 
 def _set_bindings(variables, entities, base: dict[int, int]) -> Iterator[dict[int, int]]:
@@ -372,7 +397,8 @@ def _match_body(rule, graph, candidates, binding, chosen, steps) -> Iterator[Gro
         return
     atom = rule.body[pos]
     net = rule.time_net.cells
-    for eid in candidates[pos]:
+    shape, events = candidates[pos]
+    for eid in _narrowed(graph, atom, shape, events, binding):
         event = graph.events[eid]
         steps[0] -= 1
         if steps[0] < 0:

@@ -19,11 +19,10 @@ from rulewalk.convert import temporal_kg_adapt
 from rulewalk.dataio import load_corpus, load_graph, save_graph
 from rulewalk.evaluation import (
     build_classification_queries,
-    count_scorer,
     hits_at_k,
-    model_scorer,
     mrr,
     ranked_evaluation,
+    score_pools,
     split_queries,
 )
 from rulewalk.hypergraph import TemporalHypergraph
@@ -258,8 +257,8 @@ def _variant_metrics(seed):
     rules_plain = mine_rules(graphs, train_set, params, MODE_RELATIONAL)
     rules_pc = mine_rules(graphs, train_set, params, MODE_TEMPORAL)
 
-    ranks_plain = ranked_evaluation(count_scorer(rules_plain, graphs), test_set)
-    ranks_pc = ranked_evaluation(count_scorer(rules_pc, graphs), test_set)
+    ranks_plain = ranked_evaluation(score_pools(rules_plain, graphs, test_set), test_set)
+    ranks_pc = ranked_evaluation(score_pools(rules_pc, graphs, test_set), test_set)
 
     queries = list(train_set.positives) + list(train_set.negatives)
     y = [1.0] * len(train_set.positives) + [0.0] * len(train_set.negatives)
@@ -267,7 +266,7 @@ def _variant_metrics(seed):
     matrix = learner.build_features(top, graphs, queries, y)
     trained = learner.train(matrix)
     ranks_trained = ranked_evaluation(
-        model_scorer(top, graphs, trained.params), test_set
+        score_pools(top, graphs, test_set, trained.params), test_set
     )
     return (
         (mrr(ranks_plain), hits_at_k(ranks_plain, 3)),

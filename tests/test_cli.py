@@ -177,3 +177,34 @@ def test_corpus_without_target_label_is_usage_error(tmp_path, rule_file, capsys)
     assert main(["mine", "--data", corpus, "--walks", "10",
                  "--out", str(tmp_path / "r.txt")]) == 1
     assert "target-label" in capsys.readouterr().err
+
+
+def test_eval_with_empty_test_split_exits_2(tmp_path, rule_file, capsys):
+    corpus = str(tmp_path / "corpus")
+    rules = str(tmp_path / "rules.txt")
+    model = str(tmp_path / "model.txt")
+    task = ["--data", corpus, "--target-label", "Target", "--seed", "2"]
+    assert main(["gen", "--rule", rule_file, "--out", corpus,
+                 "--num-pos", "1", "--num-neg", "3", "--noise", "2",
+                 "--seed", "2"]) == 0
+    assert main(["train", *task, "--walks", "30", "--out", rules,
+                 "--model-out", model]) == 0
+    capsys.readouterr()
+    assert main(["eval", *task, "--rules", rules, "--model", model]) == 2
+    err = capsys.readouterr().err
+    assert "no positive query" in err
+    assert "Traceback" not in err
+
+
+def test_eval_with_model_missing_a_rule_exits_2(tmp_path, rule_file, capsys):
+    corpus, rules, _, _ = run_pipeline(tmp_path, rule_file)
+    bias_only = tmp_path / "bias_only.txt"
+    bias_only.write_text("bias 0.5\n")
+    first = next(l for l in open(rules) if l.startswith("w="))
+    signature = first.split(" ", 1)[1].split(" | ")[0].strip()
+    capsys.readouterr()
+    assert main(["eval", "--data", corpus, "--target-label", "Target",
+                 "--rules", rules, "--model", str(bias_only), "--seed", "7"]) == 2
+    err = capsys.readouterr().err
+    assert signature in err
+    assert "Traceback" not in err

@@ -5,6 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from rulewalk import learner
+from rulewalk.cli import main
+from rulewalk.dataio import load_corpus
 from rulewalk.evaluation import (
     QuerySet,
     build_classification_queries,
@@ -13,8 +16,9 @@ from rulewalk.evaluation import (
     hits_at_k,
     metrics_record,
     mrr,
-    rank_positive,
+    pool_queries,
     rank_with_ties,
+    ranked_evaluation,
     split_queries,
 )
 from rulewalk.hypergraph import TemporalHypergraph
@@ -87,12 +91,45 @@ def test_rank_matches_sort_oracle_on_distinct_scores(scores):
             assert rank_with_ties(scores, idx) == ordered.index(s) + 1
 
 
-def test_rank_positive_uses_pool():
+def test_ranked_evaluation_uses_pool():
     pool = [Query("L", graph_index=i) for i in range(5)]
-    ranks = rank_positive(pool[2], lambda q: 1.0, pool)
-    assert ranks == 3.0
+    test_set = QuerySet([pool[2]], pool[:2] + pool[3:])
+    scores = {q: 1.0 for q in pool}
+    assert ranked_evaluation(scores, test_set) == [3.0]
+    scores[pool[0]] = 2.0
+    assert ranked_evaluation(scores, test_set) == [3.5]
+    del scores[pool[4]]
     with pytest.raises(ValueError):
-        rank_positive(Query("L", graph_index=99), lambda q: 1.0, pool)
+        ranked_evaluation(scores, test_set)
+
+
+def test_eval_grounds_each_pool_query_once_per_rule(tmp_path, monkeypatch):
+    rule_file = tmp_path / "planted.rule"
+    rule_file.write_text(PLANTED + "\n")
+    corpus, rules, model = (str(tmp_path / n) for n in ("c", "r.txt", "m.txt"))
+    task = ["--data", corpus, "--target-label", "Target", "--seed", "5"]
+    assert main(["gen", "--rule", str(rule_file), "--out", corpus,
+                 "--num-pos", "10", "--num-neg", "10", "--noise", "3",
+                 "--seed", "5"]) == 0
+    assert main(["train", *task, "--walks", "60", "--out", rules,
+                 "--model-out", model]) == 0
+
+    _, labels = load_corpus(corpus)
+    _, test_set = split_queries(build_classification_queries(labels, "Target"), 0.8, 5)
+    n_rules = sum(1 for line in open(rules) if line.startswith("w="))
+    n_distinct = len(pool_queries(test_set))
+    assert len(test_set.positives) > 1 and n_rules > 0
+
+    calls = []
+    original = learner.evaluate
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(learner, "evaluate", counted)
+    assert main(["eval", *task, "--rules", rules, "--model", model]) == 0
+    assert 0 < len(calls) <= n_distinct * n_rules
 
 
 def test_candidate_pool_filters_event_arity():

@@ -149,3 +149,37 @@ def test_enabled_edges_monotone_in_reached(raw_events, extra):
     small = set(g.enabled_edges(reached, set()))
     large = set(g.enabled_edges(bigger, set()))
     assert small <= large
+
+
+shaped_events_strategy = st.lists(
+    st.one_of(
+        st.tuples(
+            st.sampled_from(["P", "Q"]),
+            st.lists(st.sampled_from("abcdef"), min_size=1, max_size=3, unique=True),
+            st.lists(st.sampled_from("abcdef"), min_size=1, max_size=1),
+        ),
+        st.tuples(
+            st.just("M"),
+            st.lists(st.sampled_from("abcdef"), min_size=1, max_size=2, unique=True),
+            st.lists(st.sampled_from("abcdef"), min_size=2, max_size=2, unique=True),
+        ),
+    ),
+    max_size=14,
+)
+
+
+@given(shaped_events_strategy)
+def test_shape_index_equals_scan_and_b_graph_flips_on_first_multi_tail(raw_events):
+    g = TemporalHypergraph()
+    seen_multi_tail = False
+    for i, (pred, heads, tails) in enumerate(raw_events):
+        g.add_event(pred, heads, tails, (i, i + 1))
+        seen_multi_tail = seen_multi_tail or len(tails) > 1
+        assert g.is_b_graph() == (not seen_multi_tail)
+
+    scanned: dict[tuple[int, int, int], list[int]] = {}
+    for event in g.events:
+        shape = (event.predicate, len(event.heads), len(event.tails))
+        scanned.setdefault(shape, []).append(event.event_id)
+    assert scanned == g.shape_index
+    assert g.is_b_graph() == all(len(e.tails) == 1 for e in g.events)

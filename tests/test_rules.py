@@ -236,6 +236,56 @@ def test_evaluate_agrees_with_bruteforce_oracle():
     assert mismatches == 0
 
 
+def test_evaluate_with_bound_query_entities_agrees_with_bruteforce_oracle():
+    # event queries bind the head atom's variables, so body atoms are
+    # narrowed through the head/tail indices from the first atom on
+    rng = random.Random(29)
+    shapes = {"P": 1, "Q": 1, "M": 2}  # predicate -> tail count
+    verdicts = []
+    for trial in range(150):
+        g = TemporalHypergraph()
+        entities = [f"e{i}" for i in range(rng.randint(2, 5))]
+        for _ in range(rng.randint(1, 14)):
+            pred = rng.choice(sorted(shapes))
+            heads = rng.sample(entities, 1 if rng.random() < 0.7 else 2)
+            tails = rng.sample(entities, shapes[pred])
+            s = rng.randint(0, 8)
+            g.add_event(pred, heads, tails, (s, rng.randint(s, 8)))
+        n_heads = 1 if rng.random() < 0.7 else 2
+        head = Atom("Goal", tuple(range(n_heads)), (n_heads,))
+        next_var = n_heads + 1
+        body = []
+        for _ in range(rng.randint(1, 3)):
+            pred = rng.choice(sorted(shapes))
+            atom_heads = tuple(
+                dict.fromkeys(rng.randint(0, next_var) for _ in range(rng.randint(1, 2)))
+            )
+            atom_tails = tuple(
+                dict.fromkeys(rng.randint(0, next_var + 1) for _ in range(shapes[pred]))
+            )
+            if len(atom_tails) != shapes[pred]:
+                atom_tails = (next_var + 1, next_var + 2)[: shapes[pred]]
+            next_var = max((next_var,) + atom_heads + atom_tails) + 1
+            body.append(Atom(pred, atom_heads, atom_tails))
+        body = tuple(body)
+        net = IANetwork(list(range(len(body))))
+        for i in range(len(body)):
+            for j in range(i + 1, len(body)):
+                if rng.random() < 0.4:
+                    chosen = rng.sample(list(Relation), rng.randint(2, 8))
+                    net.set_pair(i, j, rel_set(*chosen))
+        rule = TemporalRule(head, body, net, signature_of(head, body))
+        named = [n for n in entities if n in g.entities]
+        if len(named) < n_heads:
+            continue
+        query = Query("Goal", tuple(rng.sample(named, n_heads)), (rng.choice(named),))
+        got = evaluate(rule, g, query)
+        assert got == grounding_exists_bruteforce(rule, g, query), (trial, rule.signature)
+        verdicts.append(got)
+    assert len(verdicts) > 100
+    assert 10 <= sum(verdicts) <= len(verdicts) - 10
+
+
 def test_format_round_trip():
     _, rule = cooked_rule()
     rule.weight = 0.375
