@@ -364,10 +364,15 @@ def _read_rules(path):
     rules = []
     support = 0
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if line.startswith("# support="):
-                support = int(line[len("# support="):])
+                try:
+                    support = int(line[len("# support="):])
+                except ValueError:
+                    raise DataFormatError(
+                        f"{path}:{lineno}: support is not an integer: {line!r}"
+                    ) from None
                 continue
             if not line or line.startswith("#"):
                 continue

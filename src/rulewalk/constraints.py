@@ -4,9 +4,19 @@ An `IANetwork` stores one relation set per ordered pair of nodes (events or
 rule body atoms).  `resolve_time` is the classic worklist propagation: each
 cell is repeatedly intersected with the composition of the relations along
 every two-leg path between its endpoints until a fixpoint; an empty cell
-means the network is inconsistent.  `merge_paths` joins the constraint
-networks of two walk paths, and `generalize` widens a rule network to admit
-a newly observed grounding.
+means the network is inconsistent.
+
+Closed-prefix contract: a caller that appends nodes to a network which is
+already path-consistent passes the number of old nodes as `closed_prefix`,
+and only the pairs touching the appended nodes seed the worklist (the
+incremental idea of PC-2).  A triangle of old nodes can only stop being
+path-consistent after one of its cells shrank, and every shrunk cell is
+queued again, so the propagation reaches the same (unique) closure.  Walks
+use this when they observe one more event against a closed path network,
+and rules when they append class atoms to a closed trace network.
+
+`merge_paths` joins the constraint networks of two walk paths, and
+`generalize` widens a rule network to admit a newly observed grounding.
 """
 from __future__ import annotations
 
@@ -85,68 +95,60 @@ class IANetwork:
         return f"IANetwork(n={self.n}, keys={self.keys!r})"
 
 
-def from_observed(events: Sequence[tuple[Hashable, object]]) -> IANetwork:
-    """Singleton network of the pairwise relations of concrete intervals.
-
-    `events` is a list of (key, interval) pairs.  The result is
-    path-consistent by construction since real intervals realise it.
-    """
-    keys = [k for k, _ in events]
-    net = IANetwork(keys)
-    for i, (_, a) in enumerate(events):
-        for j in range(i + 1, len(events)):
-            b = events[j][1]
-            net.set_pair(i, j, 1 << allen.classify(a, b))
-    return net
-
-
-def resolve_time(net: IANetwork) -> tuple[bool, IANetwork]:
+def resolve_time(net: IANetwork, closed_prefix: int = 0) -> tuple[bool, IANetwork]:
     """Path-consistency closure; returns (consistent, refined copy).
 
     Refinement only ever shrinks cells.  On the first empty cell the
     propagation stops and the partially refined network is returned with
     consistent == False.
+
+    `closed_prefix` = p states that the sub-network over the first p nodes
+    is already path-consistent, so the worklist starts with only the pairs
+    (i, j), i < j, whose node j is at index >= p.  The closure is unique, so
+    the result and the consistency flag are those of the full closure; a
+    network whose first p nodes are not closed may come back unclosed.
     """
     out = net.copy()
     n = out.n
-    if n <= 1:
-        return True, out
     cells = out.cells
+    compose = allen.compose_sets
+    inverse = allen.inverse_set
+    # the worklist holds pairs i < j: working on (i, j) checks every
+    # triangle that has the pair as a leg, whichever end is the middle node
     queue: deque[tuple[int, int]] = deque(
-        (i, j) for i in range(n) for j in range(n) if i != j
+        (i, j) for j in range(max(closed_prefix, 1), n) for i in range(j)
     )
-    queued = {pair: True for pair in queue}
+    queued = set(queue)
     while queue:
-        i, j = queue.popleft()
-        queued[(i, j)] = False
+        pair = queue.popleft()
+        queued.discard(pair)
+        i, j = pair
         rel_ij = cells[i][j]
         for k in range(n):
             if k == i or k == j:
                 continue
             # tighten (i, k) through j
-            refined = cells[i][k] & allen.compose_sets(rel_ij, cells[j][k])
+            refined = cells[i][k] & compose(rel_ij, cells[j][k])
             if refined != cells[i][k]:
-                if refined == EMPTY_SET:
-                    cells[i][k] = refined
-                    cells[k][i] = refined
-                    return False, out
                 cells[i][k] = refined
-                cells[k][i] = allen.inverse_set(refined)
-                if not queued.get((i, k)):
-                    queue.append((i, k))
-                    queued[(i, k)] = True
-            # tighten (k, j) through i
-            refined = cells[k][j] & allen.compose_sets(cells[k][i], rel_ij)
-            if refined != cells[k][j]:
+                cells[k][i] = inverse(refined)
                 if refined == EMPTY_SET:
-                    cells[k][j] = refined
-                    cells[j][k] = refined
                     return False, out
+                pair = (i, k) if i < k else (k, i)
+                if pair not in queued:
+                    queue.append(pair)
+                    queued.add(pair)
+            # tighten (k, j) through i
+            refined = cells[k][j] & compose(cells[k][i], rel_ij)
+            if refined != cells[k][j]:
                 cells[k][j] = refined
-                cells[j][k] = allen.inverse_set(refined)
-                if not queued.get((k, j)):
-                    queue.append((k, j))
-                    queued[(k, j)] = True
+                cells[j][k] = inverse(refined)
+                if refined == EMPTY_SET:
+                    return False, out
+                pair = (k, j) if k < j else (j, k)
+                if pair not in queued:
+                    queue.append(pair)
+                    queued.add(pair)
     return True, out
 
 
@@ -193,8 +195,9 @@ def generalize(rule_net: IANetwork, observed_net: IANetwork) -> IANetwork:
     """Widen a rule network to also admit an observed grounding.
 
     Cellwise union followed by path-consistency closure.  When the observed
-    network is realisable (e.g. built by `from_observed`) the closure can
-    never drop an observed relation, so the result still admits it.
+    network is realisable (the singleton relations of concrete intervals)
+    the closure can never drop an observed relation, so the result still
+    admits it.
     """
     if rule_net.keys != observed_net.keys:
         raise KeyMismatchError(

@@ -126,7 +126,8 @@ def trace_to_rule(
     the query's entities become the head atom's variables.  A unary class
     atom is appended for every variable whose entity carries a class-label
     event in the graph, at most one per variable.  The node keys of the
-    constraint network are rebased to body indices.
+    constraint network are rebased to body indices.  `time_net` must be
+    path-consistent, as `sample_walks` returns it.
     """
     if not trace:
         raise RuleError("cannot build a rule from an empty trace")
@@ -234,21 +235,27 @@ def _check_chain(head: Atom, body: tuple[Atom, ...]) -> None:
 
 
 def _rebase_net(graph, body_events, time_net) -> IANetwork:
+    """The trace network over body indices, plus observed class-atom cells.
+
+    The trace events lead `body_events` and `time_net` is closed, so only
+    the appended class atoms need propagating.
+    """
     net = IANetwork(list(range(len(body_events))))
-    if time_net is not None:
-        pos = {k: i for i, k in enumerate(time_net.keys)}
-        for i, a in enumerate(body_events):
-            for j in range(i + 1, len(body_events)):
-                b = body_events[j]
-                if a in pos and b in pos:
-                    net.set_pair(i, j, time_net.cells[pos[a]][pos[b]])
-                else:
-                    # appended class atom: use the observed relation
-                    rel = allen.classify(
-                        graph.events[a].interval, graph.events[b].interval
-                    )
-                    net.set_pair(i, j, 1 << rel)
-    consistent, closed = resolve_time(net)
+    if time_net is None:
+        return net  # every cell unconstrained: already closed
+    pos = {k: i for i, k in enumerate(time_net.keys)}
+    for i, a in enumerate(body_events):
+        for j in range(i + 1, len(body_events)):
+            b = body_events[j]
+            if a in pos and b in pos:
+                net.set_pair(i, j, time_net.cells[pos[a]][pos[b]])
+            else:
+                # appended class atom: use the observed relation
+                rel = allen.classify(
+                    graph.events[a].interval, graph.events[b].interval
+                )
+                net.set_pair(i, j, 1 << rel)
+    consistent, closed = resolve_time(net, closed_prefix=time_net.n)
     if not consistent:
         raise RuleError("observed trace network is inconsistent")
     return closed

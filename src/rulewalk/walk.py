@@ -25,19 +25,9 @@ from .constraints import IANetwork
 from .hypergraph import GraphError, TemporalHypergraph
 
 
-class _Sentinel:
-    __slots__ = ("name",)
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-
-    def __repr__(self) -> str:
-        return self.name
-
-
 #: step() results for a walk that cannot continue / must be discarded
-DEAD_END = _Sentinel("DEAD_END")
-TIME_CONFLICT = _Sentinel("TIME_CONFLICT")
+DEAD_END = object()
+TIME_CONFLICT = object()
 
 
 def derive_seed(seed: int, *parts) -> int:
@@ -99,18 +89,22 @@ class WalkState:
 
     @property
     def time_net(self) -> IANetwork | None:
-        """Constraint network over the trace; cross-path cells unconstrained."""
+        """Path-consistent constraint network over the trace.
+
+        It joins the closed path networks by unconstrained cross-path
+        cells.  Composing any non-empty set with FULL_SET gives FULL_SET,
+        so no cross-path cell can tighten anything: the join is closed.
+        """
         if not self.record_temporal:
             return None
-        net = IANetwork(list(self.trace))
+        net = IANetwork(self.trace)
+        pos = {k: i for i, k in enumerate(self.trace)}
         for path in self.paths:
-            idx = {k: i for i, k in enumerate(path.net.keys)}
-            for a, i in idx.items():
-                for b, j in idx.items():
-                    if i < j:
-                        net.set_pair(
-                            net.keys.index(a), net.keys.index(b), path.net.cells[i][j]
-                        )
+            idx = [pos[k] for k in path.net.keys]
+            for i, row in zip(idx, path.net.cells):
+                out = net.cells[i]
+                for j, s in zip(idx, row):
+                    out[j] = s
         return net
 
 
@@ -131,9 +125,11 @@ def edge_weight(graph: TemporalHypergraph, state: WalkState, event_id: int) -> f
     event = graph.events[event_id]
     if event_id in state.trace or not all(h in state.reached for h in event.heads):
         raise ValueError(f"event {event_id} is not enabled in this state")
-    return min(
-        state.arrival_mass[h] / graph.out_degree(h) for h in event.heads
-    )
+    return _weight(graph, state.arrival_mass, event)
+
+
+def _weight(graph: TemporalHypergraph, mass: dict[int, float], event) -> float:
+    return min(mass[h] / graph.out_degree(h) for h in event.heads)
 
 
 def step(graph: TemporalHypergraph, state: WalkState, rng: random.Random):
@@ -146,15 +142,15 @@ def step(graph: TemporalHypergraph, state: WalkState, rng: random.Random):
     enabled = graph.enabled_edges(state.reached, set(state.trace))
     if not enabled:
         return DEAD_END
-    weights = [edge_weight(graph, state, e) for e in enabled]
+    weights = [_weight(graph, state.arrival_mass, graph.events[e]) for e in enabled]
     total = sum(weights)
     pick = rng.random() * total
-    chosen = enabled[-1]
+    chosen, mass = enabled[-1], weights[-1]
     acc = 0.0
     for e, w in zip(enabled, weights):
         acc += w
         if pick < acc:
-            chosen = e
+            chosen, mass = e, w
             break
     event = graph.events[chosen]
     tail = event.tails[0]
@@ -163,7 +159,7 @@ def step(graph: TemporalHypergraph, state: WalkState, rng: random.Random):
         if not _record_event(graph, state, chosen, event, tail):
             return TIME_CONFLICT
 
-    state.arrival_mass[tail] = edge_weight(graph, state, chosen)
+    state.arrival_mass[tail] = mass
     state.reached.add(tail)
     state.trace.append(chosen)
     state.step += 1
@@ -182,17 +178,17 @@ def _record_event(graph, state, event_id, event, tail) -> bool:
         if not consistent:
             return False
         merged = _Path(merged.entities | other.entities, net)
-    # extend with the observed relations of the new event to its path
-    keys = list(merged.net.keys) + [event_id]
-    net = IANetwork(keys)
-    for i in range(merged.net.n):
-        for j in range(i + 1, merged.net.n):
-            net.set_pair(i, j, merged.net.cells[i][j])
-    new = len(keys) - 1
-    for i, other_id in enumerate(merged.net.keys):
+    # extend the closed path network with the observed relations of the new
+    # event; only the new node's cells need propagating
+    old = merged.net
+    new = old.n
+    net = IANetwork(old.keys + [event_id])
+    for i, row in enumerate(old.cells):
+        net.cells[i][:new] = row
+    for i, other_id in enumerate(old.keys):
         rel = allen.classify(graph.events[other_id].interval, event.interval)
         net.set_pair(i, new, 1 << rel)
-    consistent, net = constraints.resolve_time(net)
+    consistent, net = constraints.resolve_time(net, closed_prefix=new)
     if not consistent:
         return False
     merged.entities.update(event.heads)
@@ -251,8 +247,8 @@ def sample_walks(
     entities and stop as soon as a step lands on the target; walks that
     exhaust max_steps elsewhere are dropped.  Classification mode (no
     tail): walks start from the heads of the graph's earliest events and
-    must complete all max_steps steps.  Identical inputs give identical
-    output, walk by walk.
+    must complete all max_steps steps.  Each kept time_net is
+    path-consistent.  Identical inputs give identical output, walk by walk.
     """
     diag = diagnostics if diagnostics is not None else WalkDiagnostics()
     starts = _resolve_starts(graph, query, params)
@@ -282,14 +278,8 @@ def sample_walks(
         if target is not None and not hit:
             diag.missed_target += 1
             continue
-        net = state.time_net
-        if net is not None:
-            consistent, net = constraints.resolve_time(net)
-            if not consistent:
-                diag.inconsistent += 1
-                continue
         diag.kept += 1
-        kept.append((list(state.trace), net))
+        kept.append((list(state.trace), state.time_net))
     return kept
 
 

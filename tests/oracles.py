@@ -3,7 +3,9 @@
 Nothing here reuses the code paths under test: composition is re-derived
 by endpoint enumeration, network consistency by interval assignment
 search, rule matching by full tuple enumeration, and gradients by central
-finite differences.
+finite differences.  `from_observed` builds the singleton network of
+concrete intervals, which is path-consistent because the intervals
+realise it.
 """
 from __future__ import annotations
 
@@ -13,6 +15,7 @@ import numpy as np
 
 from rulewalk import learner
 from rulewalk.allen import classify
+from rulewalk.constraints import IANetwork
 from rulewalk.hypergraph import Interval
 
 
@@ -38,6 +41,15 @@ def compose_table_bruteforce(max_endpoint: int = 8) -> list[list[int]]:
             for c in grid:
                 row[rel[(b, c)]] |= 1 << rel[(a, c)]
     return table
+
+
+def from_observed(events) -> IANetwork:
+    """Singleton network of the pairwise relations of (key, interval) pairs."""
+    net = IANetwork([k for k, _ in events])
+    for i, (_, a) in enumerate(events):
+        for j in range(i + 1, len(events)):
+            net.set_pair(i, j, 1 << classify(a, events[j][1]))
+    return net
 
 
 def realizable(net, max_endpoint: int = 8) -> bool:

@@ -11,18 +11,18 @@ from rulewalk.allen import (
     classify,
     compose,
     compose_sets,
-    intersect,
     inverse,
     inverse_set,
-    members,
+    iter_members,
     rel_set,
-    union,
 )
 from rulewalk.hypergraph import Interval
 
 from oracles import compose_table_bruteforce, interval_grid
 
 R = Relation
+
+relation_sets = st.integers(EMPTY_SET, FULL_SET)
 
 intervals_small = st.tuples(st.integers(0, 6), st.integers(0, 6)).map(
     lambda p: Interval(min(p), max(p))
@@ -151,6 +151,16 @@ def test_inverse_distributes_over_composition():
             assert inverse_set(compose(r1, r2)) == compose(inverse(r2), inverse(r1))
 
 
+def compose_sets_bruteforce(s1, s2):
+    """Union of the frozen table's cells over every (r1, r2) in s1 x s2."""
+    out = EMPTY_SET
+    for r1 in range(13):
+        for r2 in range(13):
+            if s1 >> r1 & 1 and s2 >> r2 & 1:
+                out |= allen.COMPOSITION_TABLE[r1][r2]
+    return out
+
+
 def test_compose_sets():
     assert compose_sets(rel_set(R.BEFORE), rel_set(R.BEFORE)) == rel_set(R.BEFORE)
     assert compose_sets(EMPTY_SET, FULL_SET) == EMPTY_SET
@@ -158,11 +168,36 @@ def test_compose_sets():
     assert compose_sets(FULL_SET, FULL_SET) == FULL_SET
 
 
+def test_compose_sets_matches_bruteforce_union_for_every_left_set():
+    columns = [rel_set(r) for r in Relation] + [EMPTY_SET, FULL_SET]
+    for s2 in columns:
+        # the union is linear in s1, so one column per base relation suffices
+        unit = [compose_sets_bruteforce(1 << r1, s2) for r1 in range(13)]
+        for s1 in range(FULL_SET + 1):
+            expected = EMPTY_SET
+            for r1 in range(13):
+                if s1 >> r1 & 1:
+                    expected |= unit[r1]
+            assert compose_sets(s1, s2) == expected, (s1, s2)
+    # walks join path networks by unconstrained cells and rely on this
+    for s in range(1, FULL_SET + 1):
+        assert compose_sets(s, FULL_SET) == FULL_SET
+        assert compose_sets(FULL_SET, s) == FULL_SET
+
+
+@given(relation_sets, relation_sets)
+def test_compose_sets_property(s1, s2):
+    assert compose_sets(s1, s2) == compose_sets_bruteforce(s1, s2)
+
+
 def test_set_operations():
-    assert intersect(rel_set(R.BEFORE, R.MEETS), rel_set(R.MEETS, R.OVERLAPS)) == rel_set(R.MEETS)
-    assert union(rel_set(R.BEFORE), rel_set(R.AFTER)) == rel_set(R.BEFORE, R.AFTER)
-    s = rel_set(R.DURING, R.FINISHES)
-    assert intersect(s, FULL_SET) == s
+    # relation sets are bitmasks: & intersects, | unites, and the converse
+    # distributes over both
+    a, b = rel_set(R.BEFORE, R.MEETS), rel_set(R.MEETS, R.OVERLAPS)
+    assert a & b == rel_set(R.MEETS)
+    assert a | b == rel_set(R.BEFORE, R.MEETS, R.OVERLAPS)
+    assert inverse_set(a & b) == inverse_set(a) & inverse_set(b)
+    assert inverse_set(a | b) == inverse_set(a) | inverse_set(b)
 
 
 def test_format_parse_round_trip():
@@ -172,7 +207,11 @@ def test_format_parse_round_trip():
 
 
 def test_members_ordering():
-    assert members(rel_set(R.EQUAL, R.BEFORE)) == (R.BEFORE, R.EQUAL)
+    assert tuple(iter_members(rel_set(R.EQUAL, R.BEFORE))) == (R.BEFORE, R.EQUAL)
+    assert tuple(iter_members(FULL_SET)) == tuple(Relation)
+    assert tuple(iter_members(EMPTY_SET)) == ()
+    for s in range(FULL_SET + 1):
+        assert rel_set(*iter_members(s)) == s
 
 
 @given(intervals_small, intervals_small, intervals_small)

@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit codes, end-to-end determinism."""
 import filecmp
+import hashlib
 import json
 import os
 
@@ -208,3 +209,45 @@ def test_eval_with_model_missing_a_rule_exits_2(tmp_path, rule_file, capsys):
     err = capsys.readouterr().err
     assert signature in err
     assert "Traceback" not in err
+
+
+def test_eval_with_bad_support_line_exits_2(tmp_path, rule_file, capsys):
+    corpus = str(tmp_path / "corpus")
+    rules = tmp_path / "rules.txt"
+    rules.write_text("# support=3\n" + PLANTED + "# support=abc\n" + PLANTED)
+    assert main(["gen", "--rule", rule_file, "--out", corpus,
+                 "--num-pos", "4", "--num-neg", "4", "--noise", "2",
+                 "--seed", "3"]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--data", corpus, "--target-label", "Target",
+                 "--rules", str(rules), "--seed", "3"]) == 2
+    err = capsys.readouterr().err
+    assert f"{rules}:3:" in err
+    assert "support=abc" in err
+    assert "Traceback" not in err
+
+
+def test_mine_output_is_pinned_at_three_steps(tmp_path, capsys):
+    # byte-identity guard: 3-step walks merge paths and compose relations,
+    # so a change to composition or path consistency that alters any rule
+    # shows up here; the digest is that of the release this test came with
+    rule = tmp_path / "chain3.rule"
+    rule.write_text("w=0.0 Target() <- A(X0->X1) , B(X1->X2) , C(X2->X3)"
+                    " | 0 {BEFORE} 1 ; 1 {MEETS} 2\n")
+    corpus = str(tmp_path / "corpus")
+    mined = tmp_path / "mined.txt"
+    assert main(["gen", "--rule", str(rule), "--out", corpus,
+                 "--num-pos", "12", "--num-neg", "12", "--noise", "4",
+                 "--seed", "5"]) == 0
+    capsys.readouterr()
+    assert main(["mine", "--data", corpus, "--target-label", "Target",
+                 "--mode", "temporal", "--walks", "30", "--max-steps", "3",
+                 "--start-events", "2", "--seed", "5", "--out", str(mined)]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[-1] == (
+        "walks=300 kept=300 dead_ends=0 inconsistent=0 disconnected=51 "
+        "coverage_filtered=103"
+    )
+    assert hashlib.sha256(mined.read_bytes()).hexdigest() == (
+        "ba75e4326fc05b54da4b1151394f1b004c892cce862783a657f83ebadcd62832"
+    )

@@ -2,41 +2,29 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rulewalk import allen
 from rulewalk.allen import FULL_SET, Relation, rel_set
 from rulewalk.constraints import (
     IANetwork,
     KeyMismatchError,
-    from_observed,
     generalize,
     merge_paths,
     resolve_time,
 )
 from rulewalk.hypergraph import Interval
 
-from oracles import realizable
+from oracles import from_observed, realizable
 
 R = Relation
 
-
-def test_from_observed_singletons():
-    net = from_observed([("a", Interval(1, 2)), ("b", Interval(3, 4))])
-    ia, ib = net.index_of("a"), net.index_of("b")
-    assert net.cells[ia][ib] == rel_set(R.BEFORE)
-    assert net.cells[ib][ia] == rel_set(R.AFTER)
-    assert net.cells[ia][ia] == rel_set(R.EQUAL)
-
-
-def test_from_observed_single_node():
-    net = from_observed([("a", Interval(2, 2))])
-    assert net.n == 1
-    assert net.cells[0][0] == rel_set(R.EQUAL)
-
-
-def test_from_observed_equal_intervals():
-    net = from_observed([("a", Interval(1, 3)), ("b", Interval(1, 3))])
-    assert net.cells[0][1] == rel_set(R.EQUAL)
+intervals_small = st.tuples(st.integers(0, 8), st.integers(0, 4)).map(
+    lambda p: Interval(p[0], p[0] + p[1])
+)
+singletons = st.sampled_from([rel_set(r) for r in Relation])
+nonempty_sets = st.integers(1, FULL_SET)
 
 
 def test_resolve_time_composes_chain():
@@ -224,3 +212,30 @@ def test_generalize_commutative_and_associative_over_observed():
         left = generalize(generalize(o0, o1), o2)
         right = generalize(o0, generalize(o1, o2))
         assert left.cells == right.cells
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_resolve_time_closed_prefix_matches_full_closure(data):
+    # a closed, consistent prefix (observed relations widened at random),
+    # then one appended node whose cells may contradict it
+    n = data.draw(st.integers(1, 5), label="prefix nodes")
+    intervals = data.draw(st.lists(intervals_small, min_size=n, max_size=n))
+    prefix = IANetwork(list(range(n)))
+    for i in range(n):
+        for j in range(i + 1, n):
+            observed = 1 << allen.classify(intervals[i], intervals[j])
+            prefix.set_pair(i, j, observed | data.draw(st.integers(0, FULL_SET)))
+    consistent, prefix = resolve_time(prefix)
+    assert consistent
+
+    net = IANetwork(list(range(n + 1)))
+    for i in range(n):
+        for j in range(i + 1, n):
+            net.set_pair(i, j, prefix.cells[i][j])
+        net.set_pair(i, n, data.draw(st.one_of(singletons, nonempty_sets)))
+    full_ok, full = resolve_time(net)
+    inc_ok, inc = resolve_time(net, closed_prefix=n)
+    assert inc_ok == full_ok
+    if full_ok:
+        assert inc.cells == full.cells

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from rulewalk.allen import FULL_SET, Relation, rel_set
-from rulewalk.constraints import IANetwork, from_observed
+from rulewalk.constraints import IANetwork
 from rulewalk.hypergraph import Interval, TemporalHypergraph
 from rulewalk.rules import (
     Atom,
@@ -22,7 +22,7 @@ from rulewalk.rules import (
     trace_to_rule,
 )
 
-from oracles import grounding_exists_bruteforce
+from oracles import from_observed, grounding_exists_bruteforce
 
 R = Relation
 

@@ -92,6 +92,22 @@ def test_edge_weight_halved_mass():
     pytest.fail("edge 0 never sampled in 20 seeds")
 
 
+def test_step_records_the_chosen_edges_weight():
+    g = two_head_graph()
+    g.add_event("P", ["x1"], ["z"], (2, 3))
+    starts = {g.entities.id_of("a"), g.entities.id_of("b")}
+    for seed in range(30):
+        state = init_walk(g, starts)
+        rng = random.Random(seed)
+        while True:
+            enabled = g.enabled_edges(state.reached, set(state.trace))
+            expected = {e: edge_weight(g, state, e) for e in enabled}
+            if step(g, state, rng) is DEAD_END:
+                break
+            chosen = state.trace[-1]
+            assert state.arrival_mass[g.events[chosen].tails[0]] == expected[chosen]
+
+
 def test_edge_weight_disabled_edge_raises():
     g = chain_graph()
     state = init_walk(g, {g.entities.id_of("a")})
@@ -265,24 +281,37 @@ def test_walk_params_target_override():
 
 
 def test_returned_time_nets_are_closed_and_nonempty():
-    from rulewalk.allen import EMPTY_SET
+    from rulewalk.allen import EMPTY_SET, FULL_SET
     from rulewalk.constraints import resolve_time
 
-    g = TemporalHypergraph()
-    g.add_event("P", ["a"], ["c"], (0, 3))
-    g.add_event("Q", ["b"], ["d"], (2, 6))
-    g.add_event("Join", ["c", "d"], ["z"], (5, 9))
-    g.add_event("R", ["z"], ["w"], (10, 11))
+    joined = TemporalHypergraph()
+    joined.add_event("P", ["a"], ["c"], (0, 3))
+    joined.add_event("Q", ["b"], ["d"], (2, 6))
+    joined.add_event("Join", ["c", "d"], ["z"], (5, 9))
+    joined.add_event("R", ["z"], ["w"], (10, 11))
+    # the paths from a and b never meet: the target hangs off a's path only,
+    # so the cells between Q and the other events stay unconstrained
+    apart = TemporalHypergraph()
+    apart.add_event("P", ["a"], ["c"], (0, 3))
+    apart.add_event("Q", ["b"], ["d"], (2, 6))
+    apart.add_event("R", ["c"], ["w"], (5, 9))
     query = Query("Goal", ("a", "b"), ("w",))
     params = WalkParams(max_steps=4, num_walks=120, seed=13)
-    results = sample_walks(g, query, params)
-    assert results
-    for trace, net in results:
-        assert net.keys == trace
-        assert all(
-            net.cells[i][j] != EMPTY_SET
-            for i in range(net.n)
-            for j in range(net.n)
-        )
-        consistent, closed = resolve_time(net)
-        assert consistent and closed.cells == net.cells
+    cross_paths = 0
+    for g in (joined, apart):
+        results = sample_walks(g, query, params)
+        assert results
+        for trace, net in results:
+            assert net.keys == trace
+            assert all(
+                net.cells[i][j] != EMPTY_SET
+                for i in range(net.n)
+                for j in range(net.n)
+            )
+            consistent, closed = resolve_time(net)
+            assert consistent and closed.cells == net.cells
+            if g is apart and 1 in trace:
+                q = trace.index(1)
+                assert all(net.cells[q][j] == FULL_SET for j in range(net.n) if j != q)
+                cross_paths += 1
+    assert cross_paths
