@@ -15,6 +15,12 @@ queued again, so the propagation reaches the same (unique) closure.  Walks
 use this when they observe one more event against a closed path network,
 and rules when they append class atoms to a closed trace network.
 
+Closed-input contract of `merge_paths`: both inputs are path-consistent.
+When they share no key the join, whose cross cells are FULL_SET, is closed
+already (composing a non-empty set with FULL_SET gives FULL_SET, so no
+cross cell tightens anything) and comes back without propagation; a walk's
+paths never share an event, so every walk merge takes this route.
+
 `merge_paths` joins the constraint networks of two walk paths, and
 `generalize` widens a rule network to admit a newly observed grounding.
 """
@@ -155,11 +161,12 @@ def resolve_time(net: IANetwork, closed_prefix: int = 0) -> tuple[bool, IANetwor
 def merge_paths(
     net_a: IANetwork, net_b: IANetwork, shared_keys: Sequence[Hashable] = ()
 ) -> tuple[bool, IANetwork]:
-    """Join two path networks over the union of their keys and re-resolve.
+    """Join two closed path networks over the union of their keys.
 
     Keys common to both networks are unified; cells known on both sides are
-    intersected, cells connecting the two paths default to the full set and
-    are then refined by `resolve_time`.
+    intersected, cells connecting the two paths default to the full set.
+    With a shared key the join is refined by `resolve_time`; with none it
+    is closed already (see the closed-input contract above).
     """
     for key in shared_keys:
         if key not in net_a.keys or key not in net_b.keys:
@@ -188,6 +195,8 @@ def merge_paths(
             merged.cells[pos[x]][pos[y]] = cell
     if merged.is_trivially_empty():
         return False, merged
+    if len(keys) == net_a.n + net_b.n:  # no shared key: the join is closed
+        return True, merged
     return resolve_time(merged)
 
 

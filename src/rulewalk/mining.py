@@ -64,11 +64,27 @@ def mine_rules(
             record_temporal=True,
             start_events=params.start_events,
         )
+        # trace -> signature of its rule, or None when the trace is
+        # disconnected.  A trace fixes its network, so a repeated trace only
+        # adds support: closure keeps every closed sub-network of its input,
+        # so once a rule network has admitted a closed network B every later
+        # one still contains B, and generalize(K, B) == K from then on.
+        lifted: dict[tuple[int, ...], str | None] = {}
         for trace, net in sample_walks(graph, query, wparams, diag.walk):
+            key = tuple(trace)
+            if key in lifted:
+                signature = lifted[key]
+                if signature is None:
+                    diag.disconnected += 1
+                else:
+                    aggregated[signature].support += 1
+                continue
             if not chain_connected(graph, trace, query):
+                lifted[key] = None
                 diag.disconnected += 1
                 continue
             rule = trace_to_rule(graph, trace, net, query)
+            lifted[key] = rule.signature
             known = aggregated.get(rule.signature)
             if known is None:
                 rule.support = 1

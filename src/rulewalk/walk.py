@@ -13,6 +13,13 @@ its events, and when an edge joins two paths their networks are merged
 with `constraints.merge_paths` (cross-path cells resolved by path
 consistency rather than re-observed).  Walks whose merge turns out
 inconsistent are discarded, not resampled.
+
+A walk's state depends only on its start set and its trace, so the states
+form a prefix tree rooted at the start set.  Each node computes its
+sampling options, each of its successors and its trace network once, the
+first time a walk needs them; later walks through the same prefix reuse
+them.  Nodes are never mutated once built, so walks that share a trace
+share its `IANetwork`, which callers must treat as read-only.
 """
 from __future__ import annotations
 
@@ -65,51 +72,102 @@ class WalkDiagnostics:
 
 
 class _Path:
-    """One sub-walk: its entity territory and its event constraint network."""
+    """One sub-walk: its entity territory and its closed event constraint network.
+
+    Never mutated once built: successor nodes share the paths a step leaves
+    untouched with their parent.
+    """
 
     __slots__ = ("entities", "net")
 
-    def __init__(self, entities: set[int], net: IANetwork | None = None):
+    def __init__(self, entities: frozenset[int], net: IANetwork):
         self.entities = entities
-        self.net = net if net is not None else IANetwork([])
+        self.net = net
+
+
+class _Prefix:
+    """A prefix-tree node: the walk state after one trace from the root's starts.
+
+    `reached`, `arrival_mass`, `trace` and `paths` (None when temporal
+    recording is off) are never mutated once the node is built.  The memo
+    slots fill in on first use: `options` holds the sampling options
+    (enabled event ids, their weights, the weights' sum), `successors` maps
+    a chosen event id to the next node or TIME_CONFLICT, and `net` caches
+    the trace network.
+    """
+
+    __slots__ = ("reached", "arrival_mass", "trace", "paths", "options", "successors", "net")
+
+    def __init__(self, reached: set[int], arrival_mass: dict[int, float],
+                 trace: list[int], paths: list[_Path] | None) -> None:
+        self.reached = reached
+        self.arrival_mass = arrival_mass
+        self.trace = trace
+        self.paths = paths
+        self.options: tuple[list[int], list[float], float] | None = None
+        self.successors: dict[int, _Prefix | object] = {}
+        self.net: IANetwork | None = None
 
 
 class WalkState:
-    """Mutable state of a single walk."""
+    """A cursor onto one node of a walk's prefix tree.
 
-    def __init__(self, starts: set[int], record_temporal: bool) -> None:
-        self.reached: set[int] = set(starts)
-        self.arrival_mass: dict[int, float] = {s: 1.0 for s in starts}
-        self.trace: list[int] = []
-        self.step: int = 0
-        self.record_temporal = record_temporal
-        self.paths: list[_Path] = (
-            [_Path({s}) for s in sorted(starts)] if record_temporal else []
-        )
+    `reached`, `arrival_mass`, `trace`, `paths` and `time_net` belong to the
+    node, which other walks may share: read them, never mutate them.
+    `step` moves the cursor to the next node in place.
+    """
+
+    __slots__ = ("_node",)
+
+    def __init__(self, node: _Prefix) -> None:
+        self._node = node
+
+    @property
+    def reached(self) -> set[int]:
+        return self._node.reached
+
+    @property
+    def arrival_mass(self) -> dict[int, float]:
+        return self._node.arrival_mass
+
+    @property
+    def trace(self) -> list[int]:
+        return self._node.trace
+
+    @property
+    def step(self) -> int:
+        return len(self._node.trace)
+
+    @property
+    def paths(self) -> list[_Path] | None:
+        return self._node.paths
 
     @property
     def time_net(self) -> IANetwork | None:
-        """Path-consistent constraint network over the trace.
+        """Path-consistent constraint network over the trace, built once per node.
 
         It joins the closed path networks by unconstrained cross-path
         cells.  Composing any non-empty set with FULL_SET gives FULL_SET,
         so no cross-path cell can tighten anything: the join is closed.
         """
-        if not self.record_temporal:
+        node = self._node
+        if node.paths is None:
             return None
-        net = IANetwork(self.trace)
-        pos = {k: i for i, k in enumerate(self.trace)}
-        for path in self.paths:
-            idx = [pos[k] for k in path.net.keys]
-            for i, row in zip(idx, path.net.cells):
-                out = net.cells[i]
-                for j, s in zip(idx, row):
-                    out[j] = s
-        return net
+        if node.net is None:
+            net = IANetwork(node.trace)
+            pos = {k: i for i, k in enumerate(node.trace)}
+            for path in node.paths:
+                idx = [pos[k] for k in path.net.keys]
+                for i, row in zip(idx, path.net.cells):
+                    out = net.cells[i]
+                    for j, s in zip(idx, row):
+                        out[j] = s
+            node.net = net
+        return node.net
 
 
 def init_walk(graph: TemporalHypergraph, starts: set[int], record_temporal: bool = True) -> WalkState:
-    """Fresh walk state: every start entity reached with unit mass."""
+    """A cursor on a fresh prefix-tree root: every start entity reached with unit mass."""
     if not starts:
         raise ValueError("walk requires a non-empty start set")
     for s in starts:
@@ -117,7 +175,11 @@ def init_walk(graph: TemporalHypergraph, starts: set[int], record_temporal: bool
             raise GraphError(f"unknown start entity id {s}")
     if not graph.is_b_graph():
         raise GraphError("random B-walks require a B-graph (single-tail events)")
-    return WalkState(set(starts), record_temporal)
+    paths = (
+        [_Path(frozenset((s,)), IANetwork([])) for s in sorted(starts)]
+        if record_temporal else None
+    )
+    return WalkState(_Prefix(set(starts), {s: 1.0 for s in starts}, [], paths))
 
 
 def edge_weight(graph: TemporalHypergraph, state: WalkState, event_id: int) -> float:
@@ -133,17 +195,21 @@ def _weight(graph: TemporalHypergraph, mass: dict[int, float], event) -> float:
 
 
 def step(graph: TemporalHypergraph, state: WalkState, rng: random.Random):
-    """Sample one enabled edge and advance the walk in place.
+    """Sample one enabled edge and move the cursor to that successor in place.
 
     Returns the state, or DEAD_END when nothing is enabled, or
     TIME_CONFLICT when temporal recording finds the extended network
-    inconsistent (the walk is then to be discarded).
+    inconsistent (the walk is then to be discarded); in both cases the
+    cursor stays where it was.  Draws `rng.random()` once per sampled edge.
     """
-    enabled = graph.enabled_edges(state.reached, set(state.trace))
+    node = state._node
+    if node.options is None:
+        enabled = graph.enabled_edges(node.reached, set(node.trace))
+        weights = [_weight(graph, node.arrival_mass, graph.events[e]) for e in enabled]
+        node.options = (enabled, weights, sum(weights))
+    enabled, weights, total = node.options
     if not enabled:
         return DEAD_END
-    weights = [_weight(graph, state.arrival_mass, graph.events[e]) for e in enabled]
-    total = sum(weights)
     pick = rng.random() * total
     chosen, mass = enabled[-1], weights[-1]
     acc = 0.0
@@ -152,35 +218,46 @@ def step(graph: TemporalHypergraph, state: WalkState, rng: random.Random):
         if pick < acc:
             chosen, mass = e, w
             break
-    event = graph.events[chosen]
-    tail = event.tails[0]
-
-    if state.record_temporal:
-        if not _record_event(graph, state, chosen, event, tail):
-            return TIME_CONFLICT
-
-    state.arrival_mass[tail] = mass
-    state.reached.add(tail)
-    state.trace.append(chosen)
-    state.step += 1
+    succ = node.successors.get(chosen)
+    if succ is None:
+        succ = node.successors[chosen] = _successor(graph, node, chosen, mass)
+    if succ is TIME_CONFLICT:
+        return TIME_CONFLICT
+    state._node = succ
     return state
 
 
-def _record_event(graph, state, event_id, event, tail) -> bool:
-    """Merge the paths the event touches and observe it against that path."""
-    touched = []
-    for path in state.paths:
-        if any(h in path.entities for h in event.heads) or tail in path.entities:
-            touched.append(path)
-    merged = touched[0]
+def _successor(graph, node: _Prefix, event_id: int, mass: float):
+    """The node one step past `node` along `event_id`, or TIME_CONFLICT."""
+    event = graph.events[event_id]
+    tail = event.tails[0]
+    paths = node.paths
+    if paths is not None:
+        paths = _record_event(graph, paths, event_id, event, tail)
+        if paths is None:
+            return TIME_CONFLICT
+    arrival_mass = dict(node.arrival_mass)
+    arrival_mass[tail] = mass
+    return _Prefix(node.reached | {tail}, arrival_mass, node.trace + [event_id], paths)
+
+
+def _record_event(graph, paths, event_id, event, tail) -> list[_Path] | None:
+    """The paths after merging those the event touches and observing it there.
+
+    Returns None when the merged network is inconsistent.
+    """
+    touched = [
+        path for path in paths
+        if any(h in path.entities for h in event.heads) or tail in path.entities
+    ]
+    entities, old = touched[0].entities, touched[0].net
     for other in touched[1:]:
-        consistent, net = constraints.merge_paths(merged.net, other.net)
+        consistent, old = constraints.merge_paths(old, other.net)
         if not consistent:
-            return False
-        merged = _Path(merged.entities | other.entities, net)
+            return None
+        entities = entities | other.entities
     # extend the closed path network with the observed relations of the new
     # event; only the new node's cells need propagating
-    old = merged.net
     new = old.n
     net = IANetwork(old.keys + [event_id])
     for i, row in enumerate(old.cells):
@@ -190,12 +267,9 @@ def _record_event(graph, state, event_id, event, tail) -> bool:
         net.set_pair(i, new, 1 << rel)
     consistent, net = constraints.resolve_time(net, closed_prefix=new)
     if not consistent:
-        return False
-    merged.entities.update(event.heads)
-    merged.entities.add(tail)
-    merged.net = net
-    state.paths = [p for p in state.paths if p not in touched] + [merged]
-    return True
+        return None
+    merged = _Path(entities.union(event.heads, (tail,)), net)
+    return [p for p in paths if p not in touched] + [merged]
 
 
 def reach_probability(
@@ -248,16 +322,19 @@ def sample_walks(
     exhaust max_steps elsewhere are dropped.  Classification mode (no
     tail): walks start from the heads of the graph's earliest events and
     must complete all max_steps steps.  Each kept time_net is
-    path-consistent.  Identical inputs give identical output, walk by walk.
+    path-consistent and shared by every kept walk with the same trace, so
+    it is read-only.  All walks of one call move through one prefix tree.
+    Identical inputs give identical output, walk by walk.
     """
     diag = diagnostics if diagnostics is not None else WalkDiagnostics()
     starts = _resolve_starts(graph, query, params)
     target = params.target if params.target is not None else _resolve_target(graph, query)
+    root = init_walk(graph, starts, params.record_temporal)._node
     kept: list[tuple[list[int], IANetwork | None]] = []
     for w in range(params.num_walks):
         diag.walks += 1
         rng = random.Random(f"{params.seed}:{w}")
-        state = init_walk(graph, starts, params.record_temporal)
+        state = WalkState(root)
         hit = False
         discarded = False
         while state.step < params.max_steps:

@@ -2,21 +2,23 @@
 
 Nothing here reuses the code paths under test: composition is re-derived
 by endpoint enumeration, network consistency by interval assignment
-search, rule matching by full tuple enumeration, and gradients by central
-finite differences.  `from_observed` builds the singleton network of
-concrete intervals, which is path-consistent because the intervals
-realise it.
+search, rule matching by full tuple enumeration, walks by a plain replay
+that recomputes everything at every step, and gradients by central finite
+differences.  `from_observed` builds the singleton network of concrete
+intervals, which is path-consistent because the intervals realise it.
 """
 from __future__ import annotations
 
+import random
 from itertools import permutations, product
 
 import numpy as np
 
 from rulewalk import learner
 from rulewalk.allen import classify
-from rulewalk.constraints import IANetwork
+from rulewalk.constraints import IANetwork, resolve_time
 from rulewalk.hypergraph import Interval
+from rulewalk.walk import WalkDiagnostics
 
 
 def interval_grid(max_endpoint: int) -> list[Interval]:
@@ -50,6 +52,92 @@ def from_observed(events) -> IANetwork:
         for j in range(i + 1, len(events)):
             net.set_pair(i, j, 1 << classify(a, events[j][1]))
     return net
+
+
+def replay_walks(graph, query, params):
+    """`sample_walks` without any memo: (kept (trace, time_net) pairs, diagnostics).
+
+    Every walk starts from fresh state and recomputes the enabled edges and
+    their weights at every step, drawing from the same per-walk generator.
+    Paths are entity sets plus the event pairs observed together; a
+    touched path's network is closed from scratch over its observed pairs
+    at every step, and the kept network is the from-scratch closure over
+    the whole trace, whose cells between different paths stay FULL.
+    """
+    if query.heads:
+        starts = {graph.entities.id_of(h) for h in query.heads}
+    else:
+        order = sorted(graph.events, key=lambda e: (e.interval.start, e.event_id))
+        starts = {h for e in order[: params.start_events] for h in e.heads}
+    target = graph.entities.id_of(query.tails[0]) if query.tails else None
+    diag = WalkDiagnostics()
+    kept = []
+    for w in range(params.num_walks):
+        diag.walks += 1
+        rng = random.Random(f"{params.seed}:{w}")
+        reached = set(starts)
+        mass = {s: 1.0 for s in starts}
+        trace: list[int] = []
+        paths = [({s}, []) for s in sorted(starts)]  # (entities, event ids)
+        observed: set[tuple[int, int]] = set()
+        outcome = None
+        while len(trace) < params.max_steps:
+            enabled = sorted(
+                e.event_id for e in graph.events
+                if e.event_id not in trace and all(h in reached for h in e.heads)
+            )
+            if not enabled:
+                outcome = "dead_end"
+                break
+            weights = [
+                min(mass[h] / graph.out_degree(h) for h in graph.events[e].heads)
+                for e in enabled
+            ]
+            pick = rng.random() * sum(weights)
+            chosen, chosen_mass = enabled[-1], weights[-1]
+            acc = 0.0
+            for e, wt in zip(enabled, weights):
+                acc += wt
+                if pick < acc:
+                    chosen, chosen_mass = e, wt
+                    break
+            event = graph.events[chosen]
+            tail = event.tails[0]
+            touched = [p for p in paths if p[0] & (set(event.heads) | {tail})]
+            entities = set().union(*(p[0] for p in touched), event.heads, {tail})
+            events = [k for p in touched for k in p[1]]
+            observed |= {(k, chosen) for k in events}
+            if not _observed_closure(graph, events + [chosen], observed)[0]:
+                outcome = "inconsistent"
+                break
+            paths = [p for p in paths if p not in touched] + [(entities, events + [chosen])]
+            mass[tail] = chosen_mass
+            reached.add(tail)
+            trace.append(chosen)
+            if tail == target:
+                break
+        if outcome == "dead_end":
+            diag.dead_ends += 1
+        elif outcome == "inconsistent":
+            diag.inconsistent += 1
+        elif target is not None and graph.events[trace[-1]].tails[0] != target:
+            diag.missed_target += 1
+        else:
+            diag.kept += 1
+            kept.append((trace, _observed_closure(graph, trace, observed)[1]))
+    return kept, diag
+
+
+def _observed_closure(graph, keys, observed):
+    """Full path-consistency closure of the observed relations among `keys`."""
+    net = IANetwork(keys)
+    for i, a in enumerate(keys):
+        for j in range(i + 1, len(keys)):
+            b = keys[j]
+            if (a, b) in observed or (b, a) in observed:
+                rel = classify(graph.events[a].interval, graph.events[b].interval)
+                net.set_pair(i, j, 1 << rel)
+    return resolve_time(net)
 
 
 def realizable(net, max_endpoint: int = 8) -> bool:

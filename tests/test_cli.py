@@ -251,3 +251,52 @@ def test_mine_output_is_pinned_at_three_steps(tmp_path, capsys):
     assert hashlib.sha256(mined.read_bytes()).hexdigest() == (
         "ba75e4326fc05b54da4b1151394f1b004c892cce862783a657f83ebadcd62832"
     )
+
+
+def _small_event_graph(path):
+    # 8 entities, 40 events, two of them two-head: target-mode walks over so
+    # few edges repeat one another most of the time
+    import random
+
+    rng = random.Random("golden-event-graph")
+    lines = ["#thg v1"]
+    for i in range(40):
+        head = rng.randrange(8)
+        tail = rng.choice([e for e in range(8) if e != head])
+        heads = f"e{head}"
+        if i % 20 == 7:
+            other = rng.choice([e for e in range(8) if e not in (head, tail)])
+            heads += f",e{other}"
+        start = rng.randrange(60)
+        lines.append(f"p{i % 4} | {heads} | e{tail} | {start} {start + rng.randrange(9)}")
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_target_mode_outputs_are_pinned(tmp_path, capsys):
+    # byte-identity guard for link-prediction mining and training, whose
+    # walks stop on the query's tail; the digests are those of the release
+    # this test came with
+    graph = tmp_path / "events.thg"
+    _small_event_graph(graph)
+    task = ["--data", str(graph), "--positive-predicates", "p0", "--seed", "3"]
+    mined = tmp_path / "mined.txt"
+    assert main(["mine", *task, "--walks", "80", "--max-steps", "3",
+                 "--out", str(mined)]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[-1] == (
+        "walks=640 kept=353 dead_ends=0 inconsistent=0 disconnected=0 "
+        "coverage_filtered=0"
+    )
+    assert hashlib.sha256(mined.read_bytes()).hexdigest() == (
+        "4342d37c1f1ac537015901818e4ea49899cae5950cac83cee873ab6ecba98408"
+    )
+    rules, model = tmp_path / "rules.txt", tmp_path / "model.txt"
+    assert main(["train", *task, "--walks", "40", "--max-steps", "3",
+                 "--features", "reach", "--out", str(rules),
+                 "--model-out", str(model)]) == 0
+    assert hashlib.sha256(rules.read_bytes()).hexdigest() == (
+        "a9f17da63c41995495033bf935cefadfa348ce25d82b123eb2aa57a07824f05e"
+    )
+    assert hashlib.sha256(model.read_bytes()).hexdigest() == (
+        "33eba1f1e82b7befbc647f642e523d3bc48b8f0d194c0473a303ad7ccccfde3f"
+    )

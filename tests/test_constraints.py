@@ -239,3 +239,52 @@ def test_resolve_time_closed_prefix_matches_full_closure(data):
     assert inc_ok == full_ok
     if full_ok:
         assert inc.cells == full.cells
+
+
+def _draw_closed(data, keys):
+    # observed relations of random intervals, widened at random, then closed:
+    # consistent, since the intervals still realise it
+    intervals = data.draw(st.lists(intervals_small, min_size=len(keys), max_size=len(keys)))
+    net = IANetwork(keys)
+    for i in range(len(keys)):
+        for j in range(i + 1, len(keys)):
+            observed = 1 << allen.classify(intervals[i], intervals[j])
+            net.set_pair(i, j, observed | data.draw(st.integers(0, FULL_SET)))
+    consistent, net = resolve_time(net)
+    assert consistent
+    return net
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_merge_paths_of_disjoint_closed_networks_is_the_closed_join(data):
+    a = _draw_closed(data, list(range(data.draw(st.integers(0, 4)))))
+    b = _draw_closed(data, list(range(10, 10 + data.draw(st.integers(0, 4)))))
+    join = IANetwork(a.keys + b.keys)
+    for src, offset in ((a, 0), (b, a.n)):
+        for i, row in enumerate(src.cells):
+            join.cells[offset + i][offset:offset + src.n] = row
+    consistent, merged = merge_paths(a, b)
+    expected_ok, expected = resolve_time(join)
+    assert consistent == expected_ok
+    assert merged == expected
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_generalize_is_identity_once_the_observation_is_contained(data):
+    # any closed K containing a closed B is the closure of K's own cells,
+    # a superset of B; the closure keeps B, so widening K by B changes nothing
+    keys = list(range(data.draw(st.integers(1, 5))))
+    observed = _draw_closed(data, keys)
+    wider = observed.copy()
+    for i in range(len(keys)):
+        for j in range(i + 1, len(keys)):
+            wider.set_pair(i, j, wider.cells[i][j] | data.draw(st.integers(0, FULL_SET)))
+    consistent, rule_net = resolve_time(wider)
+    assert consistent
+    assert all(
+        rule_net.cells[i][j] & observed.cells[i][j] == observed.cells[i][j]
+        for i in range(len(keys)) for j in range(len(keys))
+    )
+    assert generalize(rule_net, observed) == rule_net

@@ -1,6 +1,11 @@
 """Mining: aggregation, generalization across occurrences, modes, coverage."""
 from rulewalk.allen import FULL_SET, Relation, rel_set
-from rulewalk.evaluation import QuerySet, build_classification_queries
+from rulewalk.constraints import generalize
+from rulewalk.evaluation import (
+    QuerySet,
+    build_classification_queries,
+    build_event_queries,
+)
 from rulewalk.hypergraph import TemporalHypergraph
 from rulewalk.mining import (
     MODE_RELATIONAL,
@@ -9,7 +14,8 @@ from rulewalk.mining import (
     MiningParams,
     mine_rules,
 )
-from rulewalk.rules import Query, evaluate
+from rulewalk.rules import Query, chain_connected, coverage_filter, evaluate, trace_to_rule
+from rulewalk.walk import WalkParams, derive_seed, sample_walks
 
 R = Relation
 
@@ -140,3 +146,74 @@ def test_link_prediction_mining_targets_query_tail():
     assert any(
         r.signature == "Goal(X0->X1) <- P(X0->X2) , Q(X2->X1)" for r in rules
     )
+
+
+def _lift_every_walk(graphs, qs, params):
+    """mine_rules without the per-trace memo: every kept walk is lifted anew.
+
+    Returns the ranked rules, the disconnected count and the number of
+    kept walks whose trace repeats an earlier one of the same query.
+    """
+    aggregated = {}
+    disconnected = repeats = 0
+    for qi, query in enumerate(qs.positives):
+        graph = graphs[query.graph_index]
+        wparams = WalkParams(max_steps=params.max_steps, num_walks=params.num_walks,
+                             seed=derive_seed(params.seed, "query", qi),
+                             start_events=params.start_events)
+        walks = sample_walks(graph, query, wparams)
+        repeats += len(walks) - len({tuple(trace) for trace, _ in walks})
+        for trace, net in walks:
+            if not chain_connected(graph, trace, query):
+                disconnected += 1
+                continue
+            rule = trace_to_rule(graph, trace, net, query)
+            known = aggregated.setdefault(rule.signature, rule)
+            if known is rule:
+                rule.support = 1
+            else:
+                known.support += 1
+                known.time_net = generalize(known.time_net, rule.time_net)
+    rules = list(aggregated.values())
+    if qs.mode == "classification":
+        positive = sorted({q.graph_index for q in qs.positives})
+        rules = [r for r in rules
+                 if all(coverage_filter(r, graphs[g], params.rho) for g in positive)]
+    rules.sort(key=lambda r: (-r.support, r.signature))
+    return rules, disconnected, repeats
+
+
+def test_lifting_each_distinct_trace_once_matches_lifting_every_walk():
+    # two start components, so classification walks also yield disconnected
+    # traces; small graphs, so most kept walks repeat an earlier trace
+    labelled = TemporalHypergraph()
+    labelled.add_event("A", ["a"], ["b"], (0, 1))
+    labelled.add_event("B", ["c"], ["d"], (0, 2))
+    labelled.add_event("C", ["b"], ["e"], (3, 4))
+    labelled.add_event("D", ["d"], ["e"], (5, 6))
+    labelled.add_event("E", ["a", "d"], ["f"], (2, 9))
+    other = TemporalHypergraph()
+    other.add_event("C", ["x"], ["y"], (0, 1))
+    events = TemporalHypergraph()
+    for i, (h, t, start) in enumerate([("a", "b", 0), ("b", "c", 2), ("a", "c", 1),
+                                       ("c", "a", 5), ("b", "a", 3), ("a", "d", 4)]):
+        events.add_event(f"p{i % 2}", [h], [t], (start, start + 3))
+    events.add_event("p1", ["a", "b"], ["d"], (6, 7))
+    cases = [
+        ([labelled, other], build_classification_queries(["L", "other"], "L"),
+         MiningParams(num_walks=60, max_steps=2, seed=8, rho=0.1, start_events=2)),
+        ([events], build_event_queries(events, ["p0"]),
+         MiningParams(num_walks=60, max_steps=3, seed=9)),
+    ]
+    seen_disconnected = 0
+    for graphs, qs, params in cases:
+        diag = MiningDiagnostics()
+        rules = mine_rules(graphs, qs, params, MODE_TEMPORAL, diag)
+        expected, disconnected, repeats = _lift_every_walk(graphs, qs, params)
+        assert rules and repeats
+        assert [(r.signature, r.support, r.time_net.cells) for r in rules] == [
+            (r.signature, r.support, r.time_net.cells) for r in expected
+        ]
+        assert diag.disconnected == disconnected
+        seen_disconnected += disconnected
+    assert seen_disconnected

@@ -2,6 +2,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rulewalk.allen import EMPTY_SET
 from rulewalk.hypergraph import GraphError, TemporalHypergraph
@@ -17,6 +19,8 @@ from rulewalk.walk import (
     reach_probability,
     step,
 )
+
+from oracles import replay_walks
 
 
 def chain_graph():
@@ -315,3 +319,75 @@ def test_returned_time_nets_are_closed_and_nonempty():
                 assert all(net.cells[q][j] == FULL_SET for j in range(net.n) if j != q)
                 cross_paths += 1
     assert cross_paths
+
+
+def _assert_matches_replay(g, query, params):
+    diag = WalkDiagnostics()
+    results = sample_walks(g, query, params, diag)
+    expected, expected_diag = replay_walks(g, query, params)
+    assert [t for t, _ in results] == [t for t, _ in expected]
+    assert [n for _, n in results] == [n for _, n in expected]
+    assert diag == expected_diag
+    return results, diag
+
+
+@st.composite
+def walk_cases(draw):
+    names = [f"e{i}" for i in range(draw(st.integers(2, 6)))]
+    g = TemporalHypergraph()
+    for _ in range(draw(st.integers(1, 12))):
+        heads = draw(st.lists(st.sampled_from(names), min_size=1, max_size=2, unique=True))
+        start = draw(st.integers(0, 8))
+        g.add_event(draw(st.sampled_from(["P", "Q"])), heads,
+                    [draw(st.sampled_from(names))], (start, start + draw(st.integers(0, 4))))
+    known = [g.entities.name_of(i) for i in range(len(g.entities))]
+    if draw(st.booleans()):
+        heads = draw(st.lists(st.sampled_from(known), min_size=1, max_size=2, unique=True))
+        query = Query("Goal", tuple(heads), (draw(st.sampled_from(known)),))
+    else:
+        query = Query("Label")
+    params = WalkParams(max_steps=draw(st.integers(1, 4)),
+                        num_walks=draw(st.integers(1, 25)),
+                        seed=draw(st.integers(0, 1000)),
+                        start_events=draw(st.integers(1, 3)))
+    return g, query, params
+
+
+@settings(max_examples=150, deadline=None)
+@given(walk_cases())
+def test_sample_walks_matches_memo_free_replay(case):
+    _assert_matches_replay(*case)
+
+
+def test_memo_free_replay_covers_modes_multi_heads_and_dead_ends():
+    # fixed cases for the property above: target and classification mode,
+    # a two-head event on kept traces, and walks that end in DEAD_END (a
+    # walk dead-ends once it has used up every edge its starts reach)
+    joined = two_head_graph()
+    joined.add_event("R", ["z"], ["w"], (2, 3))
+    joined.add_event("S", ["x2"], ["w"], (4, 6))
+    stranded = chain_graph()
+    stranded.add_event("P", ["d"], ["e"], (0, 1))
+    cases = [
+        (joined, Query("Goal", ("a", "b"), ("w",)), WalkParams(max_steps=3, num_walks=120, seed=4)),
+        (joined, Query("Label"), WalkParams(max_steps=3, num_walks=120, seed=5, start_events=5)),
+        (stranded, Query("Goal", ("a",), ("e",)), WalkParams(max_steps=4, num_walks=10, seed=6)),
+    ]
+    kept = {}
+    dead_ends = multi_head = 0
+    for g, query, params in cases:
+        results, diag = _assert_matches_replay(g, query, params)
+        mode = "target" if query.tails else "classification"
+        kept[mode] = kept.get(mode, 0) + len(results)
+        dead_ends += diag.dead_ends
+        multi_head += sum(0 in trace for trace, _ in results)
+    assert kept["target"] and kept["classification"]
+    assert dead_ends and multi_head
+
+
+def test_walks_with_one_trace_share_one_read_only_network():
+    g = chain_graph()
+    results = sample_walks(g, Query("Goal", ("a",), ("c",)), WalkParams(num_walks=5, seed=1))
+    assert len(results) == 5
+    assert all(net is results[0][1] for _, net in results)
+    assert len({id(trace) for trace, _ in results}) == 5  # traces are copies
