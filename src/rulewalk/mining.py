@@ -61,7 +61,6 @@ def mine_rules(
             max_steps=params.max_steps,
             num_walks=params.num_walks,
             seed=derive_seed(params.seed, "query", qi),
-            record_temporal=True,
             start_events=params.start_events,
         )
         # trace -> signature of its rule, or None when the trace is

@@ -23,7 +23,7 @@ from typing import Iterator
 
 from . import allen
 from .allen import FULL_SET
-from .constraints import IANetwork, resolve_time
+from .constraints import IANetwork, observe
 from .hypergraph import TemporalHypergraph
 
 DEFAULT_EVAL_BUDGET = 1_000_000
@@ -117,7 +117,7 @@ def chain_connected(graph: TemporalHypergraph, trace: list[int], query: Query) -
 def trace_to_rule(
     graph: TemporalHypergraph,
     trace: list[int],
-    time_net: IANetwork | None,
+    time_net: IANetwork,
     query: Query,
 ) -> TemporalRule:
     """Lift a walk trace into a rule with canonical variables.
@@ -125,20 +125,21 @@ def trace_to_rule(
     Entities become variables consistently (same entity, same variable);
     the query's entities become the head atom's variables.  A unary class
     atom is appended for every variable whose entity carries a class-label
-    event in the graph, at most one per variable.  The node keys of the
-    constraint network are rebased to body indices.  `time_net` must be
-    path-consistent, as `sample_walks` returns it.
+    event in the graph, at most one per variable.  `time_net` must be
+    path-consistent and keyed by the trace, in order, as `sample_walks`
+    returns it; the rule's network observes the class atoms against it and
+    is keyed by body indices.
     """
     if not trace:
         raise RuleError("cannot build a rule from an empty trace")
-    if time_net is not None and set(time_net.keys) != set(trace):
-        raise RuleError("time_net does not cover the trace events")
+    if time_net.keys != trace:
+        raise RuleError("time_net keys are not the trace events in order")
 
     query_heads = tuple(graph.entities.id_of(h) for h in query.heads)
     query_tails = tuple(graph.entities.id_of(t) for t in query.tails)
 
-    body_events = list(trace)
-    body_events.extend(_class_events(graph, trace))
+    class_events = _class_events(graph, trace)
+    body_events = trace + class_events
     atom_entities = [
         (graph.events[e].heads, graph.events[e].tails) for e in body_events
     ]
@@ -165,7 +166,8 @@ def trace_to_rule(
     )
     _check_chain(head, body)
 
-    net = _rebase_net(graph, body_events, time_net)
+    observed = observe(time_net, class_events, lambda e: graph.events[e].interval)
+    net = IANetwork(range(len(body_events)), observed.cells)
     return TemporalRule(head, body, net, signature_of(head, body))
 
 
@@ -234,33 +236,6 @@ def _check_chain(head: Atom, body: tuple[Atom, ...]) -> None:
         union |= atom.variables()
 
 
-def _rebase_net(graph, body_events, time_net) -> IANetwork:
-    """The trace network over body indices, plus observed class-atom cells.
-
-    The trace events lead `body_events` and `time_net` is closed, so only
-    the appended class atoms need propagating.
-    """
-    net = IANetwork(list(range(len(body_events))))
-    if time_net is None:
-        return net  # every cell unconstrained: already closed
-    pos = {k: i for i, k in enumerate(time_net.keys)}
-    for i, a in enumerate(body_events):
-        for j in range(i + 1, len(body_events)):
-            b = body_events[j]
-            if a in pos and b in pos:
-                net.set_pair(i, j, time_net.cells[pos[a]][pos[b]])
-            else:
-                # appended class atom: use the observed relation
-                rel = allen.classify(
-                    graph.events[a].interval, graph.events[b].interval
-                )
-                net.set_pair(i, j, 1 << rel)
-    consistent, closed = resolve_time(net, closed_prefix=time_net.n)
-    if not consistent:
-        raise RuleError("observed trace network is inconsistent")
-    return closed
-
-
 # -- grounding and evaluation ----------------------------------------------
 
 
@@ -285,22 +260,12 @@ def evaluate(
     costs one budget step.  Exhausting the step budget returns False and
     flags `diagnostics['budget_exhausted']`.
     """
-    return first_grounding(rule, graph, query, budget, diagnostics) is not None
-
-
-def first_grounding(
-    rule: TemporalRule,
-    graph: TemporalHypergraph,
-    query: Query,
-    budget: int = DEFAULT_EVAL_BUDGET,
-    diagnostics: dict | None = None,
-) -> Grounding | None:
     try:
-        return next(iter_groundings(rule, graph, query, budget), None)
+        return next(iter_groundings(rule, graph, query, budget), None) is not None
     except _BudgetExhausted:
         if diagnostics is not None:
             diagnostics["budget_exhausted"] = True
-        return None
+        return False
 
 
 def iter_groundings(

@@ -7,12 +7,13 @@ heads of (arrival mass / head out-degree); sampling normalizes those
 weights over the enabled set, while the recorded arrival mass keeps the
 unnormalized quantity, so the same walk yields both a sampler and a score.
 
-When temporal recording is on, every start entity opens its own path; a
-path's constraint network accumulates the observed pairwise relations of
-its events, and when an edge joins two paths their networks are merged
-with `constraints.merge_paths` (cross-path cells resolved by path
-consistency rather than re-observed).  Walks whose merge turns out
-inconsistent are discarded, not resampled.
+Every start entity opens its own path.  A path's constraint network holds
+the observed pairwise relations of its events, closed by path
+consistency; when an edge joins two paths their networks are joined with
+`constraints.merge_paths` (cross-path cells stay unconstrained, never
+re-observed) and the new event is added with `constraints.observe`.  The
+graph's own intervals realise every such network, so the closure never
+finds one inconsistent; `observe` raises if it ever does.
 
 A walk's state depends only on its start set and its trace, so the states
 form a prefix tree rooted at the start set.  Each node computes its
@@ -27,14 +28,13 @@ import hashlib
 import random
 from dataclasses import dataclass
 
-from . import allen, constraints
+from . import constraints
 from .constraints import IANetwork
 from .hypergraph import GraphError, TemporalHypergraph
 
 
-#: step() results for a walk that cannot continue / must be discarded
+#: step() result for a walk that cannot continue
 DEAD_END = object()
-TIME_CONFLICT = object()
 
 
 def derive_seed(seed: int, *parts) -> int:
@@ -49,8 +49,6 @@ class WalkParams:
     max_steps: int = 3
     num_walks: int = 100
     seed: int = 0
-    target: int | None = None
-    record_temporal: bool = True
     start_events: int = 3  # classification mode: heads of the k earliest events
 
     def __post_init__(self) -> None:
@@ -66,7 +64,6 @@ class WalkDiagnostics:
 
     walks: int = 0
     dead_ends: int = 0
-    inconsistent: int = 0
     missed_target: int = 0
     kept: int = 0
 
@@ -88,24 +85,23 @@ class _Path:
 class _Prefix:
     """A prefix-tree node: the walk state after one trace from the root's starts.
 
-    `reached`, `arrival_mass`, `trace` and `paths` (None when temporal
-    recording is off) are never mutated once the node is built.  The memo
-    slots fill in on first use: `options` holds the sampling options
-    (enabled event ids, their weights, the weights' sum), `successors` maps
-    a chosen event id to the next node or TIME_CONFLICT, and `net` caches
-    the trace network.
+    `reached`, `arrival_mass`, `trace` and `paths` are never mutated once
+    the node is built.  The memo slots fill in on first use: `options` holds
+    the sampling options (enabled event ids, their weights, the weights'
+    sum), `successors` maps a chosen event id to the next node, and `net`
+    caches the trace network.
     """
 
     __slots__ = ("reached", "arrival_mass", "trace", "paths", "options", "successors", "net")
 
     def __init__(self, reached: set[int], arrival_mass: dict[int, float],
-                 trace: list[int], paths: list[_Path] | None) -> None:
+                 trace: list[int], paths: list[_Path]) -> None:
         self.reached = reached
         self.arrival_mass = arrival_mass
         self.trace = trace
         self.paths = paths
         self.options: tuple[list[int], list[float], float] | None = None
-        self.successors: dict[int, _Prefix | object] = {}
+        self.successors: dict[int, _Prefix] = {}
         self.net: IANetwork | None = None
 
 
@@ -139,11 +135,11 @@ class WalkState:
         return len(self._node.trace)
 
     @property
-    def paths(self) -> list[_Path] | None:
+    def paths(self) -> list[_Path]:
         return self._node.paths
 
     @property
-    def time_net(self) -> IANetwork | None:
+    def time_net(self) -> IANetwork:
         """Path-consistent constraint network over the trace, built once per node.
 
         It joins the closed path networks by unconstrained cross-path
@@ -151,8 +147,6 @@ class WalkState:
         so no cross-path cell can tighten anything: the join is closed.
         """
         node = self._node
-        if node.paths is None:
-            return None
         if node.net is None:
             net = IANetwork(node.trace)
             pos = {k: i for i, k in enumerate(node.trace)}
@@ -166,7 +160,7 @@ class WalkState:
         return node.net
 
 
-def init_walk(graph: TemporalHypergraph, starts: set[int], record_temporal: bool = True) -> WalkState:
+def init_walk(graph: TemporalHypergraph, starts: set[int]) -> WalkState:
     """A cursor on a fresh prefix-tree root: every start entity reached with unit mass."""
     if not starts:
         raise ValueError("walk requires a non-empty start set")
@@ -175,10 +169,7 @@ def init_walk(graph: TemporalHypergraph, starts: set[int], record_temporal: bool
             raise GraphError(f"unknown start entity id {s}")
     if not graph.is_b_graph():
         raise GraphError("random B-walks require a B-graph (single-tail events)")
-    paths = (
-        [_Path(frozenset((s,)), IANetwork([])) for s in sorted(starts)]
-        if record_temporal else None
-    )
+    paths = [_Path(frozenset((s,)), IANetwork([])) for s in sorted(starts)]
     return WalkState(_Prefix(set(starts), {s: 1.0 for s in starts}, [], paths))
 
 
@@ -197,10 +188,8 @@ def _weight(graph: TemporalHypergraph, mass: dict[int, float], event) -> float:
 def step(graph: TemporalHypergraph, state: WalkState, rng: random.Random):
     """Sample one enabled edge and move the cursor to that successor in place.
 
-    Returns the state, or DEAD_END when nothing is enabled, or
-    TIME_CONFLICT when temporal recording finds the extended network
-    inconsistent (the walk is then to be discarded); in both cases the
-    cursor stays where it was.  Draws `rng.random()` once per sampled edge.
+    Returns the state, or DEAD_END (the cursor stays where it was) when
+    nothing is enabled.  Draws `rng.random()` once per sampled edge.
     """
     node = state._node
     if node.options is None:
@@ -221,55 +210,31 @@ def step(graph: TemporalHypergraph, state: WalkState, rng: random.Random):
     succ = node.successors.get(chosen)
     if succ is None:
         succ = node.successors[chosen] = _successor(graph, node, chosen, mass)
-    if succ is TIME_CONFLICT:
-        return TIME_CONFLICT
     state._node = succ
     return state
 
 
-def _successor(graph, node: _Prefix, event_id: int, mass: float):
-    """The node one step past `node` along `event_id`, or TIME_CONFLICT."""
+def _successor(graph, node: _Prefix, event_id: int, mass: float) -> _Prefix:
+    """The node one step past `node` along `event_id`.
+
+    The paths the event touches are joined into one, which observes it.
+    """
     event = graph.events[event_id]
     tail = event.tails[0]
-    paths = node.paths
-    if paths is not None:
-        paths = _record_event(graph, paths, event_id, event, tail)
-        if paths is None:
-            return TIME_CONFLICT
+    touched = [
+        path for path in node.paths
+        if any(h in path.entities for h in event.heads) or tail in path.entities
+    ]
+    entities, net = touched[0].entities, touched[0].net
+    for other in touched[1:]:
+        net = constraints.merge_paths(net, other.net)
+        entities = entities | other.entities
+    net = constraints.observe(net, [event_id], lambda e: graph.events[e].interval)
+    paths = [p for p in node.paths if p not in touched]
+    paths.append(_Path(entities.union(event.heads, (tail,)), net))
     arrival_mass = dict(node.arrival_mass)
     arrival_mass[tail] = mass
     return _Prefix(node.reached | {tail}, arrival_mass, node.trace + [event_id], paths)
-
-
-def _record_event(graph, paths, event_id, event, tail) -> list[_Path] | None:
-    """The paths after merging those the event touches and observing it there.
-
-    Returns None when the merged network is inconsistent.
-    """
-    touched = [
-        path for path in paths
-        if any(h in path.entities for h in event.heads) or tail in path.entities
-    ]
-    entities, old = touched[0].entities, touched[0].net
-    for other in touched[1:]:
-        consistent, old = constraints.merge_paths(old, other.net)
-        if not consistent:
-            return None
-        entities = entities | other.entities
-    # extend the closed path network with the observed relations of the new
-    # event; only the new node's cells need propagating
-    new = old.n
-    net = IANetwork(old.keys + [event_id])
-    for i, row in enumerate(old.cells):
-        net.cells[i][:new] = row
-    for i, other_id in enumerate(old.keys):
-        rel = allen.classify(graph.events[other_id].interval, event.interval)
-        net.set_pair(i, new, 1 << rel)
-    consistent, net = constraints.resolve_time(net, closed_prefix=new)
-    if not consistent:
-        return None
-    merged = _Path(entities.union(event.heads, (tail,)), net)
-    return [p for p in paths if p not in touched] + [merged]
 
 
 def reach_probability(
@@ -314,7 +279,7 @@ def sample_walks(
     query,
     params: WalkParams,
     diagnostics: WalkDiagnostics | None = None,
-) -> list[tuple[list[int], IANetwork | None]]:
+) -> list[tuple[list[int], IANetwork]]:
     """Run seeded walks for one query; return kept (trace, time_net) pairs.
 
     Target mode (the query has a tail): walks start from the query's head
@@ -328,29 +293,23 @@ def sample_walks(
     """
     diag = diagnostics if diagnostics is not None else WalkDiagnostics()
     starts = _resolve_starts(graph, query, params)
-    target = params.target if params.target is not None else _resolve_target(graph, query)
-    root = init_walk(graph, starts, params.record_temporal)._node
-    kept: list[tuple[list[int], IANetwork | None]] = []
+    target = _resolve_target(graph, query)
+    root = init_walk(graph, starts)._node
+    kept: list[tuple[list[int], IANetwork]] = []
     for w in range(params.num_walks):
         diag.walks += 1
         rng = random.Random(f"{params.seed}:{w}")
         state = WalkState(root)
-        hit = False
-        discarded = False
+        hit = dead_end = False
         while state.step < params.max_steps:
-            result = step(graph, state, rng)
-            if result is DEAD_END:
-                diag.dead_ends += 1
-                discarded = True
-                break
-            if result is TIME_CONFLICT:
-                diag.inconsistent += 1
-                discarded = True
+            if step(graph, state, rng) is DEAD_END:
+                dead_end = True
                 break
             if target is not None and graph.events[state.trace[-1]].tails[0] == target:
                 hit = True
                 break
-        if discarded:
+        if dead_end:
+            diag.dead_ends += 1
             continue
         if target is not None and not hit:
             diag.missed_target += 1

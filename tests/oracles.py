@@ -61,8 +61,9 @@ def replay_walks(graph, query, params):
     their weights at every step, drawing from the same per-walk generator.
     Paths are entity sets plus the event pairs observed together; a
     touched path's network is closed from scratch over its observed pairs
-    at every step, and the kept network is the from-scratch closure over
-    the whole trace, whose cells between different paths stay FULL.
+    at every step, and must come out consistent.  The kept network is the
+    from-scratch closure over the whole trace, whose cells between
+    different paths stay FULL.
     """
     if query.heads:
         starts = {graph.entities.id_of(h) for h in query.heads}
@@ -80,14 +81,14 @@ def replay_walks(graph, query, params):
         trace: list[int] = []
         paths = [({s}, []) for s in sorted(starts)]  # (entities, event ids)
         observed: set[tuple[int, int]] = set()
-        outcome = None
+        dead_end = False
         while len(trace) < params.max_steps:
             enabled = sorted(
                 e.event_id for e in graph.events
                 if e.event_id not in trace and all(h in reached for h in e.heads)
             )
             if not enabled:
-                outcome = "dead_end"
+                dead_end = True
                 break
             weights = [
                 min(mass[h] / graph.out_degree(h) for h in graph.events[e].heads)
@@ -107,19 +108,15 @@ def replay_walks(graph, query, params):
             entities = set().union(*(p[0] for p in touched), event.heads, {tail})
             events = [k for p in touched for k in p[1]]
             observed |= {(k, chosen) for k in events}
-            if not _observed_closure(graph, events + [chosen], observed)[0]:
-                outcome = "inconsistent"
-                break
+            assert _observed_closure(graph, events + [chosen], observed)[0]
             paths = [p for p in paths if p not in touched] + [(entities, events + [chosen])]
             mass[tail] = chosen_mass
             reached.add(tail)
             trace.append(chosen)
             if tail == target:
                 break
-        if outcome == "dead_end":
+        if dead_end:
             diag.dead_ends += 1
-        elif outcome == "inconsistent":
-            diag.inconsistent += 1
         elif target is not None and graph.events[trace[-1]].tails[0] != target:
             diag.missed_target += 1
         else:

@@ -8,6 +8,7 @@ import math
 import os
 import random
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -110,7 +111,7 @@ def test_criterion_3_b_connectivity_never_violated():
         entities = list(range(len(g.entities)))
         for w in range(500):
             starts = set(rng.sample(entities, rng.randint(1, 2)))
-            state = init_walk(g, starts, record_temporal=False)
+            state = init_walk(g, starts)
             walk_rng = random.Random(3000 * gi + w)
             while state.step < 6:
                 if step(g, state, walk_rng) is not state:
@@ -141,7 +142,7 @@ def _reference_graph():
 def test_criterion_4_walk_probability_agreement():
     g = _reference_graph()
     starts = {g.entities.id_of("a"), g.entities.id_of("b")}
-    probe = init_walk(g, starts, record_temporal=False)
+    probe = init_walk(g, starts)
     enabled = g.enabled_edges(probe.reached, set())
     weights = {e: edge_weight(g, probe, e) for e in enabled}
     total = sum(weights.values())
@@ -150,7 +151,7 @@ def test_criterion_4_walk_probability_agreement():
     counts = {e: 0 for e in enabled}
     n_walks = 100_000
     for w in range(n_walks):
-        state = init_walk(g, starts, record_temporal=False)
+        state = init_walk(g, starts)
         assert step(g, state, random.Random(f"c4:{w}")) is state
         counts[state.trace[0]] += 1
     for e in enabled:
@@ -314,7 +315,7 @@ def test_criterion_8_determinism_and_round_trips(tmp_path):
         assert filecmp.cmp(os.path.join(first[0], name),
                            os.path.join(second[0], name), shallow=False)
     for fa, fb in zip(first[1:], second[1:]):
-        assert open(fa, "rb").read() == open(fb, "rb").read()
+        assert Path(fa).read_bytes() == Path(fb).read_bytes()
 
     rng = random.Random(8)
     from rulewalk.convert import clique_expand

@@ -3,6 +3,7 @@ import filecmp
 import hashlib
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -60,8 +61,8 @@ def test_full_pipeline_and_determinism(tmp_path, rule_file):
             os.path.join(corpus_a, name), os.path.join(corpus_b, name), shallow=False
         )
     for fa, fb in zip(files_a[1:], files_b[1:]):
-        assert open(fa, "rb").read() == open(fb, "rb").read()
-    record = json.loads(open(files_a[3]).read())
+        assert Path(fa).read_bytes() == Path(fb).read_bytes()
+    record = json.loads(Path(files_a[3]).read_text())
     assert set(record) >= {"mrr", "hits@3", "hits@10", "n_queries", "mode", "seed"}
 
 
@@ -85,7 +86,7 @@ def test_mine_writes_rules(tmp_path, rule_file):
     assert main(["mine", "--data", corpus, "--target-label", "Target",
                  "--walks", "100", "--max-steps", "2", "--seed", "3",
                  "--out", rules]) == 0
-    lines = [l for l in open(rules) if l.startswith("w=")]
+    lines = [l for l in Path(rules).read_text().splitlines() if l.startswith("w=")]
     assert lines
     assert any("A(X0->X1) , B(X1->X2)" in l for l in lines)
 
@@ -201,7 +202,7 @@ def test_eval_with_model_missing_a_rule_exits_2(tmp_path, rule_file, capsys):
     corpus, rules, _, _ = run_pipeline(tmp_path, rule_file)
     bias_only = tmp_path / "bias_only.txt"
     bias_only.write_text("bias 0.5\n")
-    first = next(l for l in open(rules) if l.startswith("w="))
+    first = next(l for l in Path(rules).read_text().splitlines() if l.startswith("w="))
     signature = first.split(" ", 1)[1].split(" | ")[0].strip()
     capsys.readouterr()
     assert main(["eval", "--data", corpus, "--target-label", "Target",
@@ -224,6 +225,58 @@ def test_eval_with_bad_support_line_exits_2(tmp_path, rule_file, capsys):
     err = capsys.readouterr().err
     assert f"{rules}:3:" in err
     assert "support=abc" in err
+    assert "Traceback" not in err
+
+
+def test_malformed_rule_line_in_eval_rules_names_file_and_line(tmp_path, rule_file, capsys):
+    corpus = str(tmp_path / "corpus")
+    rules = tmp_path / "rules.txt"
+    rules.write_text("# support=3\n" + PLANTED + "# support=1\nw=0.0 Target() A(X0->X1)\n")
+    assert main(["gen", "--rule", rule_file, "--out", corpus,
+                 "--num-pos", "4", "--num-neg", "4", "--noise", "2",
+                 "--seed", "3"]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--data", corpus, "--target-label", "Target",
+                 "--rules", str(rules), "--seed", "3"]) == 2
+    err = capsys.readouterr().err
+    assert f"{rules}:4: missing '<-'" in err
+    assert "Traceback" not in err
+
+
+def test_malformed_rule_line_in_gen_rule_names_file_and_line(tmp_path, capsys):
+    rule = tmp_path / "bad.rule"
+    rule.write_text("# planted rule\n\nw=0.0 Target() <- A(X0->X1) , B[X1]\n")
+    assert main(["gen", "--rule", str(rule), "--out", str(tmp_path / "corpus")]) == 2
+    err = capsys.readouterr().err
+    assert f"{rule}:3: bad atom" in err
+    assert "Traceback" not in err
+
+
+_TASK = ["--data", "corpus", "--target-label", "Target", "--out", "rules.txt"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["mine", *_TASK, "--walks", "0"],
+    ["mine", *_TASK, "--max-steps", "0"],
+    ["mine", *_TASK, "--rho", "0"],
+    ["mine", *_TASK, "--rho", "2"],
+    ["mine", *_TASK, "--start-events", "0"],
+    ["mine", *_TASK, "--start-events", "-1"],
+    ["mine", *_TASK, "--train-frac", "1"],
+    ["train", *_TASK, "--model-out", "m.txt", "--epochs", "0"],
+    ["train", *_TASK, "--model-out", "m.txt", "--lr", "0"],
+    ["train", *_TASK, "--model-out", "m.txt", "--lr", "nan"],
+    ["train", *_TASK, "--model-out", "m.txt", "--l2", "-1"],
+    ["train", *_TASK, "--model-out", "m.txt", "--top-rules", "-1"],
+    ["gen", "--rule", "r.rule", "--out", "corpus", "--noise", "-1"],
+    ["gen", "--rule", "r.rule", "--out", "corpus", "--num-pos", "-1"],
+    ["gen", "--rule", "r.rule", "--out", "corpus", "--num-neg", "x"],
+], ids=lambda argv: f"{argv[0]}{argv[-2]}={argv[-1]}")
+def test_out_of_range_option_value_is_usage_error(argv, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "usage:" in err
+    assert f"argument {argv[-2]}:" in err
     assert "Traceback" not in err
 
 

@@ -12,6 +12,7 @@ from rulewalk.constraints import (
     KeyMismatchError,
     generalize,
     merge_paths,
+    observe,
     resolve_time,
 )
 from rulewalk.hypergraph import Interval
@@ -99,52 +100,27 @@ def test_resolve_time_matches_realization_oracle_on_singletons():
 def test_merge_disjoint_paths_keeps_cross_cells_wide():
     net_a = from_observed([(0, Interval(0, 1)), (1, Interval(2, 3))])
     net_b = from_observed([(2, Interval(5, 6))])
-    consistent, merged = merge_paths(net_a, net_b)
-    assert consistent
-    assert merged.n == 3
+    merged = merge_paths(net_a, net_b)
+    assert merged.keys == [0, 1, 2]
     i0, i2 = merged.index_of(0), merged.index_of(2)
     assert merged.cells[i0][i2] == FULL_SET
 
 
-def test_merge_identical_single_node():
-    net_a = from_observed([("k", Interval(1, 2))])
-    net_b = from_observed([("k", Interval(1, 2))])
-    consistent, merged = merge_paths(net_a, net_b, ["k"])
-    assert consistent
-    assert merged.n == 1
-    assert merged.cells[0][0] == rel_set(R.EQUAL)
-
-
-def test_merge_through_shared_key_composes():
+def test_merge_paths_rejects_a_shared_key():
     net_a = IANetwork(["a", "s"])
-    net_a.set_pair(0, 1, rel_set(R.BEFORE))
     net_b = IANetwork(["s", "b"])
-    net_b.set_pair(0, 1, rel_set(R.BEFORE))
-    consistent, merged = merge_paths(net_a, net_b, ["s"])
-    assert consistent
-    ia, ib = merged.index_of("a"), merged.index_of("b")
-    assert merged.cells[ia][ib] == rel_set(R.BEFORE)
+    with pytest.raises(KeyMismatchError, match="'s'"):
+        merge_paths(net_a, net_b)
 
 
-def test_merge_shared_key_missing_is_error():
-    net_a = IANetwork(["a"])
-    net_b = IANetwork(["b"])
-    with pytest.raises(KeyMismatchError):
-        merge_paths(net_a, net_b, ["a"])
-
-
-def test_merge_key_type_mismatch_is_error():
-    with pytest.raises(KeyMismatchError):
-        merge_paths(IANetwork([0]), IANetwork(["zero"]))
-
-
-def test_merge_inconsistent_inputs_detected():
-    net_a = IANetwork(["a", "s"])
-    net_a.set_pair(0, 1, rel_set(R.BEFORE))
-    net_b = IANetwork(["s", "a"])
-    net_b.set_pair(0, 1, rel_set(R.BEFORE))  # i.e. a AFTER s
-    consistent, _ = merge_paths(net_a, net_b, ["s", "a"])
-    assert not consistent
+def test_observe_raises_when_the_closure_empties_a_cell():
+    # the old cell says a BEFORE b, but the intervals put a after b, and c
+    # lies between them: a AFTER c and c AFTER b force a AFTER b
+    net = IANetwork(["a", "b"])
+    net.set_pair(0, 1, rel_set(R.BEFORE))
+    intervals = {"a": Interval(5, 6), "b": Interval(0, 1), "c": Interval(2, 3)}
+    with pytest.raises(ValueError, match="inconsistent"):
+        observe(net, ["c"], intervals.__getitem__)
 
 
 def test_generalize_unions_cells():
@@ -241,10 +217,11 @@ def test_resolve_time_closed_prefix_matches_full_closure(data):
         assert inc.cells == full.cells
 
 
-def _draw_closed(data, keys):
+def _draw_closed(data, keys, intervals=None):
     # observed relations of random intervals, widened at random, then closed:
     # consistent, since the intervals still realise it
-    intervals = data.draw(st.lists(intervals_small, min_size=len(keys), max_size=len(keys)))
+    if intervals is None:
+        intervals = data.draw(st.lists(intervals_small, min_size=len(keys), max_size=len(keys)))
     net = IANetwork(keys)
     for i in range(len(keys)):
         for j in range(i + 1, len(keys)):
@@ -264,10 +241,9 @@ def test_merge_paths_of_disjoint_closed_networks_is_the_closed_join(data):
     for src, offset in ((a, 0), (b, a.n)):
         for i, row in enumerate(src.cells):
             join.cells[offset + i][offset:offset + src.n] = row
-    consistent, merged = merge_paths(a, b)
     expected_ok, expected = resolve_time(join)
-    assert consistent == expected_ok
-    assert merged == expected
+    assert expected_ok
+    assert merge_paths(a, b) == expected
 
 
 @settings(max_examples=200)
@@ -288,3 +264,39 @@ def test_generalize_is_identity_once_the_observation_is_contained(data):
         for i in range(len(keys)) for j in range(len(keys))
     )
     assert generalize(rule_net, observed) == rule_net
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_observe_on_a_closed_observed_network_is_the_full_closure(data):
+    old = data.draw(st.integers(0, 4), label="old nodes")
+    new = data.draw(st.integers(0, 3), label="new nodes")
+    intervals = data.draw(st.lists(intervals_small, min_size=old + new, max_size=old + new))
+    events = [(10 + k, iv) for k, iv in enumerate(intervals)]
+    consistent, closed = resolve_time(from_observed(events[:old]))
+    assert consistent
+    interval_of = dict(events).__getitem__
+    observed = observe(closed, [k for k, _ in events[old:]], interval_of)
+    assert observed == resolve_time(from_observed(events))[1]
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_observe_on_a_widened_closed_network_matches_the_from_scratch_closure(data):
+    # walk paths are joined with FULL cross cells, so the closed input need
+    # not be fully observed; the new nodes' cells are still observed ones
+    old = data.draw(st.integers(0, 4), label="old nodes")
+    new = data.draw(st.integers(1, 3), label="new nodes")
+    intervals = data.draw(st.lists(intervals_small, min_size=old + new, max_size=old + new))
+    keys, new_keys = list(range(old)), list(range(old, old + new))
+    closed = _draw_closed(data, keys, intervals[:old])
+    interval_of = intervals.__getitem__
+    full = IANetwork(keys + new_keys)
+    for i in range(old):
+        full.cells[i][:old] = closed.cells[i]
+    for j in range(old, full.n):
+        for i in range(j):
+            full.set_pair(i, j, 1 << allen.classify(interval_of(i), interval_of(j)))
+    expected_ok, expected = resolve_time(full)
+    assert expected_ok
+    assert observe(closed, new_keys, interval_of) == expected

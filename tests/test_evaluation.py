@@ -1,5 +1,6 @@
 """Query sets, metrics, tie-aware ranking, splits, and the generator."""
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -116,7 +117,7 @@ def test_eval_grounds_each_pool_query_once_per_rule(tmp_path, monkeypatch):
 
     _, labels = load_corpus(corpus)
     _, test_set = split_queries(build_classification_queries(labels, "Target"), 0.8, 5)
-    n_rules = sum(1 for line in open(rules) if line.startswith("w="))
+    n_rules = sum(1 for line in Path(rules).read_text().splitlines() if line.startswith("w="))
     n_distinct = len(pool_queries(test_set))
     assert len(test_set.positives) > 1 and n_rules > 0
 

@@ -15,8 +15,8 @@ from rulewalk.rules import (
     coverage_filter,
     coverage_span,
     evaluate,
-    first_grounding,
     format_rule,
+    iter_groundings,
     parse_rule,
     signature_of,
     trace_to_rule,
@@ -98,8 +98,9 @@ def test_disconnected_trace_rejected():
     g.add_event("P", ["a"], ["b"], (0, 1))
     g.add_event("Q", ["c"], ["d"], (2, 3))
     assert not chain_connected(g, [0, 1], Query("L"))
+    net = from_observed([(0, g.events[0].interval), (1, g.events[1].interval)])
     with pytest.raises(RuleError):
-        trace_to_rule(g, [0, 1], None, Query("L"))
+        trace_to_rule(g, [0, 1], net, Query("L"))
     # the query's entities can seed the chain
     assert chain_connected(g, [0, 1], Query("L", ("a", "c"), ("d",)))
 
@@ -164,9 +165,9 @@ def test_coverage_span():
     g.add_event("A", ["a"], ["b"], (3, 5))
     g.add_event("B", ["b"], ["c"], (6, 9))
     g.add_event("C", ["c"], ["d"], (1, 10))
-    grounding = first_grounding(
+    grounding = next(iter_groundings(
         _simple_rule([("A", 0, 1), ("B", 1, 2)]), g, Query("L")
-    )
+    ))
     assert coverage_span(grounding, g) == (3, 9)
 
 

@@ -275,15 +275,6 @@ def test_derive_seed_stable():
     assert derive_seed(42, "query", 0) != derive_seed(42, "query", 1)
 
 
-def test_walk_params_target_override():
-    g = chain_graph()
-    b = g.entities.id_of("b")
-    query = Query("Goal", ("a",), ("c",))  # tail says c, params say b
-    params = WalkParams(max_steps=3, num_walks=10, seed=2, target=b)
-    results = sample_walks(g, query, params)
-    assert results and all(trace == [0] for trace, _ in results)
-
-
 def test_returned_time_nets_are_closed_and_nonempty():
     from rulewalk.allen import EMPTY_SET, FULL_SET
     from rulewalk.constraints import resolve_time
