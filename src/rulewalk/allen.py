@@ -16,10 +16,10 @@ way rather than trusting any transcription.
 
 `compose_sets` is a table lookup.  At import, each base relation r1 gets two
 union tables built from its row of the composition table: `_LO[r1][m]` is
-the union of compose(r1, r2) over the bits r2 < 7 set in the 7-bit mask m,
-and `_HI[r1][m]` the same over the bits r2 >= 7 of the 6-bit mask m.  So
-compose({r1}, s2) is `_LO[r1][s2 & 0x7F] | _HI[r1][s2 >> 7]`, and a larger
-s1 ORs that over its bits.  The 13 x (128 + 64) entries take about a
+the union of the cells [r1][r2] over the bits r2 < 7 set in the 7-bit mask
+m, and `_HI[r1][m]` the same over the bits r2 >= 7 of the 6-bit mask m.  So
+compose_sets(1 << r1, s2) is `_LO[r1][s2 & 0x7F] | _HI[r1][s2 >> 7]`, and a
+larger s1 ORs that over its bits.  The 13 x (128 + 64) entries take about a
 millisecond to build; full 13 x 8192 tables would take tens.
 """
 from __future__ import annotations
@@ -113,13 +113,8 @@ def classify(a, b) -> Relation:
     return Relation.DURING if a.end < b.end else Relation.OVERLAPPED_BY
 
 
-def compose(r1: Relation, r2: Relation) -> RelationSet:
-    """All relations r such that A r1 B and B r2 C admit A r C."""
-    return COMPOSITION_TABLE[r1][r2]
-
-
 def compose_sets(s1: RelationSet, s2: RelationSet) -> RelationSet:
-    """Union of compose(r1, r2) over the cross product of the two sets."""
+    """Union of COMPOSITION_TABLE[r1][r2] over the cross product of the two sets."""
     lo = s2 & 0x7F
     hi = s2 >> 7
     out = 0
@@ -175,7 +170,8 @@ def enumerate_composition_table(max_endpoint: int = 8) -> tuple[tuple[int, ...],
     return tuple(tuple(row) for row in table)
 
 
-# Frozen output of enumerate_composition_table(8); indexed [r1][r2].
+# Frozen output of enumerate_composition_table(8).  Cell [r1][r2] holds every
+# relation r such that A r1 B and B r2 C admit A r C.
 COMPOSITION_TABLE: tuple[tuple[int, ...], ...] = (
     (1, 8191, 1, 341, 1, 341, 1, 1, 341, 1, 341, 1, 1),
     (8191, 2, 1322, 2, 1322, 2, 1322, 2, 1322, 2, 2, 2, 2),

@@ -136,18 +136,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        return args.func(args)
     except UsageError as exc:
         (exc.parser or parser).print_usage(sys.stderr)
         print(f"rulewalk: error: {exc}", file=sys.stderr)
         return 1
     except SystemExit as exc:  # --help
         return 0 if exc.code in (0, None) else 1
-    try:
-        return args.func(args)
-    except UsageError as exc:
-        (exc.parser or parser).print_usage(sys.stderr)
-        print(f"rulewalk: error: {exc}", file=sys.stderr)
-        return 1
     except (DataFormatError, GraphError, RuleError, GenerationError,
             FileNotFoundError, NotADirectoryError) as exc:
         print(f"rulewalk: error: {exc}", file=sys.stderr)
@@ -158,9 +153,11 @@ def main(argv=None) -> int:
 
 
 def cmd_gen(args) -> int:
-    rule = _load_rule_file(args.rule)
+    rules = _read_rules(args.rule)
+    if not rules:
+        raise DataFormatError(f"{args.rule}: no rule line found")
     spec = SynthSpec(
-        planted_rule=rule,
+        planted_rule=rules[0],
         num_pos=args.num_pos,
         num_neg=args.num_neg,
         noise_events=args.noise,
@@ -172,22 +169,6 @@ def cmd_gen(args) -> int:
     print(f"wrote {len(graphs)} graphs to {args.out} "
           f"({spec.num_pos} labeled {spec.label!r})")
     return 0
-
-
-def _load_rule_file(path):
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if line and not line.startswith("#"):
-                return _parse_rule_line(path, lineno, line)
-    raise DataFormatError(f"{path}: no rule line found")
-
-
-def _parse_rule_line(path, lineno, line):
-    try:
-        return parse_rule(line)
-    except RuleError as exc:
-        raise RuleError(f"{path}:{lineno}: {exc}") from None
 
 
 def _load_task(args, negatives: bool = True):
@@ -368,7 +349,7 @@ def cmd_inspect(args) -> int:
                 kind = "n-ary"
             else:
                 kind = "binary"
-            pred = graph.predicates.name_of(pred_id)
+            pred = graph.predicates.names[pred_id]
             kinds[kind][pred] = kinds[kind].get(pred, 0) + len(occurrences)
 
     print(f"graphs: {len(graphs)}")
@@ -408,10 +389,15 @@ def _read_rules(path):
                     raise DataFormatError(
                         f"{path}:{lineno}: support is not an integer: {line!r}"
                     ) from None
+                if support < 0:
+                    raise DataFormatError(f"{path}:{lineno}: support is negative: {line!r}")
                 continue
             if not line or line.startswith("#"):
                 continue
-            rule = _parse_rule_line(path, lineno, line)
+            try:
+                rule = parse_rule(line)
+            except RuleError as exc:
+                raise RuleError(f"{path}:{lineno}: {exc}") from None
             rule.support = support
             support = 0
             rules.append(rule)

@@ -63,9 +63,6 @@ class IANetwork:
     def n(self) -> int:
         return len(self.keys)
 
-    def index_of(self, key: Hashable) -> int:
-        return self.keys.index(key)
-
     def set_pair(self, i: int, j: int, s: RelationSet) -> None:
         """Constrain the (i, j) cell, keeping converse symmetry."""
         if i == j:
@@ -75,16 +72,6 @@ class IANetwork:
 
     def copy(self) -> "IANetwork":
         return IANetwork(self.keys, [row[:] for row in self.cells])
-
-    def render(self) -> str:
-        """Triples `keyA {REL,...} keyB` for the upper triangle, one per line."""
-        lines = []
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                lines.append(
-                    f"{self.keys[i]} {allen.format_set(self.cells[i][j])} {self.keys[j]}"
-                )
-        return "\n".join(lines)
 
     def __eq__(self, other) -> bool:
         return (

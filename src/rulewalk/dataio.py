@@ -36,16 +36,22 @@ def _check_name(name: str, where: str) -> str:
 
 
 def save_graph(graph: TemporalHypergraph, path, label: str | None = None) -> None:
+    """Write one graph file; raises DataFormatError on a reserved name.
+
+    Every interned name comes from an event, so checking the symbol tables
+    checks each name of every event, once.
+    """
+    predicates, entities = graph.predicates.names, graph.entities.names
+    for name in predicates + entities:
+        _check_name(name, path)
     lines = [HEADER]
     if label is not None:
         lines.append(f"#label {label}")
     for event in graph.events:
-        pred, heads, tails = graph.event_names(event.event_id)
-        _check_name(pred, path)
-        for name in heads + tails:
-            _check_name(name, path)
         lines.append(
-            f"{pred} | {','.join(heads)} | {','.join(tails)} | "
+            f"{predicates[event.predicate]} | "
+            f"{','.join([entities[h] for h in event.heads])} | "
+            f"{','.join([entities[t] for t in event.tails])} | "
             f"{event.interval.start} {event.interval.end}"
         )
     with open(path, "w", encoding="utf-8") as fh:
@@ -98,6 +104,8 @@ def load_graph(
             try:
                 if len(tails) == 1:
                     graph.add_event(pred, heads, tails, interval)
+                elif len(set(tails)) != len(tails):
+                    raise GraphError(f"duplicate tail entity in {tails!r}")
                 else:
                     for tail in tails:
                         graph.add_event(pred, heads, [tail], interval)

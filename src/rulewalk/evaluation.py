@@ -13,6 +13,8 @@ import json
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import learner
 from .hypergraph import TemporalHypergraph
 # `evaluate` is unused here but stays bound: the benchmark's tracer test
@@ -177,8 +179,8 @@ def score_pools(
     """One score per distinct pool query, from a single feature build.
 
     With `params`: the logistic model score of the query's feature row.
-    Without: the untrained baseline, the occurrence count of the top rule
-    where it matches and 0 elsewhere.
+    Without: the untrained baseline, the top rule's support times its 0/1
+    match feature (0 everywhere when there is no rule).
     """
     queries = pool_queries(test_set)
     if params is None:
@@ -187,13 +189,10 @@ def score_pools(
         rules, graphs, queries, [0.0] * len(queries), scorer=features
     )
     if params is None:
-        values = [
-            max([0.0] + [float(r.support) for r, f in zip(rules, row) if f])
-            for row in matrix.features
-        ]
+        values = matrix.features @ np.array([r.support for r in rules], dtype=float)
     else:
-        values = [learner.score(row, params) for row in matrix.features]
-    return dict(zip(queries, values))
+        values = learner.scores(matrix.features, params)
+    return dict(zip(queries, values.tolist()))
 
 
 def ranked_evaluation(scores: dict[Query, float], test_set: QuerySet) -> list[float]:

@@ -6,7 +6,8 @@ predicates are interned to dense integer ids on first sight.  The graph is
 append-only; after loading it is treated as immutable and is safe to read
 from any number of threads.
 
-`add_event` maintains every index, each list in ascending event-id order:
+`add_event` maintains every index, each event list in ascending event-id
+order:
 
 - `head_index`: entity id -> events with the entity in their head set;
 - `tail_index`: entity id -> events with the entity in their tail set;
@@ -14,14 +15,12 @@ from any number of threads.
   entity has one in each, even if it never heads or tails an event;
 - `shape_index`: (predicate id, head count, tail count) -> events of that
   shape, the candidate lists of rule grounding;
+- `tail_arity`: predicate id -> the tail count every event of it has;
 - a count of multi-tail events, so `is_b_graph` is O(1).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-# Predicate head arity recorded as VARIADIC once two events disagree.
-VARIADIC = None
 
 
 class GraphError(ValueError):
@@ -52,14 +51,6 @@ class Event:
     interval: Interval
 
 
-@dataclass
-class Predicate:
-    pred_id: int
-    name: str
-    arity_head: int | None   # VARIADIC (None) admits any head count >= 1
-    arity_tail: int
-
-
 class SymbolTable:
     """Bijective name <-> dense id interning."""
 
@@ -81,9 +72,6 @@ class SymbolTable:
         except KeyError:
             raise GraphError(f"unknown symbol {name!r}") from None
 
-    def name_of(self, ident: int) -> str:
-        return self._names[ident]
-
     @property
     def names(self) -> list[str]:
         """Every name, indexed by id; read-only, since the table owns it."""
@@ -102,7 +90,7 @@ class TemporalHypergraph:
     def __init__(self) -> None:
         self.entities = SymbolTable()
         self.predicates = SymbolTable()
-        self.predicate_info: list[Predicate] = []
+        self.tail_arity: list[int] = []
         self.events: list[Event] = []
         self.head_index: dict[int, list[int]] = {}
         self.tail_index: dict[int, list[int]] = {}
@@ -131,7 +119,7 @@ class TemporalHypergraph:
         if not isinstance(interval, Interval):
             interval = Interval(int(interval[0]), int(interval[1]))
 
-        pred_id = self._intern_predicate(predicate, n_heads, n_tails)
+        pred_id = self._intern_predicate(predicate, n_tails)
         head_ids = self._intern_entities(heads)
         tail_ids = self._intern_entities(tails)
         event_id = len(self.events)
@@ -160,17 +148,13 @@ class TemporalHypergraph:
         ids.sort()
         return tuple(ids)
 
-    def _intern_predicate(self, name: str, n_heads: int, n_tails: int) -> int:
+    def _intern_predicate(self, name: str, n_tails: int) -> int:
         pred_id = self.predicates.intern(name)
-        if pred_id == len(self.predicate_info):
-            self.predicate_info.append(Predicate(pred_id, name, n_heads, n_tails))
-            return pred_id
-        info = self.predicate_info[pred_id]
-        if info.arity_head is not VARIADIC and info.arity_head != n_heads:
-            info.arity_head = VARIADIC
-        if info.arity_tail != n_tails:
+        if pred_id == len(self.tail_arity):
+            self.tail_arity.append(n_tails)
+        elif self.tail_arity[pred_id] != n_tails:
             raise GraphError(
-                f"predicate {name!r} declared with {info.arity_tail} tails, "
+                f"predicate {name!r} declared with {self.tail_arity[pred_id]} tails, "
                 f"event has {n_tails}"
             )
         return pred_id
@@ -181,7 +165,7 @@ class TemporalHypergraph:
         """Number of events in which `entity` appears in the head set."""
         if not 0 <= entity < len(self.entities):
             raise GraphError(f"unknown entity id {entity}")
-        return len(self.head_index.get(entity, ()))
+        return len(self.head_index[entity])
 
     def is_b_graph(self) -> bool:
         """True iff every event has exactly one tail entity."""
@@ -194,7 +178,7 @@ class TemporalHypergraph:
         """
         candidates: set[int] = set()
         for x in reached:
-            candidates.update(self.head_index.get(x, ()))
+            candidates.update(self.head_index[x])
         out = [
             e
             for e in candidates
@@ -214,10 +198,11 @@ class TemporalHypergraph:
 
     def event_names(self, event_id: int) -> tuple[str, tuple[str, ...], tuple[str, ...]]:
         e = self.events[event_id]
+        names = self.entities.names
         return (
-            self.predicates.name_of(e.predicate),
-            tuple(self.entities.name_of(h) for h in e.heads),
-            tuple(self.entities.name_of(t) for t in e.tails),
+            self.predicates.names[e.predicate],
+            tuple(names[h] for h in e.heads),
+            tuple(names[t] for t in e.tails),
         )
 
     def __len__(self) -> int:

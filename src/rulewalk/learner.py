@@ -48,19 +48,9 @@ def _clamp(p):
     return np.clip(p, CLAMP_EPS, 1.0 - CLAMP_EPS)
 
 
-def score(features_row, params: ModelParams) -> float:
-    """Logistic score of one feature row, clamped to (0, 1)."""
-    row = np.asarray(features_row, dtype=float)
-    if row.shape != params.theta.shape:
-        raise ValueError(
-            f"feature row has {row.shape} entries, model has {params.theta.shape}"
-        )
-    z = params.bias + float(row @ params.theta)
-    return float(_clamp(1.0 / (1.0 + np.exp(-z))))
-
-
-def _scores(matrix: FeatureMatrix, params: ModelParams) -> np.ndarray:
-    z = params.bias + matrix.features @ params.theta
+def scores(features: np.ndarray, params: ModelParams) -> np.ndarray:
+    """Logistic score of every feature row, clamped to (0, 1)."""
+    z = params.bias + features @ params.theta
     return _clamp(1.0 / (1.0 + np.exp(-z)))
 
 
@@ -68,7 +58,7 @@ def loss(matrix: FeatureMatrix, params: ModelParams, l2: float = 0.0) -> float:
     """Mean negated cross-entropy plus l2 * ||theta||^2."""
     if l2 < 0:
         raise ValueError("l2 must be >= 0")
-    f = _scores(matrix, params)
+    f = scores(matrix.features, params)
     y = matrix.labels
     ce = -(y * np.log(f) + (1.0 - y) * np.log(1.0 - f))
     return float(np.mean(ce) + l2 * float(params.theta @ params.theta))
@@ -78,7 +68,7 @@ def gradient(
     matrix: FeatureMatrix, params: ModelParams, l2: float = 0.0
 ) -> tuple[np.ndarray, float]:
     """Analytic gradient (d/dtheta, d/dbias) of `loss`."""
-    f = _scores(matrix, params)
+    f = scores(matrix.features, params)
     residual = f - matrix.labels
     n = matrix.features.shape[0]
     grad_theta = matrix.features.T @ residual / n + 2.0 * l2 * params.theta
@@ -112,9 +102,7 @@ def train(
     return TrainResult(params, losses)
 
 
-def build_features(
-    rules, graphs, queries, labels, scorer: str = "binary", eval_budget: int = 1_000_000
-) -> FeatureMatrix:
+def build_features(rules, graphs, queries, labels, scorer: str = "binary") -> FeatureMatrix:
     """Feature matrix: one row per query, one column per rule.
 
     Binary features are rule-match indicators.  The reach scorer weights a
@@ -130,7 +118,7 @@ def build_features(
         graph = graphs[query.graph_index]
         row = []
         for rule in rules:
-            matched = evaluate(rule, graph, query, budget=eval_budget)
+            matched = evaluate(rule, graph, query)
             value = 1.0 if matched else 0.0
             if matched and scorer == "reach" and query.heads and query.tails:
                 key = (query, len(rule.body))

@@ -26,7 +26,6 @@ class MiningParams:
     seed: int = 0
     rho: float = 1.0
     start_events: int = 3
-    eval_budget: int = 1_000_000
 
 
 @dataclass
@@ -108,10 +107,7 @@ def _apply_coverage(rules, graphs, query_set, params, diag):
     positive_graphs = sorted({q.graph_index for q in query_set.positives})
     kept = []
     for rule in rules:
-        if all(
-            coverage_filter(rule, graphs[g], params.rho, budget=params.eval_budget)
-            for g in positive_graphs
-        ):
+        if all(coverage_filter(rule, graphs[g], params.rho) for g in positive_graphs):
             kept.append(rule)
         else:
             diag.coverage_filtered += 1

@@ -73,12 +73,6 @@ class TemporalRule:
             raise RuleError("time_net node count must equal body length")
 
 
-@dataclass
-class Grounding:
-    variables: dict[int, int]     # variable id -> entity id
-    atom_events: tuple[int, ...]  # body index -> event id
-
-
 def render_atom(atom: Atom) -> str:
     if not atom.head_vars and not atom.tail_vars:
         return f"{atom.predicate}()"
@@ -128,12 +122,15 @@ def trace_to_rule(
     event in the graph, at most one per variable.  `time_net` must be
     path-consistent and keyed by the trace, in order, as `sample_walks`
     returns it; the rule's network observes the class atoms against it and
-    is keyed by body indices.
+    is keyed by body indices.  Raises RuleError unless `chain_connected`
+    holds for the trace.
     """
     if not trace:
         raise RuleError("cannot build a rule from an empty trace")
     if time_net.keys != trace:
         raise RuleError("time_net keys are not the trace events in order")
+    if not chain_connected(graph, trace, query):
+        raise RuleError("trace is not a chain connected to the query's entities")
 
     query_heads = tuple(graph.entities.id_of(h) for h in query.heads)
     query_tails = tuple(graph.entities.id_of(t) for t in query.tails)
@@ -145,11 +142,6 @@ def trace_to_rule(
     ]
 
     var_of = _canonical_variables(query_heads, query_tails, atom_entities)
-    for eid in trace:
-        ev = graph.events[eid]
-        for x in ev.heads + ev.tails:
-            if x not in var_of:
-                raise RuleError(f"trace entity {x} missing from every atom")
 
     head = Atom(
         query.predicate,
@@ -158,13 +150,12 @@ def trace_to_rule(
     )
     body = tuple(
         Atom(
-            graph.predicates.name_of(graph.events[e].predicate),
+            graph.predicates.names[graph.events[e].predicate],
             tuple(sorted(var_of[x] for x in graph.events[e].heads)),
             tuple(sorted(var_of[x] for x in graph.events[e].tails)),
         )
         for e in body_events
     )
-    _check_chain(head, body)
 
     observed = observe(time_net, class_events, lambda e: graph.events[e].interval)
     net = IANetwork(range(len(body_events)), observed.cells)
@@ -189,7 +180,7 @@ def _class_events(graph: TemporalHypergraph, trace: list[int]) -> list[int]:
     for x in ordered_entities:
         if x in covered:
             continue
-        for eid in graph.head_index.get(x, ()):
+        for eid in graph.head_index[x]:
             ev = graph.events[eid]
             if ev.heads == (x,) and ev.tails == (x,) and eid not in in_trace:
                 extra.append(eid)
@@ -226,14 +217,6 @@ def _canonical_variables(query_heads, query_tails, atom_entities) -> dict[int, i
         assign(heads)
         assign(tails)
     return var_of
-
-
-def _check_chain(head: Atom, body: tuple[Atom, ...]) -> None:
-    union = head.variables()
-    for pos, atom in enumerate(body):
-        if pos > 0 and atom.variables().isdisjoint(union):
-            raise RuleError(f"body atom {pos} shares no variable with the chain")
-        union |= atom.variables()
 
 
 # -- grounding and evaluation ----------------------------------------------
@@ -273,8 +256,11 @@ def iter_groundings(
     graph: TemporalHypergraph,
     query: Query,
     budget: int = DEFAULT_EVAL_BUDGET,
-) -> Iterator[Grounding]:
-    """All groundings, in deterministic backtracking order.
+) -> Iterator[tuple[int, ...]]:
+    """All groundings in deterministic backtracking order.
+
+    A grounding is the tuple of event ids matched by the body atoms, in
+    body order.
 
     Raises _BudgetExhausted when the step budget runs out; `evaluate`
     converts that into a False verdict.
@@ -362,10 +348,12 @@ def _set_bindings(variables, entities, base: dict[int, int]) -> Iterator[dict[in
             yield bound
 
 
-def _match_body(rule, graph, candidates, binding, chosen, steps) -> Iterator[Grounding]:
+def _match_body(
+    rule, graph, candidates, binding, chosen, steps
+) -> Iterator[tuple[int, ...]]:
     pos = len(chosen)
     if pos == len(rule.body):
-        yield Grounding(dict(binding), tuple(chosen))
+        yield tuple(chosen)
         return
     atom = rule.body[pos]
     net = rule.time_net.cells
@@ -393,10 +381,10 @@ def _match_body(rule, graph, candidates, binding, chosen, steps) -> Iterator[Gro
 # -- time-span coverage ------------------------------------------------------
 
 
-def coverage_span(grounding: Grounding, graph: TemporalHypergraph) -> tuple[int, int]:
+def coverage_span(grounding: tuple[int, ...], graph: TemporalHypergraph) -> tuple[int, int]:
     """Earliest start and latest end over the grounded events."""
-    starts = [graph.events[e].interval.start for e in grounding.atom_events]
-    ends = [graph.events[e].interval.end for e in grounding.atom_events]
+    starts = [graph.events[e].interval.start for e in grounding]
+    ends = [graph.events[e].interval.end for e in grounding]
     return min(starts), max(ends)
 
 

@@ -33,20 +33,15 @@ class SynthSpec:
     num_neg: int = 20
     noise_events: int = 5
     seed: int = 0
-    span: int = 30            # interval endpoints are drawn from [0, span]
-    negative_label: str = ""  # defaults to "not_<label>"
+    span: int = 30  # interval endpoints are drawn from [0, span]
 
     @property
     def label(self) -> str:
         return self.planted_rule.head.predicate
 
-    @property
-    def neg_label(self) -> str:
-        return self.negative_label or f"not_{self.label}"
-
 
 def synth_generate(spec: SynthSpec) -> tuple[list[TemporalHypergraph], list[str]]:
-    """Deterministic corpus: positives first, then negatives."""
+    """Deterministic corpus: positives first, then negatives labelled `not_<label>`."""
     rule = spec.planted_rule
     if not rule.body:
         raise GenerationError("planted rule needs a non-empty body")
@@ -70,7 +65,7 @@ def synth_generate(spec: SynthSpec) -> tuple[list[TemporalHypergraph], list[str]
     for i in range(spec.num_neg):
         rng = random.Random(derive_seed(spec.seed, "neg", i))
         graphs.append(_negative_graph(spec, rng))
-        labels.append(spec.neg_label)
+        labels.append(f"not_{spec.label}")
     return graphs, labels
 
 

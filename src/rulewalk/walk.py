@@ -261,7 +261,7 @@ def reach_probability(
         arrivals: dict[int, float] = {}
         for e in enabled:
             event = graph.events[e]
-            w = min(mass[h] / graph.out_degree(h) for h in event.heads)
+            w = _weight(graph, mass, event)
             traversed.add(e)
             tail = event.tails[0]
             arrivals[tail] = arrivals.get(tail, 0.0) + w

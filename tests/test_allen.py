@@ -5,11 +5,11 @@ from hypothesis import strategies as st
 
 from rulewalk import allen
 from rulewalk.allen import (
+    COMPOSITION_TABLE,
     EMPTY_SET,
     FULL_SET,
     Relation,
     classify,
-    compose,
     compose_sets,
     inverse,
     inverse_set,
@@ -127,28 +127,29 @@ def test_composition_table_matches_bruteforce_oracle():
     oracle = compose_table_bruteforce(8)
     for r1 in Relation:
         for r2 in Relation:
-            assert compose(r1, r2) == oracle[r1][r2], (r1, r2)
+            assert COMPOSITION_TABLE[r1][r2] == oracle[r1][r2], (r1, r2)
 
 
 def test_compose_known_cells():
-    assert compose(R.BEFORE, R.BEFORE) == rel_set(R.BEFORE)
-    assert compose(R.MEETS, R.MEETS) == rel_set(R.BEFORE)
+    assert COMPOSITION_TABLE[R.BEFORE][R.BEFORE] == rel_set(R.BEFORE)
+    assert COMPOSITION_TABLE[R.MEETS][R.MEETS] == rel_set(R.BEFORE)
     # frozen from the enumeration oracle
-    assert compose(R.DURING, R.OVERLAPS) == rel_set(
+    assert COMPOSITION_TABLE[R.DURING][R.OVERLAPS] == rel_set(
         R.BEFORE, R.MEETS, R.OVERLAPS, R.STARTS, R.DURING
     )
 
 
 def test_equal_is_identity():
     for r in Relation:
-        assert compose(r, R.EQUAL) == rel_set(r)
-        assert compose(R.EQUAL, r) == rel_set(r)
+        assert COMPOSITION_TABLE[r][R.EQUAL] == rel_set(r)
+        assert COMPOSITION_TABLE[R.EQUAL][r] == rel_set(r)
 
 
 def test_inverse_distributes_over_composition():
     for r1 in Relation:
         for r2 in Relation:
-            assert inverse_set(compose(r1, r2)) == compose(inverse(r2), inverse(r1))
+            assert inverse_set(COMPOSITION_TABLE[r1][r2]) == \
+                COMPOSITION_TABLE[inverse(r2)][inverse(r1)]
 
 
 def compose_sets_bruteforce(s1, s2):
@@ -217,7 +218,7 @@ def test_members_ordering():
 @given(intervals_small, intervals_small, intervals_small)
 def test_composition_soundness_property(a, b, c):
     r = classify(a, c)
-    assert compose(classify(a, b), classify(b, c)) & (1 << r)
+    assert COMPOSITION_TABLE[classify(a, b)][classify(b, c)] & (1 << r)
 
 
 @given(intervals_small, intervals_small)

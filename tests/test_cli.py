@@ -256,6 +256,22 @@ def test_eval_with_bad_support_line_exits_2(tmp_path, rule_file, capsys):
     assert "Traceback" not in err
 
 
+def test_eval_with_negative_support_exits_2(tmp_path, rule_file, capsys):
+    # the untrained baseline scores a match by the top rule's support, a count
+    corpus = str(tmp_path / "corpus")
+    rules = tmp_path / "rules.txt"
+    rules.write_text("# support=-3\n" + PLANTED)
+    assert main(["gen", "--rule", rule_file, "--out", corpus,
+                 "--num-pos", "4", "--num-neg", "4", "--noise", "2",
+                 "--seed", "3"]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--data", corpus, "--target-label", "Target",
+                 "--rules", str(rules), "--seed", "3"]) == 2
+    err = capsys.readouterr().err
+    assert f"{rules}:1: support is negative: '# support=-3'" in err
+    assert "Traceback" not in err
+
+
 def test_malformed_rule_line_in_eval_rules_names_file_and_line(tmp_path, rule_file, capsys):
     corpus = str(tmp_path / "corpus")
     rules = tmp_path / "rules.txt"
@@ -277,6 +293,26 @@ def test_malformed_rule_line_in_gen_rule_names_file_and_line(tmp_path, capsys):
     assert main(["gen", "--rule", str(rule), "--out", str(tmp_path / "corpus")]) == 2
     err = capsys.readouterr().err
     assert f"{rule}:3: bad atom" in err
+    assert "Traceback" not in err
+
+
+def test_malformed_rule_line_after_the_first_in_gen_rule_exits_2(tmp_path, capsys):
+    rule = tmp_path / "two.rule"
+    rule.write_text(PLANTED + "w=0.0 Target() A(X0->X1)\n")
+    corpus = tmp_path / "corpus"
+    assert main(["gen", "--rule", str(rule), "--out", str(corpus)]) == 2
+    err = capsys.readouterr().err
+    assert f"{rule}:2: missing '<-'" in err
+    assert "Traceback" not in err
+    assert not corpus.exists()
+
+
+def test_gen_rule_file_without_a_rule_line_exits_2(tmp_path, capsys):
+    rule = tmp_path / "empty.rule"
+    rule.write_text("# planted rule\n# support=2\n\n")
+    assert main(["gen", "--rule", str(rule), "--out", str(tmp_path / "corpus")]) == 2
+    err = capsys.readouterr().err
+    assert f"{rule}: no rule line found" in err
     assert "Traceback" not in err
 
 

@@ -102,7 +102,7 @@ def test_merge_disjoint_paths_keeps_cross_cells_wide():
     net_b = from_observed([(2, Interval(5, 6))])
     merged = merge_paths(net_a, net_b)
     assert merged.keys == [0, 1, 2]
-    i0, i2 = merged.index_of(0), merged.index_of(2)
+    i0, i2 = merged.keys.index(0), merged.keys.index(2)
     assert merged.cells[i0][i2] == FULL_SET
 
 
@@ -161,12 +161,6 @@ def test_generalize_closes_under_pc():
 def test_generalize_key_mismatch():
     with pytest.raises(KeyMismatchError):
         generalize(IANetwork([0, 1]), IANetwork([1, 0]))
-
-
-def test_render_mentions_keys_and_relations():
-    net = IANetwork(["x", "y"])
-    net.set_pair(0, 1, rel_set(R.MEETS))
-    assert net.render() == "x {MEETS} y"
 
 
 def test_generalize_commutative_and_associative_over_observed():

@@ -83,6 +83,15 @@ def test_reserved_characters_rejected_on_save(tmp_path):
     g.add_event("P|Q", ["a"], ["b"], (0, 1))
     with pytest.raises(DataFormatError):
         save_graph(g, tmp_path / "g.thg")
+    # an entity name, on a later event
+    g = TemporalHypergraph()
+    g.add_event("P", ["a"], ["b"], (0, 1))
+    g.add_event("P", ["b"], ["c,d"], (2, 3))
+    path = tmp_path / "h.thg"
+    with pytest.raises(DataFormatError) as err:
+        save_graph(g, path)
+    assert str(err.value) == f"{path}: reserved character ',' in 'c,d'"
+    assert not path.exists()
 
 
 def test_corpus_round_trip(tmp_path):
@@ -141,7 +150,7 @@ def graph_state(graph):
         ],
         "entities": list(graph.entities.names),
         "predicates": list(graph.predicates.names),
-        "arities": [(p.arity_head, p.arity_tail) for p in graph.predicate_info],
+        "arities": list(graph.tail_arity),
         "head_index": sorted(graph.head_index.items()),
         "tail_index": sorted(graph.tail_index.items()),
         "shape_index": sorted(graph.shape_index.items()),
@@ -198,9 +207,10 @@ def test_load_rebuilds_the_graph_add_event_built(tmp_path_factory, raw_events,
     )
 
 
-# Each message is pinned in full; the graph's own checks for a duplicate
-# tail and a tail-arity clash cannot fire here, since the loader adds only
-# single-tail events (their text is pinned in test_hypergraph).
+# Each message is pinned in full.  The graph's own tail-arity check cannot
+# fire here, since the loader adds only single-tail events (its text is
+# pinned in test_hypergraph); a duplicate tail is rejected before a
+# multi-tail event is split, with the graph's message.
 @pytest.mark.parametrize("line, split, message", [
     ("Bad | x | y", False, "expected 4 pipe-separated fields, got 3"),
     ("Bad | x | y | 1 2 | z", False, "expected 4 pipe-separated fields, got 5"),
@@ -216,6 +226,7 @@ def test_load_rebuilds_the_graph_add_event_built(tmp_path_factory, raw_events,
      "multi-tail event (pass split_multi_tail to expand into single-tail edges)"),
     ("Bad | x,x | y | 1 2", False, "duplicate head entity in ['x', 'x']"),
     ("Bad | x, x | y,z | 1 2", True, "duplicate head entity in ['x', 'x']"),
+    ("Bad | x | y,y | 1 2", True, "duplicate tail entity in ['y', 'y']"),
 ])
 def test_load_error_messages_are_pinned(tmp_path, line, split, message):
     path = tmp_path / "g.thg"

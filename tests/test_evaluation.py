@@ -1,7 +1,9 @@
 """Query sets, metrics, tie-aware ranking, splits, and the generator."""
+import math
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -20,6 +22,7 @@ from rulewalk.evaluation import (
     pool_queries,
     rank_with_ties,
     ranked_evaluation,
+    score_pools,
     split_queries,
 )
 from rulewalk.hypergraph import TemporalHypergraph
@@ -169,6 +172,31 @@ def test_ranked_evaluation_uses_pool():
     del scores[pool[4]]
     with pytest.raises(ValueError):
         ranked_evaluation(scores, test_set)
+
+
+def test_score_pools_matches_row_by_row_scores():
+    planted = parse_rule(PLANTED)
+    graphs, labels = synth_generate(
+        SynthSpec(planted, num_pos=4, num_neg=4, noise_events=3, seed=2)
+    )
+    other = parse_rule("w=0.0 Target() <- A(X0->X1)")
+    planted.support, other.support = 3, 5
+    rules = [planted, other]
+    test_set = build_classification_queries(labels, "Target")
+    queries = pool_queries(test_set)
+    rows = learner.build_features(rules, graphs, queries, [0.0] * len(queries)).features
+    params = learner.ModelParams(np.array([1.25, -0.5]), 0.1)
+
+    scored = score_pools(rules, graphs, test_set, params)
+    for query, row in zip(queries, rows):
+        z = params.bias + sum(f * t for f, t in zip(row, params.theta))
+        assert scored[query] == pytest.approx(1.0 / (1.0 + math.exp(-z)), rel=1e-12)
+
+    # without a model: the top rule's support where it matches, else 0
+    baseline = score_pools(rules, graphs, test_set)
+    assert baseline == {q: 3.0 if row[0] else 0.0 for q, row in zip(queries, rows)}
+    assert set(baseline.values()) == {0.0, 3.0}
+    assert score_pools([], graphs, test_set) == dict.fromkeys(queries, 0.0)
 
 
 def test_eval_grounds_each_pool_query_once_per_rule(tmp_path, monkeypatch):

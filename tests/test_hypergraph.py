@@ -44,7 +44,7 @@ def test_heads_stored_sorted_with_set_semantics():
     g.add_event("Mix", ["c", "a", "b"], ["z"], (0, 1))
     ids = g.events[0].heads
     assert list(ids) == sorted(ids)
-    assert {g.entities.name_of(i) for i in ids} == {"a", "b", "c"}
+    assert {g.entities.names[i] for i in ids} == {"a", "b", "c"}
 
 
 def test_out_degree_counts_head_appearances():
@@ -91,13 +91,10 @@ def test_enabled_edges_ascending_order():
     assert g.enabled_edges({a}, {1, 3}) == [0, 2, 4]
 
 
-def test_predicate_arity_widens_to_variadic_for_heads():
+def test_predicate_tail_arity_stays_declared():
     g = TemporalHypergraph()
     g.add_event("Mix", ["a", "b"], ["z"], (0, 1))
     g.add_event("Mix", ["a", "b", "c"], ["z"], (0, 1))
-    info = g.predicate_info[g.predicates.id_of("Mix")]
-    assert info.arity_head is None
-    # tail arity stays declared
     with pytest.raises(GraphError):
         g.add_event("Mix", ["a"], ["y", "z"], (0, 1))
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rulewalk import learner
-from rulewalk.learner import FeatureMatrix, ModelParams, loss, gradient, score, train
+from rulewalk.learner import FeatureMatrix, ModelParams, loss, gradient, scores, train
 
 from oracles import finite_difference_gradient
 
@@ -22,26 +22,28 @@ def toy_matrix():
 
 def test_score_at_zero_is_half():
     params = ModelParams(np.zeros(3), 0.0)
-    assert score([1.0, 0.0, 1.0], params) == 0.5
+    assert scores(np.array([[1.0, 0.0, 1.0]]), params)[0] == 0.5
 
 
 def test_score_closed_form():
     params = ModelParams(np.array([10.0]), 0.0)
-    assert score([1.0], params) == pytest.approx(1.0 / (1.0 + math.exp(-10)), abs=1e-12)
-    assert score([0.0], params) == 0.5
+    assert scores(np.array([[1.0]]), params)[0] == pytest.approx(
+        1.0 / (1.0 + math.exp(-10)), abs=1e-12
+    )
+    assert scores(np.array([[0.0]]), params)[0] == 0.5
 
 
 def test_score_dimension_mismatch():
     params = ModelParams(np.zeros(2), 0.0)
     with pytest.raises(ValueError):
-        score([1.0], params)
+        scores(np.array([[1.0]]), params)
 
 
 def test_score_monotone_in_active_weight():
-    row = [1.0, 0.0]
+    row = np.array([[1.0, 0.0]])
     low = ModelParams(np.array([0.5, 3.0]), 0.0)
     high = ModelParams(np.array([1.5, 3.0]), 0.0)
-    assert score(row, high) > score(row, low)
+    assert scores(row, high)[0] > scores(row, low)[0]
 
 
 def test_loss_at_zero_is_ln2():
@@ -99,7 +101,7 @@ def test_gradient_balanced_symmetry():
 def test_train_separable_reaches_full_accuracy():
     matrix = toy_matrix()
     result = train(matrix, lr=1.0, epochs=1000, l2=0.0)
-    preds = [score(row, result.params) >= 0.5 for row in matrix.features]
+    preds = (scores(matrix.features, result.params) >= 0.5).tolist()
     assert preds == [bool(y) for y in matrix.labels]
     assert result.losses[-1] < 0.01
 

@@ -9,7 +9,7 @@ R = Relation
 
 def test_from_observed_singletons():
     net = from_observed([("a", Interval(1, 2)), ("b", Interval(3, 4))])
-    ia, ib = net.index_of("a"), net.index_of("b")
+    ia, ib = net.keys.index("a"), net.keys.index("b")
     assert net.cells[ia][ib] == rel_set(R.BEFORE)
     assert net.cells[ib][ia] == rel_set(R.AFTER)
     assert net.cells[ia][ia] == rel_set(R.EQUAL)

@@ -331,7 +331,7 @@ def walk_cases(draw):
         start = draw(st.integers(0, 8))
         g.add_event(draw(st.sampled_from(["P", "Q"])), heads,
                     [draw(st.sampled_from(names))], (start, start + draw(st.integers(0, 4))))
-    known = [g.entities.name_of(i) for i in range(len(g.entities))]
+    known = list(g.entities.names)
     if draw(st.booleans()):
         heads = draw(st.lists(st.sampled_from(known), min_size=1, max_size=2, unique=True))
         query = Query("Goal", tuple(heads), (draw(st.sampled_from(known)),))
