@@ -52,6 +52,14 @@ _FRACTION = _number(float, lambda v: 0 < v <= 1, "in (0, 1]")
 _OPEN_FRACTION = _number(float, lambda v: 0 < v < 1, "in (0, 1)")
 
 
+def _names(text):
+    """An argparse `type=` for a comma-separated list naming at least one name."""
+    names = [n.strip() for n in text.split(",") if n.strip()]
+    if not names:
+        raise argparse.ArgumentTypeError(f"{text!r} names no predicate")
+    return names
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="rulewalk", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -63,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--num-pos", type=_NON_NEGATIVE_INT, default=20)
     p.add_argument("--num-neg", type=_NON_NEGATIVE_INT, default=20)
     p.add_argument("--noise", type=_NON_NEGATIVE_INT, default=5)
-    p.add_argument("--span", type=int, default=30)
+    p.add_argument("--span", type=_NON_NEGATIVE_INT, default=30)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_gen)
 
@@ -125,7 +133,7 @@ def _add_task_arguments(p) -> None:
     p.add_argument("--data", required=True,
                    help="corpus directory (classification) or one graph file")
     p.add_argument("--target-label", default=None)
-    p.add_argument("--positive-predicates", default=None,
+    p.add_argument("--positive-predicates", type=_names, default=None,
                    help="comma-separated predicate names (event task)")
     p.add_argument("--split-multi-tail", action="store_true")
     p.add_argument("--train-frac", type=_OPEN_FRACTION, default=0.8)
@@ -190,10 +198,9 @@ def _load_task(args, negatives: bool = True):
     graph, _ = dataio.load_graph(args.data, args.split_multi_tail)
     if not args.positive_predicates:
         raise UsageError("--positive-predicates is required for a single graph file")
-    names = [n.strip() for n in args.positive_predicates.split(",") if n.strip()]
     try:
         return [graph], evaluation.build_event_queries(
-            graph, names, negatives=negatives
+            graph, args.positive_predicates, negatives=negatives
         )
     except ValueError as exc:
         raise DataFormatError(str(exc)) from None
@@ -325,6 +332,9 @@ def _read_tkg(path):
                 raise DataFormatError(
                     f"{path}:{lineno}: bad time point {parts[0]!r}"
                 ) from None
+            where = f"{path}:{lineno}"
+            for name in parts[1:]:
+                dataio.check_name(name, where)
             snapshots.setdefault(tau, []).append((parts[1], parts[2], parts[3]))
     return [(tau, snapshots[tau]) for tau in sorted(snapshots)]
 

@@ -26,7 +26,7 @@ class DataFormatError(ValueError):
     """Parse or validation failure, with file/line context in the message."""
 
 
-def _check_name(name: str, where: str) -> str:
+def check_name(name: str, where: str) -> str:
     if not name:
         raise DataFormatError(f"{where}: empty name")
     for ch in RESERVED:
@@ -43,7 +43,7 @@ def save_graph(graph: TemporalHypergraph, path, label: str | None = None) -> Non
     """
     predicates, entities = graph.predicates.names, graph.entities.names
     for name in predicates + entities:
-        _check_name(name, path)
+        check_name(name, path)
     lines = [HEADER]
     if label is not None:
         lines.append(f"#label {label}")

@@ -7,6 +7,7 @@ before any log so the loss stays finite regardless of the weights.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,11 +156,22 @@ def load_model(path) -> tuple[float, dict[str, float]]:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
     if not lines or not lines[0].startswith("bias "):
         raise ValueError(f"{path}: model file must start with a bias line")
-    bias = float(lines[0][5:])
+    bias = _finite(lines[0][5:], path, lines[0])
     weights: dict[str, float] = {}
     for ln in lines[1:]:
         sig, _, w = ln.rpartition("\t")
         if not sig:
             raise ValueError(f"{path}: malformed model line {ln!r}")
-        weights[sig] = float(w)
+        weights[sig] = _finite(w, path, ln)
     return bias, weights
+
+
+def _finite(text: str, path, line: str) -> float:
+    """The number ending a model line; a NaN or infinity would make every score NaN."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"{path}: model line {line!r} does not end in a finite number")
+    return value

@@ -8,7 +8,7 @@ ranked by occurrence count with ties broken by signature.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import constraints
 from .rules import TemporalRule, chain_connected, coverage_filter, trace_to_rule
@@ -20,12 +20,8 @@ MODES = (MODE_RELATIONAL, MODE_TEMPORAL)
 
 
 @dataclass
-class MiningParams:
-    num_walks: int = 200
-    max_steps: int = 2
-    seed: int = 0
-    rho: float = 1.0
-    start_events: int = 3
+class MiningParams(WalkParams):
+    rho: float = 1.0  # classification mode: time-span coverage threshold
 
 
 @dataclass
@@ -56,12 +52,7 @@ def mine_rules(
     aggregated: dict[str, TemporalRule] = {}
     for qi, query in enumerate(query_set.positives):
         graph = graphs[query.graph_index]
-        wparams = WalkParams(
-            max_steps=params.max_steps,
-            num_walks=params.num_walks,
-            seed=derive_seed(params.seed, "query", qi),
-            start_events=params.start_events,
-        )
+        wparams = replace(params, seed=derive_seed(params.seed, "query", qi))
         # trace -> signature of its rule, or None when the trace is
         # disconnected.  A trace fixes its network, so a repeated trace only
         # adds support: closure keeps every closed sub-network of its input,

@@ -16,11 +16,13 @@ graph's own intervals realise every such network, so the closure never
 finds one inconsistent; `observe` raises if it ever does.
 
 A walk's state depends only on its start set and its trace, so the states
-form a prefix tree rooted at the start set.  Each node computes its
-sampling options, each of its successors and its trace network once, the
-first time a walk needs them; later walks through the same prefix reuse
-them.  Nodes are never mutated once built, so walks that share a trace
-share its `IANetwork`, which callers must treat as read-only.
+form a prefix tree rooted at the start set, and a `WalkState` is one node
+of that tree.  Each state computes its sampling options, each of its
+successors and its trace network once, the first time a walk needs them;
+later walks through the same prefix reuse them.  `step` returns the
+successor rather than changing its argument, so walks that share a trace
+share its state and its `IANetwork`, which callers must treat as
+read-only.
 """
 from __future__ import annotations
 
@@ -46,8 +48,8 @@ def derive_seed(seed: int, *parts) -> int:
 
 @dataclass
 class WalkParams:
-    max_steps: int = 3
-    num_walks: int = 100
+    num_walks: int = 200
+    max_steps: int = 2
     seed: int = 0
     start_events: int = 3  # classification mode: heads of the k earliest events
 
@@ -71,7 +73,7 @@ class WalkDiagnostics:
 class _Path:
     """One sub-walk: its entity territory and its closed event constraint network.
 
-    Never mutated once built: successor nodes share the paths a step leaves
+    Never mutated once built: successor states share the paths a step leaves
     untouched with their parent.
     """
 
@@ -82,17 +84,18 @@ class _Path:
         self.net = net
 
 
-class _Prefix:
-    """A prefix-tree node: the walk state after one trace from the root's starts.
+class WalkState:
+    """A walk's state: the prefix-tree node reached by one trace from the root's starts.
 
     `reached`, `arrival_mass`, `trace` and `paths` are never mutated once
-    the node is built.  The memo slots fill in on first use: `options` holds
-    the sampling options (enabled event ids, their weights, the weights'
-    sum), `successors` maps a chosen event id to the next node, and `net`
-    caches the trace network.
+    the state is built, and other walks may share it: read them, never
+    mutate them.  The memo slots fill in on first use: `options` holds the
+    sampling options (enabled event ids, their weights, the weights' sum),
+    `successors` maps a chosen event id to the next state, and `time_net`
+    is built once.
     """
 
-    __slots__ = ("reached", "arrival_mass", "trace", "paths", "options", "successors", "net")
+    __slots__ = ("reached", "arrival_mass", "trace", "paths", "options", "successors", "_net")
 
     def __init__(self, reached: set[int], arrival_mass: dict[int, float],
                  trace: list[int], paths: list[_Path]) -> None:
@@ -101,67 +104,32 @@ class _Prefix:
         self.trace = trace
         self.paths = paths
         self.options: tuple[list[int], list[float], float] | None = None
-        self.successors: dict[int, _Prefix] = {}
-        self.net: IANetwork | None = None
-
-
-class WalkState:
-    """A cursor onto one node of a walk's prefix tree.
-
-    `reached`, `arrival_mass`, `trace`, `paths` and `time_net` belong to the
-    node, which other walks may share: read them, never mutate them.
-    `step` moves the cursor to the next node in place.
-    """
-
-    __slots__ = ("_node",)
-
-    def __init__(self, node: _Prefix) -> None:
-        self._node = node
-
-    @property
-    def reached(self) -> set[int]:
-        return self._node.reached
-
-    @property
-    def arrival_mass(self) -> dict[int, float]:
-        return self._node.arrival_mass
-
-    @property
-    def trace(self) -> list[int]:
-        return self._node.trace
-
-    @property
-    def step(self) -> int:
-        return len(self._node.trace)
-
-    @property
-    def paths(self) -> list[_Path]:
-        return self._node.paths
+        self.successors: dict[int, WalkState] = {}
+        self._net: IANetwork | None = None
 
     @property
     def time_net(self) -> IANetwork:
-        """Path-consistent constraint network over the trace, built once per node.
+        """Path-consistent constraint network over the trace, built once per state.
 
         It joins the closed path networks by unconstrained cross-path
         cells.  Composing any non-empty set with FULL_SET gives FULL_SET,
         so no cross-path cell can tighten anything: the join is closed.
         """
-        node = self._node
-        if node.net is None:
-            net = IANetwork(node.trace)
-            pos = {k: i for i, k in enumerate(node.trace)}
-            for path in node.paths:
+        if self._net is None:
+            net = IANetwork(self.trace)
+            pos = {k: i for i, k in enumerate(self.trace)}
+            for path in self.paths:
                 idx = [pos[k] for k in path.net.keys]
                 for i, row in zip(idx, path.net.cells):
                     out = net.cells[i]
                     for j, s in zip(idx, row):
                         out[j] = s
-            node.net = net
-        return node.net
+            self._net = net
+        return self._net
 
 
 def init_walk(graph: TemporalHypergraph, starts: set[int]) -> WalkState:
-    """A cursor on a fresh prefix-tree root: every start entity reached with unit mass."""
+    """A fresh prefix-tree root: every start entity reached with unit mass."""
     if not starts:
         raise ValueError("walk requires a non-empty start set")
     for s in starts:
@@ -170,7 +138,7 @@ def init_walk(graph: TemporalHypergraph, starts: set[int]) -> WalkState:
     if not graph.is_b_graph():
         raise GraphError("random B-walks require a B-graph (single-tail events)")
     paths = [_Path(frozenset((s,)), IANetwork([])) for s in sorted(starts)]
-    return WalkState(_Prefix(set(starts), {s: 1.0 for s in starts}, [], paths))
+    return WalkState(set(starts), {s: 1.0 for s in starts}, [], paths)
 
 
 def edge_weight(graph: TemporalHypergraph, state: WalkState, event_id: int) -> float:
@@ -186,17 +154,18 @@ def _weight(graph: TemporalHypergraph, mass: dict[int, float], event) -> float:
 
 
 def step(graph: TemporalHypergraph, state: WalkState, rng: random.Random):
-    """Sample one enabled edge and move the cursor to that successor in place.
+    """Sample one enabled edge and return the successor state along it.
 
-    Returns the state, or DEAD_END (the cursor stays where it was) when
-    nothing is enabled.  Draws `rng.random()` once per sampled edge.
+    Returns DEAD_END when nothing is enabled.  The successor is memoised on
+    `state`, so a later walk that samples the same edge gets the same
+    object; `state` itself is left as it was.  Draws `rng.random()` once
+    per sampled edge.
     """
-    node = state._node
-    if node.options is None:
-        enabled = graph.enabled_edges(node.reached, set(node.trace))
-        weights = [_weight(graph, node.arrival_mass, graph.events[e]) for e in enabled]
-        node.options = (enabled, weights, sum(weights))
-    enabled, weights, total = node.options
+    if state.options is None:
+        enabled = graph.enabled_edges(state.reached, set(state.trace))
+        weights = [_weight(graph, state.arrival_mass, graph.events[e]) for e in enabled]
+        state.options = (enabled, weights, sum(weights))
+    enabled, weights, total = state.options
     if not enabled:
         return DEAD_END
     pick = rng.random() * total
@@ -207,22 +176,21 @@ def step(graph: TemporalHypergraph, state: WalkState, rng: random.Random):
         if pick < acc:
             chosen, mass = e, w
             break
-    succ = node.successors.get(chosen)
+    succ = state.successors.get(chosen)
     if succ is None:
-        succ = node.successors[chosen] = _successor(graph, node, chosen, mass)
-    state._node = succ
-    return state
+        succ = state.successors[chosen] = _successor(graph, state, chosen, mass)
+    return succ
 
 
-def _successor(graph, node: _Prefix, event_id: int, mass: float) -> _Prefix:
-    """The node one step past `node` along `event_id`.
+def _successor(graph, state: WalkState, event_id: int, mass: float) -> WalkState:
+    """The state one step past `state` along `event_id`.
 
     The paths the event touches are joined into one, which observes it.
     """
     event = graph.events[event_id]
     tail = event.tails[0]
     touched = [
-        path for path in node.paths
+        path for path in state.paths
         if any(h in path.entities for h in event.heads) or tail in path.entities
     ]
     entities, net = touched[0].entities, touched[0].net
@@ -230,11 +198,11 @@ def _successor(graph, node: _Prefix, event_id: int, mass: float) -> _Prefix:
         net = constraints.merge_paths(net, other.net)
         entities = entities | other.entities
     net = constraints.observe(net, [event_id], lambda e: graph.events[e].interval)
-    paths = [p for p in node.paths if p not in touched]
+    paths = [p for p in state.paths if p not in touched]
     paths.append(_Path(entities.union(event.heads, (tail,)), net))
-    arrival_mass = dict(node.arrival_mass)
+    arrival_mass = dict(state.arrival_mass)
     arrival_mass[tail] = mass
-    return _Prefix(node.reached | {tail}, arrival_mass, node.trace + [event_id], paths)
+    return WalkState(state.reached | {tail}, arrival_mass, state.trace + [event_id], paths)
 
 
 def reach_probability(
@@ -288,34 +256,30 @@ def sample_walks(
     tail): walks start from the heads of the graph's earliest events and
     must complete all max_steps steps.  Each kept time_net is
     path-consistent and shared by every kept walk with the same trace, so
-    it is read-only.  All walks of one call move through one prefix tree.
+    it is read-only.  All walks of one call share one prefix tree.
     Identical inputs give identical output, walk by walk.
     """
     diag = diagnostics if diagnostics is not None else WalkDiagnostics()
     starts = _resolve_starts(graph, query, params)
     target = _resolve_target(graph, query)
-    root = init_walk(graph, starts)._node
+    root = init_walk(graph, starts)
     kept: list[tuple[list[int], IANetwork]] = []
     for w in range(params.num_walks):
         diag.walks += 1
         rng = random.Random(f"{params.seed}:{w}")
-        state = WalkState(root)
-        hit = dead_end = False
-        while state.step < params.max_steps:
-            if step(graph, state, rng) is DEAD_END:
-                dead_end = True
+        state, hit = root, False
+        while not hit and len(state.trace) < params.max_steps:
+            state = step(graph, state, rng)
+            if state is DEAD_END:
                 break
-            if target is not None and graph.events[state.trace[-1]].tails[0] == target:
-                hit = True
-                break
-        if dead_end:
+            hit = target is not None and graph.events[state.trace[-1]].tails[0] == target
+        if state is DEAD_END:
             diag.dead_ends += 1
-            continue
-        if target is not None and not hit:
+        elif target is not None and not hit:
             diag.missed_target += 1
-            continue
-        diag.kept += 1
-        kept.append((list(state.trace), state.time_net))
+        else:
+            diag.kept += 1
+            kept.append((list(state.trace), state.time_net))
     return kept
 
 

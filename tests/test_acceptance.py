@@ -29,7 +29,7 @@ from rulewalk.evaluation import (
 from rulewalk.hypergraph import TemporalHypergraph
 from rulewalk.mining import MODE_RELATIONAL, MODE_TEMPORAL, MiningParams, mine_rules
 from rulewalk.rules import Atom, Query, TemporalRule, parse_rule, signature_of
-from rulewalk.walk import WalkParams, edge_weight, init_walk, sample_walks, step
+from rulewalk.walk import DEAD_END, WalkParams, edge_weight, init_walk, sample_walks, step
 
 from oracles import (
     compose_table_bruteforce,
@@ -113,9 +113,11 @@ def test_criterion_3_b_connectivity_never_violated():
             starts = set(rng.sample(entities, rng.randint(1, 2)))
             state = init_walk(g, starts)
             walk_rng = random.Random(3000 * gi + w)
-            while state.step < 6:
-                if step(g, state, walk_rng) is not state:
+            while len(state.trace) < 6:
+                succ = step(g, state, walk_rng)
+                if succ is DEAD_END:
                     break
+                state = succ
             walks_run += 1
             replay = set(starts)
             for eid in state.trace:
@@ -151,8 +153,8 @@ def test_criterion_4_walk_probability_agreement():
     counts = {e: 0 for e in enabled}
     n_walks = 100_000
     for w in range(n_walks):
-        state = init_walk(g, starts)
-        assert step(g, state, random.Random(f"c4:{w}")) is state
+        state = step(g, init_walk(g, starts), random.Random(f"c4:{w}"))
+        assert state is not DEAD_END
         counts[state.trace[0]] += 1
     for e in enabled:
         assert abs(counts[e] / n_walks - expected[e]) < 0.01, e

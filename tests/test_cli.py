@@ -157,6 +157,24 @@ def test_convert_from_tkg(tmp_path):
     assert ("IsSameEnt", ("alice@1",), ("alice@2",)) in names
 
 
+@pytest.mark.parametrize("line, message", [
+    ("2 | | p | b", "empty name"),
+    ("2 | a | | b", "empty name"),
+    ("2 | a | p | ", "empty name"),
+    ("2 | a,c | p | b", "reserved character ',' in 'a,c'"),
+    ("2 | a | p\tq | b", "reserved character '\\t' in 'p\\tq'"),
+])
+def test_convert_from_tkg_rejects_a_bad_name_at_its_line(tmp_path, capsys, line, message):
+    src = tmp_path / "bad.tkg"
+    src.write_text("1 | alice | likes | bob\n" + line + "\n")
+    out = tmp_path / "kg.thg"
+    assert main(["convert", "--in", str(src), "--out", str(out), "--from-tkg"]) == 2
+    err = capsys.readouterr().err
+    assert f"{src}:2: {message}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_inspect_reports_predicate_kinds(tmp_path, capsys):
     src = tmp_path / "g.thg"
     src.write_text(
@@ -238,6 +256,24 @@ def test_eval_with_model_missing_a_rule_exits_2(tmp_path, rule_file, capsys):
     err = capsys.readouterr().err
     assert signature in err
     assert "Traceback" not in err
+
+
+def test_eval_with_a_non_finite_model_number_exits_2(tmp_path, rule_file, capsys):
+    # a NaN bias or an infinite weight (0 * inf is NaN) would make every score NaN
+    corpus, rules, model, _ = run_pipeline(tmp_path, rule_file)
+    bias, first, *rest = Path(model).read_text().splitlines()
+    signature = first.split("\t")[0]
+    for i, bad_line in enumerate(["bias nan", "bias abc",
+                                  f"{signature}\tinf", f"{signature}\t-inf"]):
+        lines = [bad_line, first] if bad_line.startswith("bias") else [bias, bad_line]
+        bad = tmp_path / f"bad{i}.txt"
+        bad.write_text("\n".join(lines + rest) + "\n")
+        capsys.readouterr()
+        assert main(["eval", "--data", corpus, "--target-label", "Target",
+                     "--rules", rules, "--model", str(bad), "--seed", "7"]) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}: model line {bad_line!r} does not end in a finite number" in err
+        assert "Traceback" not in err
 
 
 def test_eval_with_bad_support_line_exits_2(tmp_path, rule_file, capsys):
@@ -335,6 +371,9 @@ _TASK = ["--data", "corpus", "--target-label", "Target", "--out", "rules.txt"]
     ["gen", "--rule", "r.rule", "--out", "corpus", "--noise", "-1"],
     ["gen", "--rule", "r.rule", "--out", "corpus", "--num-pos", "-1"],
     ["gen", "--rule", "r.rule", "--out", "corpus", "--num-neg", "x"],
+    ["gen", "--rule", "r.rule", "--out", "corpus", "--span", "-3"],
+    ["mine", *_TASK, "--positive-predicates", ""],
+    ["mine", *_TASK, "--positive-predicates", " , "],
 ], ids=lambda argv: f"{argv[0]}{argv[-2]}={argv[-1]}")
 def test_out_of_range_option_value_is_usage_error(argv, capsys):
     assert main(argv) == 1

@@ -1,4 +1,8 @@
 """Mining: aggregation, generalization across occurrences, modes, coverage."""
+from dataclasses import asdict
+
+import pytest
+
 from rulewalk.allen import FULL_SET, Relation, rel_set
 from rulewalk.constraints import generalize
 from rulewalk.evaluation import (
@@ -18,6 +22,17 @@ from rulewalk.rules import Query, chain_connected, coverage_filter, evaluate, tr
 from rulewalk.walk import WalkParams, derive_seed, sample_walks
 
 R = Relation
+
+
+def test_mining_params_are_walk_params_plus_rho():
+    assert isinstance(MiningParams(), WalkParams)
+    assert asdict(MiningParams()) == {**asdict(WalkParams()), "rho": 1.0}
+    assert asdict(WalkParams()) == {"num_walks": 200, "max_steps": 2, "seed": 0,
+                                    "start_events": 3}
+    with pytest.raises(ValueError):
+        MiningParams(num_walks=0)
+    with pytest.raises(ValueError):
+        MiningParams(max_steps=0)
 
 
 def chain_graph(gap: str):

@@ -47,7 +47,7 @@ def test_init_walk_masses():
     state = init_walk(g, {a})
     assert state.reached == {a}
     assert state.arrival_mass[a] == 1.0
-    assert state.trace == [] and state.step == 0
+    assert state.trace == []
 
 
 def test_init_walk_multi_start_unit_mass_each():
@@ -86,8 +86,7 @@ def test_edge_weight_halved_mass():
     g.add_event("Q", ["a"], ["d"], (2, 3))
     s, a = g.entities.id_of("s"), g.entities.id_of("a")
     for seed in range(20):
-        state = init_walk(g, {s})
-        step(g, state, random.Random(seed))
+        state = step(g, init_walk(g, {s}), random.Random(seed))
         if state.trace == [0]:  # walked s -> a: mass(a) = 1/2, out_degree(a) = 2
             assert state.arrival_mass[a] == 0.5
             assert edge_weight(g, state, 2) == 0.25
@@ -106,7 +105,8 @@ def test_step_records_the_chosen_edges_weight():
         while True:
             enabled = g.enabled_edges(state.reached, set(state.trace))
             expected = {e: edge_weight(g, state, e) for e in enabled}
-            if step(g, state, rng) is DEAD_END:
+            state = step(g, state, rng)
+            if state is DEAD_END:
                 break
             chosen = state.trace[-1]
             assert state.arrival_mass[g.events[chosen].tails[0]] == expected[chosen]
@@ -119,17 +119,25 @@ def test_edge_weight_disabled_edge_raises():
         edge_weight(g, state, 1)  # b not reached yet
 
 
-def test_step_walks_chain():
+def test_step_returns_the_memoised_successor():
     g = chain_graph()
-    state = init_walk(g, {g.entities.id_of("a")})
+    a = g.entities.id_of("a")
+    root = init_walk(g, {a})
     rng = random.Random(1)
-    assert step(g, state, rng) is state
-    assert step(g, state, rng) is state
+    first = step(g, root, rng)
+    state = step(g, first, rng)
     assert state.trace == [0, 1]
     assert state.reached == {
         g.entities.id_of(n) for n in ("a", "b", "c")
     }
     assert step(g, state, rng) is DEAD_END
+    # the parents are left as they were
+    assert root.trace == [] and root.reached == {a} and root.arrival_mass == {a: 1.0}
+    assert first.trace == [0] and len(first.reached) == 2
+    # a second walk through the same edges gets the same objects
+    rng = random.Random(2)
+    assert step(g, root, rng) is first
+    assert step(g, first, rng) is state
 
 
 def test_step_dead_end_on_empty_graph():
@@ -151,6 +159,7 @@ def test_b_edge_never_sampled_before_heads_reached():
             result = step(g, state, rng)
             if result is DEAD_END:
                 break
+            state = result
         assert 0 not in state.trace  # oil is never reachable
 
 
@@ -158,8 +167,7 @@ def test_walk_time_net_is_observed_chain():
     g = chain_graph()
     state = init_walk(g, {g.entities.id_of("a")})
     rng = random.Random(3)
-    step(g, state, rng)
-    step(g, state, rng)
+    state = step(g, step(g, state, rng), rng)
     net = state.time_net
     assert net.keys == [0, 1]
     from rulewalk.allen import Relation, rel_set
@@ -177,8 +185,11 @@ def test_multi_start_paths_merge_via_join_edge():
     for seed in range(30):
         state = init_walk(g, starts)
         rng = random.Random(seed)
-        while step(g, state, rng) is state:
-            pass
+        while True:
+            succ = step(g, state, rng)
+            if succ is DEAD_END:
+                break
+            state = succ
         if len(state.trace) == 3:
             net = state.time_net
             assert len(state.paths) == 1
@@ -378,7 +389,8 @@ def test_memo_free_replay_covers_modes_multi_heads_and_dead_ends():
 
 def test_walks_with_one_trace_share_one_read_only_network():
     g = chain_graph()
-    results = sample_walks(g, Query("Goal", ("a",), ("c",)), WalkParams(num_walks=5, seed=1))
+    results = sample_walks(g, Query("Goal", ("a",), ("c",)),
+                           WalkParams(max_steps=3, num_walks=5, seed=1))
     assert len(results) == 5
     assert all(net is results[0][1] for _, net in results)
     assert len({id(trace) for trace, _ in results}) == 5  # traces are copies
