@@ -10,9 +10,9 @@ never MEETS anything: [3,3] vs [3,5] is STARTS, [5,5] vs [3,5] is FINISHES,
 [4,4] vs [3,5] is DURING.
 
 The composition table is a frozen constant; it was produced once by
-exhaustive enumeration of integer endpoint triples (see
-`enumerate_composition_table`), and the test suite regenerates it the same
-way rather than trusting any transcription.
+exhaustive enumeration of integer interval triples, and the test suite
+regenerates it the same way (tests/oracles.py `compose_table_bruteforce`)
+rather than trusting any transcription.
 
 `compose_sets` is a table lookup.  At import, each base relation r1 gets two
 union tables built from its row of the composition table: `_LO[r1][m]` is
@@ -141,37 +141,9 @@ def parse_set(text: str) -> RelationSet:
     return rel_set(*(Relation[name.strip()] for name in body.split(",")))
 
 
-def enumerate_composition_table(max_endpoint: int = 8) -> tuple[tuple[int, ...], ...]:
-    """Rebuild the composition table by brute force over integer endpoints.
-
-    Every (A, B, C) triple of intervals with endpoints in [0, max_endpoint]
-    contributes classify(A, C) to cell [classify(A, B)][classify(B, C)].
-    Nine endpoint values are enough to realise every ordering of the six
-    endpoints involved, so the result is exact.
-    """
-    from .hypergraph import Interval
-
-    intervals = [
-        Interval(s, e)
-        for s in range(max_endpoint + 1)
-        for e in range(s, max_endpoint + 1)
-    ]
-    table = [[0] * 13 for _ in range(13)]
-    pair = {}
-    for a in intervals:
-        for b in intervals:
-            pair[(a, b)] = classify(a, b)
-    for a in intervals:
-        for b in intervals:
-            r1 = pair[(a, b)]
-            row = table[r1]
-            for c in intervals:
-                row[pair[(b, c)]] |= 1 << pair[(a, c)]
-    return tuple(tuple(row) for row in table)
-
-
-# Frozen output of enumerate_composition_table(8).  Cell [r1][r2] holds every
-# relation r such that A r1 B and B r2 C admit A r C.
+# Frozen output of exhaustive enumeration over intervals with endpoints in
+# [0, 8] (tests/oracles.py `compose_table_bruteforce`).  Cell [r1][r2] holds
+# every relation r such that A r1 B and B r2 C admit A r C.
 COMPOSITION_TABLE: tuple[tuple[int, ...], ...] = (
     (1, 8191, 1, 341, 1, 341, 1, 1, 341, 1, 341, 1, 1),
     (8191, 2, 1322, 2, 1322, 2, 1322, 2, 1322, 2, 2, 2, 2),

@@ -152,7 +152,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # --help
         return 0 if exc.code in (0, None) else 1
     except (DataFormatError, GraphError, RuleError, GenerationError,
-            FileNotFoundError, NotADirectoryError) as exc:
+            OSError, UnicodeDecodeError) as exc:
         print(f"rulewalk: error: {exc}", file=sys.stderr)
         return 2
 
@@ -245,12 +245,15 @@ def cmd_train(args) -> int:
             "nothing to train on"
         )
     rules = rules[: args.top_rules]
-    _write_rules(args.out, rules)
     queries = list(train_set.positives) + list(train_set.negatives)
     labels = [1.0] * len(train_set.positives) + [0.0] * len(train_set.negatives)
     matrix = learner.build_features(rules, graphs, queries, labels,
                                     scorer=args.features)
-    result = learner.train(matrix, lr=args.lr, epochs=args.epochs, l2=args.l2)
+    try:
+        result = learner.train(matrix, lr=args.lr, epochs=args.epochs, l2=args.l2)
+    except FloatingPointError as exc:
+        raise DataFormatError(f"the fit diverged: {exc}; lower --lr") from None
+    _write_rules(args.out, rules)
     learner.save_model(args.model_out, result.params, rules)
     print(f"mined {len(rules)} rules -> {args.out}")
     print(f"trained scorer on {len(queries)} queries "

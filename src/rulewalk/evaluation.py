@@ -72,7 +72,6 @@ def build_event_queries(
             raise ValueError(f"predicate {name!r} not present in the graph")
     positive_ids = {graph.predicates.id_of(name) for name in positive_predicates}
     predicate_names = graph.predicates.names
-    entity_name = graph.entities.names.__getitem__
     positives: list[Query] = []
     others: list[Query] = []
     for event in graph.events:
@@ -83,11 +82,8 @@ def build_event_queries(
         else:
             continue
         bucket.append(Query(
-            predicate_names[event.predicate],
-            tuple(map(entity_name, event.heads)),
-            tuple(map(entity_name, event.tails)),
-            graph_index,
-            event_id=event.event_id,
+            predicate_names[event.predicate], event.heads, event.tails,
+            graph_index, event_id=event.event_id,
         ))
     return QuerySet(positives, others, LINK_PREDICTION)
 

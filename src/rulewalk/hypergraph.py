@@ -161,6 +161,10 @@ class TemporalHypergraph:
 
     # -- queries ----------------------------------------------------------
 
+    def has_entities(self, ids) -> bool:
+        """True iff every id in `ids` is an interned entity id."""
+        return all(0 <= x < len(self.entities) for x in ids)
+
     def out_degree(self, entity: int) -> int:
         """Number of events in which `entity` appears in the head set."""
         if not 0 <= entity < len(self.entities):

@@ -77,6 +77,8 @@ def gradient(
     return grad_theta, grad_bias
 
 
+# an overflow shows up as the non-finite loss that `train` raises on
+@np.errstate(over="ignore", invalid="ignore")
 def train(
     matrix: FeatureMatrix,
     lr: float = 0.1,
@@ -124,11 +126,9 @@ def build_features(rules, graphs, queries, labels, scorer: str = "binary") -> Fe
             if matched and scorer == "reach" and query.heads and query.tails:
                 key = (query, len(rule.body))
                 if key not in reach:
-                    starts = {graph.entities.id_of(h) for h in query.heads}
-                    target = graph.entities.id_of(query.tails[0])
-                    reach[key] = min(
-                        1.0, reach_probability(graph, starts, target, len(rule.body))
-                    )
+                    reach[key] = min(1.0, reach_probability(
+                        graph, set(query.heads), query.tails[0], len(rule.body)
+                    ))
                 value = reach[key]
             row.append(value)
         rows.append(row)

@@ -24,7 +24,7 @@ from typing import Iterator
 from . import allen
 from .allen import FULL_SET
 from .constraints import IANetwork, observe
-from .hypergraph import TemporalHypergraph
+from .hypergraph import GraphError, TemporalHypergraph
 
 DEFAULT_EVAL_BUDGET = 1_000_000
 
@@ -37,14 +37,16 @@ class RuleError(ValueError):
 class Query:
     """What a rule answers: a predicate over optional concrete entities.
 
-    Event queries name head/tail entities; classification queries carry a
-    bare label (no entities) and refer to a whole graph.  `event_id`
+    Event queries carry head/tail entity ids of their own graph
+    (`graph_index`); classification queries carry a bare label (no
+    entities) and refer to a whole graph.  The predicate stays a name,
+    since rules carry predicates by name from graph to graph.  `event_id`
     distinguishes otherwise identical event queries inside ranking pools.
     """
 
     predicate: str
-    heads: tuple[str, ...] = ()
-    tails: tuple[str, ...] = ()
+    heads: tuple[int, ...] = ()
+    tails: tuple[int, ...] = ()
     graph_index: int = 0
     event_id: int | None = None
 
@@ -95,10 +97,7 @@ def chain_connected(graph: TemporalHypergraph, trace: list[int], query: Query) -
     entities or with an earlier trace event; otherwise the rule built from
     it would contain floating atoms.
     """
-    seen: set[int] = set()
-    for name in query.heads + query.tails:
-        if name in graph.entities:
-            seen.add(graph.entities.id_of(name))
+    seen = set(query.heads + query.tails)
     for pos, eid in enumerate(trace):
         event = graph.events[eid]
         entities = set(event.heads) | set(event.tails)
@@ -123,7 +122,7 @@ def trace_to_rule(
     path-consistent and keyed by the trace, in order, as `sample_walks`
     returns it; the rule's network observes the class atoms against it and
     is keyed by body indices.  Raises RuleError unless `chain_connected`
-    holds for the trace.
+    holds for the trace, and GraphError for a query entity the graph lacks.
     """
     if not trace:
         raise RuleError("cannot build a rule from an empty trace")
@@ -131,9 +130,8 @@ def trace_to_rule(
         raise RuleError("time_net keys are not the trace events in order")
     if not chain_connected(graph, trace, query):
         raise RuleError("trace is not a chain connected to the query's entities")
-
-    query_heads = tuple(graph.entities.id_of(h) for h in query.heads)
-    query_tails = tuple(graph.entities.id_of(t) for t in query.tails)
+    if not graph.has_entities(query.heads + query.tails):
+        raise GraphError(f"query entities {query.heads + query.tails} are not all in the graph")
 
     class_events = _class_events(graph, trace)
     body_events = trace + class_events
@@ -141,12 +139,12 @@ def trace_to_rule(
         (graph.events[e].heads, graph.events[e].tails) for e in body_events
     ]
 
-    var_of = _canonical_variables(query_heads, query_tails, atom_entities)
+    var_of = _canonical_variables(query.heads, query.tails, atom_entities)
 
     head = Atom(
         query.predicate,
-        tuple(sorted(var_of[x] for x in query_heads)),
-        tuple(sorted(var_of[x] for x in query_tails)),
+        tuple(sorted(var_of[x] for x in query.heads)),
+        tuple(sorted(var_of[x] for x in query.tails)),
     )
     body = tuple(
         Atom(
@@ -269,20 +267,16 @@ def iter_groundings(
         return
     if len(query.tails) != len(rule.head.tail_vars):
         return
-    for name in query.heads + query.tails:
-        if name not in graph.entities:
-            return
+    if not graph.has_entities(query.heads + query.tails):
+        return
 
     candidates = _candidate_events(rule, graph)
     if any(not events for _, events in candidates):
         return
 
-    head_entities = tuple(graph.entities.id_of(h) for h in query.heads)
-    tail_entities = tuple(graph.entities.id_of(t) for t in query.tails)
     steps = [budget]
-
-    for head_bind in _set_bindings(rule.head.head_vars, head_entities, {}):
-        for bind in _set_bindings(rule.head.tail_vars, tail_entities, head_bind):
+    for head_bind in _set_bindings(rule.head.head_vars, query.heads, {}):
+        for bind in _set_bindings(rule.head.tail_vars, query.tails, head_bind):
             yield from _match_body(rule, graph, candidates, bind, [], steps)
 
 
@@ -392,7 +386,6 @@ def coverage_filter(
     rule: TemporalRule,
     graph: TemporalHypergraph,
     rho: float,
-    query: Query | None = None,
     budget: int = DEFAULT_EVAL_BUDGET,
 ) -> bool:
     """True iff some grounding spans at least rho of the graph's own span."""
@@ -402,10 +395,8 @@ def coverage_filter(
     if graph_span is None:
         return False
     required = rho * (graph_span.end - graph_span.start)
-    if query is None:
-        query = Query(rule.head.predicate)
     try:
-        for grounding in iter_groundings(rule, graph, query, budget):
+        for grounding in iter_groundings(rule, graph, Query(rule.head.predicate), budget):
             lo, hi = coverage_span(grounding, graph)
             if hi - lo >= required:
                 return True

@@ -132,9 +132,8 @@ def init_walk(graph: TemporalHypergraph, starts: set[int]) -> WalkState:
     """A fresh prefix-tree root: every start entity reached with unit mass."""
     if not starts:
         raise ValueError("walk requires a non-empty start set")
-    for s in starts:
-        if not 0 <= s < len(graph.entities):
-            raise GraphError(f"unknown start entity id {s}")
+    if not graph.has_entities(starts):
+        raise GraphError(f"unknown start entity in {sorted(starts)}")
     if not graph.is_b_graph():
         raise GraphError("random B-walks require a B-graph (single-tail events)")
     paths = [_Path(frozenset((s,)), IANetwork([])) for s in sorted(starts)]
@@ -285,7 +284,7 @@ def sample_walks(
 
 def _resolve_starts(graph, query, params: WalkParams) -> set[int]:
     if query.heads:
-        return {graph.entities.id_of(h) for h in query.heads}
+        return set(query.heads)
     # classification mode: heads of the earliest-starting events
     order = sorted(graph.events, key=lambda e: (e.interval.start, e.event_id))
     starts: set[int] = set()
@@ -299,6 +298,6 @@ def _resolve_starts(graph, query, params: WalkParams) -> set[int]:
 def _resolve_target(graph, query) -> int | None:
     if not query.tails:
         return None
-    if len(query.tails) != 1:
-        raise GraphError("walk queries must have a single tail entity")
-    return graph.entities.id_of(query.tails[0])
+    if len(query.tails) != 1 or not graph.has_entities(query.tails):
+        raise GraphError(f"walk queries need a single known tail entity, not {query.tails}")
+    return query.tails[0]

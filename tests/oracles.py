@@ -66,11 +66,11 @@ def replay_walks(graph, query, params):
     different paths stay FULL.
     """
     if query.heads:
-        starts = {graph.entities.id_of(h) for h in query.heads}
+        starts = set(query.heads)
     else:
         order = sorted(graph.events, key=lambda e: (e.interval.start, e.event_id))
         starts = {h for e in order[: params.start_events] for h in e.heads}
-    target = graph.entities.id_of(query.tails[0]) if query.tails else None
+    target = query.tails[0] if query.tails else None
     diag = WalkDiagnostics()
     kept = []
     for w in range(params.num_walks):
@@ -172,9 +172,8 @@ def grounding_exists_bruteforce(rule, graph, query) -> bool:
         return False
     if len(query.tails) != len(rule.head.tail_vars):
         return False
-    for name in query.heads + query.tails:
-        if name not in graph.entities:
-            return False
+    if not set(query.heads + query.tails) <= set(range(len(graph.entities))):
+        return False
 
     candidates = []
     for atom in rule.body:
@@ -193,9 +192,6 @@ def grounding_exists_bruteforce(rule, graph, query) -> bool:
             return False
         candidates.append(matching)
 
-    head_entities = tuple(graph.entities.id_of(h) for h in query.heads)
-    tail_entities = tuple(graph.entities.id_of(t) for t in query.tails)
-
     for combo in product(*candidates):
         ok = True
         for i in range(len(combo)):
@@ -210,7 +206,7 @@ def grounding_exists_bruteforce(rule, graph, query) -> bool:
                 break
         if not ok:
             continue
-        if _consistent_assignment_exists(rule, combo, head_entities, tail_entities):
+        if _consistent_assignment_exists(rule, combo, query.heads, query.tails):
             return True
     return False
 

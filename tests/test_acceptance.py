@@ -369,7 +369,7 @@ def test_criterion_9_temporal_kg_adapter():
     }
 
     # a walk can only reach carol@2 from alice@1 through an IsSameEnt bridge
-    query = Query("Reaches", ("alice@1",), ("carol@2",))
+    query = Query("Reaches", (g.entities.id_of("alice@1"),), (g.entities.id_of("carol@2"),))
     params = WalkParams(max_steps=4, num_walks=400, seed=9)
     results = sample_walks(g, query, params)
     crossing = [

@@ -234,6 +234,85 @@ def test_train_with_no_surviving_rule_exits_2(tmp_path, rule_file, capsys):
     assert not rules.exists() and not model.exists()
 
 
+def test_train_with_a_diverging_fit_exits_2(tmp_path, rule_file, capsys):
+    corpus = str(tmp_path / "corpus")
+    rules = tmp_path / "rules.txt"
+    model = tmp_path / "model.txt"
+    assert main(["gen", "--rule", rule_file, "--out", corpus,
+                 "--num-pos", "6", "--num-neg", "6", "--seed", "1"]) == 0
+    capsys.readouterr()
+    # the first step overflows the loss to inf
+    assert main(["train", "--data", corpus, "--target-label", "Target",
+                 "--lr", "1e300", "--epochs", "50", "--out", str(rules),
+                 "--model-out", str(model)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("rulewalk: error: the fit diverged: non-finite loss")
+    assert err.count("\n") == 1 and "--lr" in err
+    assert not rules.exists() and not model.exists()
+
+
+def _unreadable(tmp_path, kind):
+    """A file that is not UTF-8, or a directory; as a corpus, one holding a directory."""
+    if kind == "non-utf8":
+        path = tmp_path / "latin1.thg"
+        path.write_bytes("#thg v1\nPut | caf\xe9 | pan | 1 2\n".encode("latin-1"))
+    else:
+        path = tmp_path / "folder"
+        (path / "inner.thg").mkdir(parents=True)
+    return str(path)
+
+
+_EITHER_TASK = ["--target-label", "Target", "--positive-predicates", "A"]
+_CORPUS_TASK = ["--data", "corpus", "--target-label", "Target"]
+
+
+@pytest.mark.parametrize("kind", ["non-utf8", "directory"])
+@pytest.mark.parametrize("argv", [
+    ["gen", "--rule", "{bad}", "--out", "out"],
+    ["mine", "--data", "{bad}", *_EITHER_TASK, "--out", "r.txt"],
+    ["train", "--data", "{bad}", *_EITHER_TASK, "--out", "r.txt", "--model-out", "m.txt"],
+    ["eval", "--data", "{bad}", *_EITHER_TASK, "--rules", "rules.txt"],
+    ["eval", *_CORPUS_TASK, "--rules", "{bad}"],
+    ["eval", *_CORPUS_TASK, "--rules", "rules.txt", "--model", "{bad}"],
+    ["convert", "--in", "{bad}", "--out", "g.thg", "--time-points"],
+    ["convert", "--in", "{bad}", "--out", "g.thg", "--from-tkg"],
+    ["inspect", "--data", "{bad}"],
+], ids=["gen--rule", "mine--data", "train--data", "eval--data", "eval--rules",
+         "eval--model", "convert--in", "convert--in--from-tkg", "inspect--data"])
+def test_unreadable_input_file_exits_2(tmp_path, monkeypatch, capsys, argv, kind):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "corpus").mkdir()
+    for i, label in enumerate(["Target", "Target", "Other", "Other"]):
+        (tmp_path / "corpus" / f"g{i}.thg").write_text(
+            f"#thg v1\n#label {label}\nA | a | b | 0 1\n")
+    (tmp_path / "rules.txt").write_text(PLANTED)
+    bad = _unreadable(tmp_path, kind)
+    assert main([bad if arg == "{bad}" else arg for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert "rulewalk: error: " in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--rule", "rule.txt", "--out", "rules.txt"],
+    ["mine", *_CORPUS_TASK, "--walks", "5", "--out", "folder"],
+    ["eval", *_CORPUS_TASK, "--rules", "rules.txt", "--out", "folder"],
+    ["convert", "--in", "corpus/g0000.thg", "--out", "folder", "--time-points"],
+], ids=lambda argv: f"{argv[0]}--out")
+def test_unwritable_output_path_exits_2(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "folder").mkdir()
+    (tmp_path / "rule.txt").write_text(PLANTED)
+    (tmp_path / "rules.txt").write_text(PLANTED)
+    assert main(["gen", "--rule", "rule.txt", "--out", "corpus",
+                 "--num-pos", "4", "--num-neg", "4", "--seed", "1"]) == 0
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "rulewalk: error: " in err
+    assert "Traceback" not in err
+
+
 def test_mine_on_a_corpus_without_negatives_exits_2(tmp_path, rule_file, capsys):
     corpus = str(tmp_path / "corpus")
     assert main(["gen", "--rule", rule_file, "--out", corpus,

@@ -59,10 +59,11 @@ def test_build_event_queries_partitions():
 
 
 def event_queries_by_names(graph, positive_predicates, graph_index=0):
-    """The per-event `event_names` construction `build_event_queries` replaced."""
+    """The per-event `event_names` construction, with entity names looked up as ids."""
     positives, negatives = [], []
     for event in graph.events:
         pred, heads, tails = graph.event_names(event.event_id)
+        heads, tails = (tuple(map(graph.entities.id_of, names)) for names in (heads, tails))
         query = Query(pred, heads, tails, graph_index, event_id=event.event_id)
         (positives if pred in positive_predicates else negatives).append(query)
     return positives, negatives
@@ -229,10 +230,10 @@ def test_eval_grounds_each_pool_query_once_per_rule(tmp_path, monkeypatch):
 
 
 def test_candidate_pool_filters_event_arity():
-    positives = [Query("p", ("a", "b"), ("c",), 0, 0)]
+    positives = [Query("p", (0, 1), (2,), 0, 0)]
     negatives = [
-        Query("n1", ("x",), ("y",), 0, 1),
-        Query("n2", ("x", "z"), ("y",), 0, 2),
+        Query("n1", (3,), (4,), 0, 1),
+        Query("n2", (3, 5), (4,), 0, 2),
     ]
     qs = QuerySet(positives, negatives, "link_prediction")
     pool = candidate_pool(positives[0], qs)

@@ -5,7 +5,7 @@ import pytest
 
 from rulewalk.allen import FULL_SET, Relation, rel_set
 from rulewalk.constraints import IANetwork
-from rulewalk.hypergraph import Interval, TemporalHypergraph
+from rulewalk.hypergraph import GraphError, Interval, TemporalHypergraph
 from rulewalk.rules import (
     Atom,
     Query,
@@ -34,25 +34,30 @@ def cooking_graph():
     return g
 
 
+def cooked_query(g):
+    """Cooked(bacon -> pan), by the entity ids of `g`."""
+    return Query("Cooked", (g.entities.id_of("bacon"),), (g.entities.id_of("pan"),))
+
+
 def cooked_rule():
     g = cooking_graph()
     net = from_observed([(0, g.events[0].interval), (1, g.events[1].interval)])
-    query = Query("Cooked", ("bacon",), ("pan",))
-    return g, trace_to_rule(g, [0, 1], net, query)
+    return g, trace_to_rule(g, [0, 1], net, cooked_query(g))
 
 
 def test_trace_to_rule_cooked_example():
     g, rule = cooked_rule()
     assert rule.signature == "Cooked(X0->X1) <- Put(X0->X1) , Fry(X1->X1)"
     assert rule.time_net.cells[0][1] == rel_set(R.BEFORE)
-    assert evaluate(rule, g, Query("Cooked", ("bacon",), ("pan",)))
+    assert evaluate(rule, g, cooked_query(g))
 
 
 def test_single_edge_trace():
     g = TemporalHypergraph()
     g.add_event("Put", ["a"], ["b"], (1, 2))
     net = from_observed([(0, g.events[0].interval)])
-    rule = trace_to_rule(g, [0], net, Query("Goal", ("a",), ("b",)))
+    a, b = g.entities.id_of("a"), g.entities.id_of("b")
+    rule = trace_to_rule(g, [0], net, Query("Goal", (a,), (b,)))
     assert len(rule.body) == 1
     assert rule.time_net.n == 1
     assert rule.time_net.cells[0][0] == rel_set(R.EQUAL)
@@ -72,7 +77,8 @@ def test_signature_invariant_under_entity_renaming():
         g.add_event("Mix", [names["onion"], names["garlic"]], [names["bowl"]], (1, 2))
         g.add_event("Heat", [names["bowl"]], [names["soup"]], (4, 5))
         net = from_observed([(1, g.events[1].interval), (2, g.events[2].interval)])
-        q = Query("Done", (names["onion"], names["garlic"]), (names["soup"],))
+        ids = {n: g.entities.id_of(name) for n, name in names.items()}
+        q = Query("Done", (ids["onion"], ids["garlic"]), (ids["soup"],))
         return trace_to_rule(g, [1, 2], net, q)
 
     plain = {n: n for n in ("noise", "noise2", "onion", "garlic", "bowl", "soup")}
@@ -90,7 +96,16 @@ def test_net_must_cover_trace():
     g = cooking_graph()
     net = from_observed([(0, g.events[0].interval)])
     with pytest.raises(RuleError):
-        trace_to_rule(g, [0, 1], net, Query("Cooked", ("bacon",), ("pan",)))
+        trace_to_rule(g, [0, 1], net, cooked_query(g))
+
+
+def test_trace_to_rule_rejects_an_entity_id_the_graph_lacks():
+    g = cooking_graph()
+    net = from_observed([(0, g.events[0].interval), (1, g.events[1].interval)])
+    pan = g.entities.id_of("pan")
+    for ghost in (len(g.entities), -1):
+        with pytest.raises(GraphError):
+            trace_to_rule(g, [0, 1], net, Query("Cooked", (ghost,), (pan,)))
 
 
 def test_disconnected_trace_rejected():
@@ -102,7 +117,8 @@ def test_disconnected_trace_rejected():
     with pytest.raises(RuleError):
         trace_to_rule(g, [0, 1], net, Query("L"))
     # the query's entities can seed the chain
-    assert chain_connected(g, [0, 1], Query("L", ("a", "c"), ("d",)))
+    a, c, d = (g.entities.id_of(n) for n in ("a", "c", "d"))
+    assert chain_connected(g, [0, 1], Query("L", (a, c), (d,)))
 
 
 def test_class_atoms_appended_once_per_variable():
@@ -111,7 +127,7 @@ def test_class_atoms_appended_once_per_variable():
     g.add_event("Bacon", ["bacon"], ["bacon"], (0, 10))
     g.add_event("Bacon", ["bacon"], ["bacon"], (0, 11))  # second label ignored
     net = from_observed([(0, g.events[0].interval)])
-    rule = trace_to_rule(g, [0], net, Query("Cooked", ("bacon",), ("pan",)))
+    rule = trace_to_rule(g, [0], net, cooked_query(g))
     assert rule.signature == "Cooked(X0->X1) <- Put(X0->X1) , Bacon(X0->X0)"
     assert rule.time_net.n == 2
     # observed relation between Put and the class fact
@@ -123,7 +139,7 @@ def test_evaluate_rejects_wrong_temporal_order():
     g = TemporalHypergraph()
     g.add_event("Put", ["bacon"], ["pan"], (6, 9))
     g.add_event("Fry", ["pan"], ["pan"], (3, 5))  # Fry precedes Put
-    assert not evaluate(rule, g, Query("Cooked", ("bacon",), ("pan",)))
+    assert not evaluate(rule, g, cooked_query(g))
 
 
 def test_evaluate_full_net_is_relational_only():
@@ -134,12 +150,14 @@ def test_evaluate_full_net_is_relational_only():
     g = TemporalHypergraph()
     g.add_event("Put", ["bacon"], ["pan"], (6, 9))
     g.add_event("Fry", ["pan"], ["pan"], (3, 5))
-    assert evaluate(relational, g, Query("Cooked", ("bacon",), ("pan",)))
+    assert evaluate(relational, g, cooked_query(g))
 
 
 def test_evaluate_unknown_query_entity_is_false():
     g, rule = cooked_rule()
-    assert not evaluate(rule, g, Query("Cooked", ("ghost",), ("pan",)))
+    ghost = len(g.entities)  # an id the graph has not interned
+    assert not evaluate(rule, g, Query("Cooked", (ghost,), (g.entities.id_of("pan"),)))
+    assert not evaluate(rule, g, Query("Cooked", (-1,), (g.entities.id_of("pan"),)))
 
 
 def test_evaluate_budget_exhaustion_flags_diagnostics():
@@ -276,10 +294,10 @@ def test_evaluate_with_bound_query_entities_agrees_with_bruteforce_oracle():
                     chosen = rng.sample(list(Relation), rng.randint(2, 8))
                     net.set_pair(i, j, rel_set(*chosen))
         rule = TemporalRule(head, body, net, signature_of(head, body))
-        named = [n for n in entities if n in g.entities]
-        if len(named) < n_heads:
+        known = [g.entities.id_of(n) for n in entities if n in g.entities]
+        if len(known) < n_heads:
             continue
-        query = Query("Goal", tuple(rng.sample(named, n_heads)), (rng.choice(named),))
+        query = Query("Goal", tuple(rng.sample(known, n_heads)), (rng.choice(known),))
         got = evaluate(rule, g, query)
         assert got == grounding_exists_bruteforce(rule, g, query), (trial, rule.signature)
         verdicts.append(got)

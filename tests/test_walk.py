@@ -41,6 +41,11 @@ def two_head_graph():
     return g
 
 
+def goal(g, heads, tail):
+    """A target-mode query for `g`: its head entities and its tail, by id."""
+    return Query("Goal", tuple(map(g.entities.id_of, heads)), (g.entities.id_of(tail),))
+
+
 def test_init_walk_masses():
     g = chain_graph()
     a = g.entities.id_of("a")
@@ -228,18 +233,28 @@ def test_reach_probability_respects_horizon():
 
 def test_sample_walks_finds_unique_path():
     g = chain_graph()
-    query = Query("Goal", ("a",), ("c",))
+    query = goal(g, ["a"], "c")
     params = WalkParams(max_steps=3, num_walks=50, seed=5)
     results = sample_walks(g, query, params)
     assert results
     assert all(trace == [0, 1] for trace, _ in results)
 
 
+def test_sample_walks_rejects_entity_ids_the_graph_lacks():
+    g = chain_graph()
+    a, c = g.entities.id_of("a"), g.entities.id_of("c")
+    params = WalkParams(max_steps=3, num_walks=5, seed=5)
+    for heads, tails in (((len(g.entities),), (c,)), ((a,), (len(g.entities),)),
+                         ((a,), (-1,)), ((a,), (c, a))):
+        with pytest.raises(GraphError):
+            sample_walks(g, Query("Goal", heads, tails), params)
+
+
 def test_sample_walks_blocked_by_b_connectivity():
     g = TemporalHypergraph()
     g.add_event("Mix", ["a", "x"], ["c"], (0, 1))
     g.add_event("P", ["c"], ["x"], (0, 1))  # x only reachable after c
-    query = Query("Goal", ("a",), ("c",))
+    query = goal(g, ["a"], "c")
     params = WalkParams(max_steps=4, num_walks=40, seed=1)
     assert sample_walks(g, query, params) == []
 
@@ -247,7 +262,7 @@ def test_sample_walks_blocked_by_b_connectivity():
 def test_sample_walks_seeded_determinism():
     g = two_head_graph()
     g.add_event("R", ["z"], ["w"], (2, 3))
-    query = Query("Goal", ("a", "b"), ("w",))
+    query = goal(g, ["a", "b"], "w")
     params = WalkParams(max_steps=4, num_walks=200, seed=99)
     first = sample_walks(g, query, params)
     second = sample_walks(g, query, params)
@@ -301,11 +316,10 @@ def test_returned_time_nets_are_closed_and_nonempty():
     apart.add_event("P", ["a"], ["c"], (0, 3))
     apart.add_event("Q", ["b"], ["d"], (2, 6))
     apart.add_event("R", ["c"], ["w"], (5, 9))
-    query = Query("Goal", ("a", "b"), ("w",))
     params = WalkParams(max_steps=4, num_walks=120, seed=13)
     cross_paths = 0
     for g in (joined, apart):
-        results = sample_walks(g, query, params)
+        results = sample_walks(g, goal(g, ["a", "b"], "w"), params)
         assert results
         for trace, net in results:
             assert net.keys == trace
@@ -342,7 +356,7 @@ def walk_cases(draw):
         start = draw(st.integers(0, 8))
         g.add_event(draw(st.sampled_from(["P", "Q"])), heads,
                     [draw(st.sampled_from(names))], (start, start + draw(st.integers(0, 4))))
-    known = list(g.entities.names)
+    known = range(len(g.entities))
     if draw(st.booleans()):
         heads = draw(st.lists(st.sampled_from(known), min_size=1, max_size=2, unique=True))
         query = Query("Goal", tuple(heads), (draw(st.sampled_from(known)),))
@@ -371,9 +385,9 @@ def test_memo_free_replay_covers_modes_multi_heads_and_dead_ends():
     stranded = chain_graph()
     stranded.add_event("P", ["d"], ["e"], (0, 1))
     cases = [
-        (joined, Query("Goal", ("a", "b"), ("w",)), WalkParams(max_steps=3, num_walks=120, seed=4)),
+        (joined, goal(joined, ["a", "b"], "w"), WalkParams(max_steps=3, num_walks=120, seed=4)),
         (joined, Query("Label"), WalkParams(max_steps=3, num_walks=120, seed=5, start_events=5)),
-        (stranded, Query("Goal", ("a",), ("e",)), WalkParams(max_steps=4, num_walks=10, seed=6)),
+        (stranded, goal(stranded, ["a"], "e"), WalkParams(max_steps=4, num_walks=10, seed=6)),
     ]
     kept = {}
     dead_ends = multi_head = 0
@@ -389,7 +403,7 @@ def test_memo_free_replay_covers_modes_multi_heads_and_dead_ends():
 
 def test_walks_with_one_trace_share_one_read_only_network():
     g = chain_graph()
-    results = sample_walks(g, Query("Goal", ("a",), ("c",)),
+    results = sample_walks(g, goal(g, ["a"], "c"),
                            WalkParams(max_steps=3, num_walks=5, seed=1))
     assert len(results) == 5
     assert all(net is results[0][1] for _, net in results)
