@@ -27,6 +27,8 @@ from __future__ import annotations
 from enum import IntEnum
 from typing import Iterator
 
+import numpy as np
+
 
 class Relation(IntEnum):
     """Base interval relations; adjacent even/odd values are inverse pairs."""
@@ -111,6 +113,47 @@ def classify(a, b) -> Relation:
     if a.start < b.start:
         return Relation.CONTAINS if a.end > b.end else Relation.OVERLAPS
     return Relation.DURING if a.end < b.end else Relation.OVERLAPPED_BY
+
+
+def classify_grid(a, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """`classify(a, b)` for every interval b = [starts[k], ends[k]], as int8 codes.
+
+    One numpy pass in `classify`'s branch order: `np.select` takes, per
+    element, the first condition that holds.
+    """
+    same_start = starts == a.start
+    same_end = ends == a.end
+    return np.select(
+        [
+            same_start & same_end,
+            same_start & (a.end < ends),
+            same_start,
+            same_end & (a.start > starts),
+            same_end,
+            starts == a.end,
+            ends == a.start,
+            a.end < starts,
+            ends < a.start,
+            (a.start < starts) & (a.end > ends),
+            a.start < starts,
+            a.end < ends,
+        ],
+        [
+            Relation.EQUAL,
+            Relation.STARTS,
+            Relation.STARTED_BY,
+            Relation.FINISHES,
+            Relation.FINISHED_BY,
+            Relation.MEETS,
+            Relation.MET_BY,
+            Relation.BEFORE,
+            Relation.AFTER,
+            Relation.CONTAINS,
+            Relation.OVERLAPS,
+            Relation.DURING,
+        ],
+        Relation.OVERLAPPED_BY,
+    ).astype(np.int8)
 
 
 def compose_sets(s1: RelationSet, s2: RelationSet) -> RelationSet:

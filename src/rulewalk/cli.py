@@ -7,6 +7,7 @@ byte-identical output files.  Exit codes: 0 success, 1 usage error,
 from __future__ import annotations
 
 import argparse
+import errno
 import math
 import os
 import sys
@@ -19,7 +20,7 @@ from .dataio import DataFormatError
 from .hypergraph import GraphError
 from .mining import MiningParams
 from .rules import RuleError, format_rule, parse_rule
-from .synthetic import GenerationError, SynthSpec, synth_generate
+from .synthetic import MAX_SPAN, GenerationError, SynthSpec, synth_generate
 
 
 class UsageError(Exception):
@@ -50,6 +51,7 @@ _POSITIVE = _number(float, lambda v: v > 0, "a number > 0")
 _NON_NEGATIVE = _number(float, lambda v: v >= 0, "a number >= 0")
 _FRACTION = _number(float, lambda v: 0 < v <= 1, "in (0, 1]")
 _OPEN_FRACTION = _number(float, lambda v: 0 < v < 1, "in (0, 1)")
+_SPAN = _number(int, lambda v: 0 <= v <= MAX_SPAN, f"an integer in [0, {MAX_SPAN}]")
 
 
 def _names(text):
@@ -71,7 +73,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--num-pos", type=_NON_NEGATIVE_INT, default=20)
     p.add_argument("--num-neg", type=_NON_NEGATIVE_INT, default=20)
     p.add_argument("--noise", type=_NON_NEGATIVE_INT, default=5)
-    p.add_argument("--span", type=_NON_NEGATIVE_INT, default=30)
+    p.add_argument("--span", type=_SPAN, default=30,
+                   help=f"interval endpoints lie in [0, SPAN]; at most {MAX_SPAN}")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_gen)
 
@@ -161,6 +164,8 @@ def main(argv=None) -> int:
 
 
 def cmd_gen(args) -> int:
+    if args.num_pos == 0 and args.num_neg == 0:
+        raise UsageError("--num-pos and --num-neg are both 0: the corpus would be empty")
     rules = _read_rules(args.rule)
     if not rules:
         raise DataFormatError(f"{args.rule}: no rule line found")
@@ -253,8 +258,10 @@ def cmd_train(args) -> int:
         result = learner.train(matrix, lr=args.lr, epochs=args.epochs, l2=args.l2)
     except FloatingPointError as exc:
         raise DataFormatError(f"the fit diverged: {exc}; lower --lr") from None
-    _write_rules(args.out, rules)
-    learner.save_model(args.model_out, result.params, rules)
+    _write_all([
+        (args.out, lambda path: _write_rules(path, rules)),
+        (args.model_out, lambda path: learner.save_model(path, result.params, rules)),
+    ])
     print(f"mined {len(rules)} rules -> {args.out}")
     print(f"trained scorer on {len(queries)} queries "
           f"(final loss {result.losses[-1]:.6f}) -> {args.model_out}")
@@ -387,6 +394,27 @@ def _write_rules(path, rules) -> None:
         for rule in rules:
             fh.write(f"# support={rule.support}\n")
             fh.write(format_rule(rule) + "\n")
+
+
+def _write_all(outputs) -> None:
+    """Run each `(path, write)` pair's `write` on a sibling of `path`, then
+    move every sibling into place: an output that cannot be written leaves
+    every path as it was."""
+    staged = []
+    try:
+        for i, (path, write) in enumerate(outputs):
+            # os.replace cannot move a file onto a directory, so refuse one
+            # before any output is moved into place
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+            staged.append((f"{path}.{i}.tmp", path))
+            write(staged[-1][0])
+        for tmp, path in staged:
+            os.replace(tmp, path)
+    finally:
+        for tmp, _ in staged:
+            if os.path.exists(tmp):
+                os.remove(tmp)
 
 
 def _read_rules(path):

@@ -12,6 +12,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
 
 from . import allen
 from .constraints import resolve_time
@@ -20,6 +23,11 @@ from .rules import Query, TemporalRule, evaluate
 from .walk import derive_seed
 
 NOISE_PREDICATES = ("noise0", "noise1", "noise2", "noise3")
+
+#: the largest span `gen` accepts: the planted-interval search shuffles all
+#: (span+1)(span+2)/2 intervals of the grid per atom, about half a million
+#: intervals and 180 MB at this bound, and the grid grows with its square
+MAX_SPAN = 1000
 
 
 class GenerationError(ValueError):
@@ -56,15 +64,16 @@ def synth_generate(spec: SynthSpec) -> tuple[list[TemporalHypergraph], list[str]
     if not consistent:
         raise GenerationError("planted rule's constraint network is unsatisfiable")
 
+    grid = _interval_grid(spec.span)
     graphs = []
     labels = []
     for i in range(spec.num_pos):
         rng = random.Random(derive_seed(spec.seed, "pos", i))
-        graphs.append(_positive_graph(spec, rng))
+        graphs.append(_positive_graph(spec, grid, rng))
         labels.append(spec.label)
     for i in range(spec.num_neg):
         rng = random.Random(derive_seed(spec.seed, "neg", i))
-        graphs.append(_negative_graph(spec, rng))
+        graphs.append(_negative_graph(spec, grid, rng))
         labels.append(f"not_{spec.label}")
     return graphs, labels
 
@@ -73,47 +82,77 @@ def _entity_name(var: int) -> str:
     return f"v{var}"
 
 
-def _all_intervals(span: int) -> list[Interval]:
-    return [Interval(s, e) for s in range(span + 1) for e in range(s, span + 1)]
+class _Grid(NamedTuple):
+    """Every interval with endpoints in [0, span], in (start, end) order."""
+
+    intervals: list[Interval]
+    starts: np.ndarray
+    ends: np.ndarray
 
 
-def _sample_satisfying_intervals(rule: TemporalRule, span: int, rng) -> list[Interval]:
+def _interval_grid(span: int) -> _Grid:
+    intervals = [Interval(s, e) for s in range(span + 1) for e in range(s, span + 1)]
+    return _Grid(
+        intervals,
+        np.array([iv.start for iv in intervals]),
+        np.array([iv.end for iv in intervals]),
+    )
+
+
+def _sample_satisfying_intervals(rule: TemporalRule, grid: _Grid, rng) -> list[Interval]:
     """One interval per body atom, satisfying every pairwise constraint.
 
-    Backtracking over the shuffled endpoint grid: each atom takes the first
-    interval consistent (by classification) with everything placed so far,
-    undoing earlier picks when a branch runs dry.
+    Backtracking over a shuffled order of the grid per atom: each atom takes
+    the first interval consistent (by classification) with everything
+    placed so far, undoing earlier picks when a branch runs dry.  On
+    entering an atom's depth, one boolean mask over the grid marks the
+    admissible candidates: for each earlier atom whose cell constrains this
+    one, `allen.classify_grid` relates its placed interval to the whole grid
+    and the cell's 13-entry admissibility table turns the codes into a test.
+    Walking the shuffled order filtered by the AND of those tests visits
+    the same candidates, in the same order, as testing each one in turn.
     """
-    grid = _all_intervals(span)
+    cells = rule.time_net.cells
     orders = []
     for _ in rule.body:
-        candidates = list(grid)
-        rng.shuffle(candidates)
-        orders.append(candidates)
-    placed: list[Interval] = []
+        order = list(range(len(grid.intervals)))
+        rng.shuffle(order)
+        orders.append(np.array(order))
+    # admits[i][j][r]: relation r from atom i's interval to atom j's is allowed
+    admits = [
+        [np.array([(cell >> r) & 1 for r in range(13)], dtype=bool) for cell in row]
+        for row in cells
+    ]
+    rows: dict[int, np.ndarray] = {}  # grid index -> classify_grid row
+    placed: list[int] = []
+
+    def relations_to_grid(k: int) -> np.ndarray:
+        if k not in rows:
+            rows[k] = allen.classify_grid(grid.intervals[k], grid.starts, grid.ends)
+        return rows[k]
 
     def extend() -> bool:
         j = len(placed)
         if j == len(rule.body):
             return True
-        for candidate in orders[j]:
-            ok = all(
-                rule.time_net.cells[i][j] & (1 << allen.classify(earlier, candidate))
-                for i, earlier in enumerate(placed)
-            )
-            if ok:
-                placed.append(candidate)
-                if extend():
-                    return True
-                placed.pop()
+        admissible = np.ones(len(grid.intervals), dtype=bool)
+        for i, k in enumerate(placed):
+            if cells[i][j] != allen.FULL_SET:
+                admissible &= admits[i][j][relations_to_grid(k)]
+        order = orders[j]
+        for candidate in order[admissible[order]].tolist():
+            placed.append(candidate)
+            if extend():
+                return True
+            placed.pop()
         return False
 
     if not extend():
         raise GenerationError(
             f"the planted constraints admit no interval assignment within "
-            f"a span of {span} ticks"
+            f"a span of {grid.intervals[-1].end} ticks"
         )
-    return placed
+    return [grid.intervals[k] for k in placed]
 
 
 def _add_planted_events(graph, rule, intervals) -> None:
@@ -140,9 +179,9 @@ def _add_noise(graph, spec, rng, lo: int, hi: int) -> None:
         graph.add_event(pred, [head], [tail], Interval(start, end))
 
 
-def _positive_graph(spec: SynthSpec, rng) -> TemporalHypergraph:
+def _positive_graph(spec: SynthSpec, grid: _Grid, rng) -> TemporalHypergraph:
     rule = spec.planted_rule
-    intervals = _sample_satisfying_intervals(rule, spec.span, rng)
+    intervals = _sample_satisfying_intervals(rule, grid, rng)
     # shift the grounding to open the graph at tick 0; noise stays inside
     # its span, so the grounding covers the graph and starts it
     lo = min(iv.start for iv in intervals)
@@ -160,13 +199,12 @@ def _positive_graph(spec: SynthSpec, rng) -> TemporalHypergraph:
     return graph
 
 
-def _negative_graph(spec: SynthSpec, rng) -> TemporalHypergraph:
+def _negative_graph(spec: SynthSpec, grid: _Grid, rng) -> TemporalHypergraph:
     rule = spec.planted_rule
     query = Query(spec.label)
     for _ in range(200):
         graph = TemporalHypergraph()
-        grid = _all_intervals(spec.span)
-        intervals = [rng.choice(grid) for _ in rule.body]
+        intervals = [rng.choice(grid.intervals) for _ in rule.body]
         _add_planted_events(graph, rule, intervals)
         _add_noise(graph, spec, rng, 0, spec.span)
         if not evaluate(rule, graph, query):

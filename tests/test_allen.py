@@ -1,4 +1,5 @@
 """Interval algebra: classification, inverses, and the composition table."""
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -10,6 +11,7 @@ from rulewalk.allen import (
     FULL_SET,
     Relation,
     classify,
+    classify_grid,
     compose_sets,
     inverse,
     inverse_set,
@@ -97,6 +99,15 @@ def test_classify_is_a_partition_over_small_endpoints():
     for a in interval_grid(6):
         for b in interval_grid(6):
             assert classify(a, b) is reference(a, b)
+
+
+def test_classify_grid_matches_classify_on_every_pair():
+    grid = interval_grid(8)  # degenerate points included
+    starts = np.array([b.start for b in grid])
+    ends = np.array([b.end for b in grid])
+    for a in grid:
+        row = classify_grid(a, starts, ends)
+        assert row.tolist() == [classify(a, b) for b in grid]
 
 
 def test_inverse_pairing_is_fixed():

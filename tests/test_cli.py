@@ -9,6 +9,7 @@ import pytest
 
 from rulewalk.cli import main
 from rulewalk.dataio import load_corpus, load_graph
+from rulewalk.synthetic import MAX_SPAN
 
 PLANTED = "w=0.0 Target() <- A(X0->X1) , B(X1->X2) | 0 {BEFORE} 1\n"
 
@@ -251,6 +252,28 @@ def test_train_with_a_diverging_fit_exits_2(tmp_path, rule_file, capsys):
     assert not rules.exists() and not model.exists()
 
 
+@pytest.mark.parametrize("directory", ["rules", "model"])
+def test_train_writes_neither_output_when_one_cannot_be_written(
+        tmp_path, rule_file, capsys, directory):
+    corpus = str(tmp_path / "corpus")
+    assert main(["gen", "--rule", rule_file, "--out", corpus,
+                 "--num-pos", "6", "--num-neg", "6", "--seed", "1"]) == 0
+    outputs = {"rules": tmp_path / "rules.txt", "model": tmp_path / "model.txt"}
+    outputs[directory].mkdir()
+    other = outputs["model" if directory == "rules" else "rules"]
+    other.write_text("from an earlier run\n")
+    capsys.readouterr()
+    assert main(["train", "--data", corpus, "--target-label", "Target",
+                 "--walks", "20", "--out", str(outputs["rules"]),
+                 "--model-out", str(outputs["model"])]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("rulewalk: error: ") and "Traceback" not in err
+    assert other.read_text() == "from an earlier run\n"
+    assert outputs[directory].is_dir() and not any(outputs[directory].iterdir())
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "corpus", "model.txt", "planted.rule", "rules.txt"]
+
+
 def _unreadable(tmp_path, kind):
     """A file that is not UTF-8, or a directory; as a corpus, one holding a directory."""
     if kind == "non-utf8":
@@ -431,6 +454,27 @@ def test_gen_rule_file_without_a_rule_line_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_gen_span_above_the_bound_is_usage_error(tmp_path, capsys):
+    # argparse rejects the span before the rule file is read or a grid built
+    corpus = tmp_path / "corpus"
+    assert main(["gen", "--rule", str(tmp_path / "missing.rule"),
+                 "--out", str(corpus), "--span", str(MAX_SPAN + 1)]) == 1
+    err = capsys.readouterr().err
+    assert f"argument --span: {MAX_SPAN + 1} is not an integer in [0, {MAX_SPAN}]" in err
+    assert "Traceback" not in err
+    assert not corpus.exists()
+
+
+def test_gen_of_an_empty_corpus_is_usage_error(tmp_path, rule_file, capsys):
+    corpus = tmp_path / "corpus"
+    assert main(["gen", "--rule", rule_file, "--out", str(corpus),
+                 "--num-pos", "0", "--num-neg", "0"]) == 1
+    err = capsys.readouterr().err
+    assert "usage:" in err
+    assert "--num-pos and --num-neg are both 0" in err
+    assert not corpus.exists()
+
+
 _TASK = ["--data", "corpus", "--target-label", "Target", "--out", "rules.txt"]
 
 
@@ -486,6 +530,37 @@ def test_mine_output_is_pinned_at_three_steps(tmp_path, capsys):
     assert hashlib.sha256(mined.read_bytes()).hexdigest() == (
         "ba75e4326fc05b54da4b1151394f1b004c892cce862783a657f83ebadcd62832"
     )
+
+
+def _corpus_digest(corpus: Path) -> str:
+    h = hashlib.sha256()
+    for path in sorted(corpus.iterdir()):
+        h.update(path.name.encode() + b"\0" + path.read_bytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("options, digest", [
+    (["--seed", "1"],
+     "970b783c7b16bb42f49776e9edecdf036de3a68f01576babc919c34f5bd3cfa9"),
+    (["--seed", "17"],
+     "d902f6583a5cce59c6de6d27c7fc89dd7868fdb6f9b61326c30270bc316f942d"),
+    # one assignment fits in 3 ticks, so most branches of the interval
+    # search run dry and backtrack
+    (["--seed", "1", "--span", "3"],
+     "b53b110268f2975c4ae621dc45bb4b78be0a2990abdeeb95c1bdfdde6cb60139"),
+], ids=["seed1", "seed17", "span3"])
+def test_gen_output_is_pinned(tmp_path, options, digest):
+    # byte-identity guard for the planted-interval search and the random
+    # stream it shares with the noise; the digests are those of the release
+    # this test came with
+    rule = tmp_path / "chain3.rule"
+    rule.write_text("w=0.0 Target() <- A(X0->X1) , B(X1->X2) , C(X2->X3)"
+                    " | 0 {BEFORE} 1 ; 1 {MEETS} 2\n")
+    corpus = tmp_path / "corpus"
+    assert main(["gen", "--rule", str(rule), "--out", str(corpus),
+                 "--num-pos", "20", "--num-neg", "20", "--noise", "5",
+                 *options]) == 0
+    assert _corpus_digest(corpus) == digest
 
 
 def _small_event_graph(path):
