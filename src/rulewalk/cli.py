@@ -24,7 +24,9 @@ from .synthetic import MAX_SPAN, GenerationError, SynthSpec, synth_generate
 
 
 class UsageError(Exception):
-    def __init__(self, message: str, parser: argparse.ArgumentParser | None = None):
+    """A usage error; `parser` is the (sub)parser whose usage line it prints."""
+
+    def __init__(self, message: str, parser: argparse.ArgumentParser):
         super().__init__(message)
         self.parser = parser
 
@@ -76,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--span", type=_SPAN, default=30,
                    help=f"interval endpoints lie in [0, SPAN]; at most {MAX_SPAN}")
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_gen)
+    p.set_defaults(func=cmd_gen, parser=p)
 
     for name, helptext in (
         ("mine", "mine rules from the training split"),
@@ -99,9 +101,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--l2", type=_NON_NEGATIVE, default=1e-4)
             p.add_argument("--features", choices=["binary", "reach"],
                            default="binary")
-            p.set_defaults(func=cmd_train)
+            p.set_defaults(func=cmd_train, parser=p)
         else:
-            p.set_defaults(func=cmd_mine)
+            p.set_defaults(func=cmd_mine, parser=p)
 
     p = sub.add_parser("eval",
                        help="rank the held-out positives and report metrics")
@@ -111,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", choices=["binary", "reach"], default="binary")
     p.add_argument("--use", choices=["test", "all"], default="test")
     p.add_argument("--out", default=None, help="also write the JSON record here")
-    p.set_defaults(func=cmd_eval)
+    p.set_defaults(func=cmd_eval, parser=p)
 
     p = sub.add_parser("convert", help="graph conversions")
     p.add_argument("--in", dest="input", required=True)
@@ -121,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from-tkg", action="store_true",
                    help="input is a snapshot file: 'tau | head | pred | tail' lines")
     p.add_argument("--split-multi-tail", action="store_true")
-    p.set_defaults(func=cmd_convert)
+    p.set_defaults(func=cmd_convert, parser=p)
 
     p = sub.add_parser("inspect",
                        help="corpus statistics: predicate kinds, facts per graph")
@@ -149,13 +151,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         return args.func(args)
     except UsageError as exc:
-        (exc.parser or parser).print_usage(sys.stderr)
+        exc.parser.print_usage(sys.stderr)
         print(f"rulewalk: error: {exc}", file=sys.stderr)
         return 1
     except SystemExit as exc:  # --help
         return 0 if exc.code in (0, None) else 1
-    except (DataFormatError, GraphError, RuleError, GenerationError,
-            OSError, UnicodeDecodeError) as exc:
+    except (DataFormatError, GraphError, RuleError, GenerationError, OSError) as exc:
         print(f"rulewalk: error: {exc}", file=sys.stderr)
         return 2
 
@@ -165,7 +166,13 @@ def main(argv=None) -> int:
 
 def cmd_gen(args) -> int:
     if args.num_pos == 0 and args.num_neg == 0:
-        raise UsageError("--num-pos and --num-neg are both 0: the corpus would be empty")
+        raise UsageError("--num-pos and --num-neg are both 0: the corpus would be empty",
+                         args.parser)
+    # load_corpus reads every .thg file, so new graphs beside old ones
+    # would make a mixed corpus
+    if os.path.isdir(args.out) and dataio.corpus_files(args.out):
+        raise UsageError(f"{args.out} already holds .thg files; "
+                         "gen writes into a new or empty directory", args.parser)
     rules = _read_rules(args.rule)
     if not rules:
         raise DataFormatError(f"{args.rule}: no rule line found")
@@ -191,18 +198,19 @@ def _load_task(args, negatives: bool = True):
     keeps them, since a corpus without negative graphs is a data error.
     """
     if os.path.isdir(args.data):
-        graphs, labels = dataio.load_corpus(args.data, args.split_multi_tail)
         if args.target_label is None:
-            raise UsageError("--target-label is required for a corpus directory")
+            raise UsageError("--target-label is required for a corpus directory", args.parser)
+        graphs, labels = dataio.load_corpus(args.data, args.split_multi_tail)
         try:
             return graphs, evaluation.build_classification_queries(
                 [l or "" for l in labels], args.target_label
             )
         except ValueError as exc:
             raise DataFormatError(str(exc)) from None
-    graph, _ = dataio.load_graph(args.data, args.split_multi_tail)
     if not args.positive_predicates:
-        raise UsageError("--positive-predicates is required for a single graph file")
+        raise UsageError("--positive-predicates is required for a single graph file",
+                         args.parser)
+    graph, _ = dataio.load_graph(args.data, args.split_multi_tail)
     try:
         return [graph], evaluation.build_event_queries(
             graph, args.positive_predicates, negatives=negatives
@@ -311,7 +319,7 @@ def cmd_convert(args) -> int:
     chosen = [args.clique_expand, args.time_points, args.from_tkg]
     if sum(chosen) != 1:
         raise UsageError(
-            "pick exactly one of --clique-expand, --time-points, --from-tkg"
+            "pick exactly one of --clique-expand, --time-points, --from-tkg", args.parser
         )
     if args.from_tkg:
         graph = temporal_kg_adapt(_read_tkg(args.input))
@@ -326,7 +334,7 @@ def cmd_convert(args) -> int:
 
 def _read_tkg(path):
     snapshots: dict[int, list[tuple[str, str, str]]] = {}
-    with open(path, encoding="utf-8") as fh:
+    with dataio.open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -420,7 +428,7 @@ def _write_all(outputs) -> None:
 def _read_rules(path):
     rules = []
     support = 0
-    with open(path, encoding="utf-8") as fh:
+    with dataio.open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if line.startswith("# support="):

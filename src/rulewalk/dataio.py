@@ -15,6 +15,7 @@ order.
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 
 from .hypergraph import GraphError, Interval, TemporalHypergraph
 
@@ -24,6 +25,31 @@ RESERVED = ("|", ",", "\n", "\t")
 
 class DataFormatError(ValueError):
     """Parse or validation failure, with file/line context in the message."""
+
+
+@contextmanager
+def open_text(path):
+    """`path` opened for reading as UTF-8 text.
+
+    A decode error in the `with` body becomes a DataFormatError naming the
+    file and its first line that is not UTF-8.  The position the decoder
+    reports is relative to the chunk it was decoding, so that line is found
+    by decoding the file's bytes again, on the error path only.
+    """
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError:
+            with open(path, "rb") as raw:
+                lines = raw.read().splitlines()
+            for lineno, line in enumerate(lines, start=1):
+                try:
+                    line.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise DataFormatError(
+                        f"{path}:{lineno}: not UTF-8 text ({exc.reason})"
+                    ) from None
+            raise DataFormatError(f"{path}: not UTF-8 text") from None
 
 
 def check_name(name: str, where: str) -> str:
@@ -63,7 +89,7 @@ def load_graph(
 ) -> tuple[TemporalHypergraph, str | None]:
     graph = TemporalHypergraph()
     label: str | None = None
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
@@ -122,10 +148,15 @@ def save_corpus(dirpath, graphs, labels=None) -> None:
         save_graph(graph, os.path.join(dirpath, f"g{i:0{width}d}.thg"), label)
 
 
+def corpus_files(dirpath) -> list[str]:
+    """The names of a corpus directory's graph files, in reading order."""
+    return sorted(n for n in os.listdir(dirpath) if n.endswith(".thg"))
+
+
 def load_corpus(
     dirpath, split_multi_tail: bool = False
 ) -> tuple[list[TemporalHypergraph], list[str | None]]:
-    names = sorted(n for n in os.listdir(dirpath) if n.endswith(".thg"))
+    names = corpus_files(dirpath)
     if not names:
         raise DataFormatError(f"{dirpath}: no .thg files found")
     graphs = []

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataio import open_text
 from .rules import evaluate
 from .walk import reach_probability
 
@@ -152,7 +153,7 @@ def save_model(path, params: ModelParams, rules) -> None:
 
 def load_model(path) -> tuple[float, dict[str, float]]:
     """Returns (bias, signature -> weight)."""
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
     if not lines or not lines[0].startswith("bias "):
         raise ValueError(f"{path}: model file must start with a bias line")

@@ -53,33 +53,20 @@ def mine_rules(
     for qi, query in enumerate(query_set.positives):
         graph = graphs[query.graph_index]
         wparams = replace(params, seed=derive_seed(params.seed, "query", qi))
-        # trace -> signature of its rule, or None when the trace is
-        # disconnected.  A trace fixes its network, so a repeated trace only
-        # adds support: closure keeps every closed sub-network of its input,
-        # so once a rule network has admitted a closed network B every later
-        # one still contains B, and generalize(K, B) == K from then on.
-        lifted: dict[tuple[int, ...], str | None] = {}
-        for trace, net in sample_walks(graph, query, wparams, diag.walk):
-            key = tuple(trace)
-            if key in lifted:
-                signature = lifted[key]
-                if signature is None:
-                    diag.disconnected += 1
-                else:
-                    aggregated[signature].support += 1
+        # lifting a trace once stands for all its walks: closure keeps every
+        # closed sub-network of its input, so generalize(K, B) == K once K
+        # has admitted the closed network B
+        for net, walks in sample_walks(graph, query, wparams, diag.walk):
+            if not chain_connected(graph, net.keys, query):
+                diag.disconnected += walks
                 continue
-            if not chain_connected(graph, trace, query):
-                lifted[key] = None
-                diag.disconnected += 1
-                continue
-            rule = trace_to_rule(graph, trace, net, query)
-            lifted[key] = rule.signature
+            rule = trace_to_rule(graph, net, query)
             known = aggregated.get(rule.signature)
             if known is None:
-                rule.support = 1
+                rule.support = walks
                 aggregated[rule.signature] = rule
             else:
-                known.support += 1
+                known.support += walks
                 known.time_net = constraints.generalize(known.time_net, rule.time_net)
 
     rules = list(aggregated.values())

@@ -107,27 +107,20 @@ def chain_connected(graph: TemporalHypergraph, trace: list[int], query: Query) -
     return True
 
 
-def trace_to_rule(
-    graph: TemporalHypergraph,
-    trace: list[int],
-    time_net: IANetwork,
-    query: Query,
-) -> TemporalRule:
-    """Lift a walk trace into a rule with canonical variables.
+def trace_to_rule(graph: TemporalHypergraph, time_net: IANetwork, query: Query) -> TemporalRule:
+    """Lift a walk trace, the keys of its network, into a rule with canonical variables.
 
     Entities become variables consistently (same entity, same variable);
     the query's entities become the head atom's variables.  A unary class
     atom is appended for every variable whose entity carries a class-label
     event in the graph, at most one per variable.  `time_net` must be
-    path-consistent and keyed by the trace, in order, as `sample_walks`
-    returns it; the rule's network observes the class atoms against it and
-    is keyed by body indices.  Raises RuleError unless `chain_connected`
+    path-consistent, as `sample_walks` returns it; the rule's network
+    observes the class atoms against it and is keyed by body indices.  Raises RuleError unless `chain_connected`
     holds for the trace, and GraphError for a query entity the graph lacks.
     """
+    trace = time_net.keys
     if not trace:
         raise RuleError("cannot build a rule from an empty trace")
-    if time_net.keys != trace:
-        raise RuleError("time_net keys are not the trace events in order")
     if not chain_connected(graph, trace, query):
         raise RuleError("trace is not a chain connected to the query's entities")
     if not graph.has_entities(query.heads + query.tails):

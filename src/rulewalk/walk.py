@@ -246,23 +246,25 @@ def sample_walks(
     query,
     params: WalkParams,
     diagnostics: WalkDiagnostics | None = None,
-) -> list[tuple[list[int], IANetwork]]:
-    """Run seeded walks for one query; return kept (trace, time_net) pairs.
+) -> list[tuple[IANetwork, int]]:
+    """Run seeded walks for one query; return one (time_net, walks) per kept trace.
 
     Target mode (the query has a tail): walks start from the query's head
     entities and stop as soon as a step lands on the target; walks that
     exhaust max_steps elsewhere are dropped.  Classification mode (no
     tail): walks start from the heads of the graph's earliest events and
-    must complete all max_steps steps.  Each kept time_net is
-    path-consistent and shared by every kept walk with the same trace, so
-    it is read-only.  All walks of one call share one prefix tree.
-    Identical inputs give identical output, walk by walk.
+    must complete all max_steps steps.  Each distinct kept trace comes
+    once, in the order of its first kept walk, with the number of kept
+    walks that ended on it; the trace is `time_net.keys`.  The network is
+    path-consistent and shared with the prefix tree, so it is read-only.
+    Identical inputs give identical output.
     """
     diag = diagnostics if diagnostics is not None else WalkDiagnostics()
     starts = _resolve_starts(graph, query, params)
     target = _resolve_target(graph, query)
     root = init_walk(graph, starts)
-    kept: list[tuple[list[int], IANetwork]] = []
+    # a state is a prefix-tree node and hashes by identity: one per trace
+    kept: dict[WalkState, int] = {}
     for w in range(params.num_walks):
         diag.walks += 1
         rng = random.Random(f"{params.seed}:{w}")
@@ -278,8 +280,8 @@ def sample_walks(
             diag.missed_target += 1
         else:
             diag.kept += 1
-            kept.append((list(state.trace), state.time_net))
-    return kept
+            kept[state] = kept.get(state, 0) + 1
+    return [(state.time_net, walks) for state, walks in kept.items()]
 
 
 def _resolve_starts(graph, query, params: WalkParams) -> set[int]:

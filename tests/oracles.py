@@ -55,8 +55,9 @@ def from_observed(events) -> IANetwork:
 
 
 def replay_walks(graph, query, params):
-    """`sample_walks` without any memo: (kept (trace, time_net) pairs, diagnostics).
+    """`sample_walks` walk by walk, without any memo.
 
+    Returns one (trace, time_net) pair per kept walk, and the diagnostics.
     Every walk starts from fresh state and recomputes the enabled edges and
     their weights at every step, drawing from the same per-walk generator.
     Paths are entity sets plus the event pairs observed together; a

@@ -373,11 +373,11 @@ def test_criterion_9_temporal_kg_adapter():
     params = WalkParams(max_steps=4, num_walks=400, seed=9)
     results = sample_walks(g, query, params)
     crossing = [
-        trace
-        for trace, _ in results
+        net.keys
+        for net, _ in results
         if any(
             g.predicates.names[g.events[eid].predicate] == "IsSameEnt"
-            for eid in trace
+            for eid in net.keys
         )
     ]
     assert crossing

@@ -285,6 +285,12 @@ def _unreadable(tmp_path, kind):
     return str(path)
 
 
+def _write_corpus(corpus):
+    corpus.mkdir()
+    for i, label in enumerate(["Target", "Target", "Other", "Other"]):
+        (corpus / f"g{i}.thg").write_text(f"#thg v1\n#label {label}\nA | a | b | 0 1\n")
+
+
 _EITHER_TASK = ["--target-label", "Target", "--positive-predicates", "A"]
 _CORPUS_TASK = ["--data", "corpus", "--target-label", "Target"]
 
@@ -304,10 +310,7 @@ _CORPUS_TASK = ["--data", "corpus", "--target-label", "Target"]
          "eval--model", "convert--in", "convert--in--from-tkg", "inspect--data"])
 def test_unreadable_input_file_exits_2(tmp_path, monkeypatch, capsys, argv, kind):
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "corpus").mkdir()
-    for i, label in enumerate(["Target", "Target", "Other", "Other"]):
-        (tmp_path / "corpus" / f"g{i}.thg").write_text(
-            f"#thg v1\n#label {label}\nA | a | b | 0 1\n")
+    _write_corpus(tmp_path / "corpus")
     (tmp_path / "rules.txt").write_text(PLANTED)
     bad = _unreadable(tmp_path, kind)
     assert main([bad if arg == "{bad}" else arg for arg in argv]) == 2
@@ -334,6 +337,80 @@ def test_unwritable_output_path_exits_2(tmp_path, monkeypatch, capsys, argv):
     err = capsys.readouterr().err
     assert "rulewalk: error: " in err
     assert "Traceback" not in err
+
+
+_LATIN1_LINE = "A | caf\xe9 | b | 0 1\n".encode("latin-1")
+
+
+@pytest.mark.parametrize("bad, valid, argv", [
+    # 2,000 valid lines put the bad one past the decoder's first chunk
+    ("events.thg", "#thg v1\n" + "A | a | b | 0 1\n" * 2000,
+     ["mine", "--data", "events.thg", "--positive-predicates", "A", "--out", "r.txt"]),
+    ("corpus/g3.thg", "#thg v1\n#label Other\n",
+     ["mine", *_CORPUS_TASK, "--out", "r.txt"]),
+    ("planted.rule", "# planted rule\n",
+     ["gen", "--rule", "planted.rule", "--out", "out"]),
+    ("rules.txt", "# support=1\n" + PLANTED,
+     ["eval", *_CORPUS_TASK, "--rules", "rules.txt"]),
+    ("model.txt", "bias 0.5\n",
+     ["eval", *_CORPUS_TASK, "--rules", "rules.txt", "--model", "model.txt"]),
+    ("snapshots.txt", "0 | a | r | b\n",
+     ["convert", "--from-tkg", "--in", "snapshots.txt", "--out", "g.thg"]),
+], ids=["mine--data", "corpus-file", "gen--rule", "eval--rules", "eval--model",
+        "convert--from-tkg--in"])
+def test_a_decode_error_names_the_file_and_line(tmp_path, monkeypatch, capsys,
+                                                bad, valid, argv):
+    monkeypatch.chdir(tmp_path)
+    _write_corpus(tmp_path / "corpus")
+    (tmp_path / "rules.txt").write_text(PLANTED)
+    (tmp_path / bad).write_bytes(valid.encode("utf-8") + _LATIN1_LINE)
+    line = valid.count("\n") + 1
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"rulewalk: error: {bad}:{line}: not UTF-8 text (invalid continuation byte)\n"
+
+
+def test_gen_into_a_directory_holding_graph_files_is_usage_error(tmp_path, rule_file, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()  # an existing empty directory is fine
+    assert main(["gen", "--rule", rule_file, "--out", str(corpus),
+                 "--num-pos", "10", "--num-neg", "10", "--seed", "1"]) == 0
+    before = _corpus_digest(corpus)
+    capsys.readouterr()
+    assert main(["gen", "--rule", rule_file, "--out", str(corpus),
+                 "--num-pos", "3", "--num-neg", "3", "--seed", "2"]) == 1
+    err = capsys.readouterr().err
+    assert f"rulewalk: error: {corpus} already holds .thg files" in err
+    assert "Traceback" not in err
+    assert _corpus_digest(corpus) == before
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--rule", "rule.txt", "--out", "new", "--num-pos", "0", "--num-neg", "0"],
+    ["gen", "--rule", "rule.txt", "--out", "corpus"],
+    ["mine", "--data", "corpus", "--out", "r.txt"],
+    ["train", "--data", "corpus", "--out", "r.txt", "--model-out", "m.txt"],
+    ["eval", "--data", "corpus", "--rules", "rule.txt"],
+    # --target-label is checked before any graph file is read
+    ["mine", "--data", "unreadable", "--out", "r.txt"],
+    ["mine", "--data", "corpus/g0.thg", "--out", "r.txt"],
+    ["convert", "--in", "corpus/g0.thg", "--out", "g.thg"],
+    ["convert", "--in", "corpus/g0.thg", "--out", "g.thg", "--time-points",
+     "--clique-expand"],
+], ids=["gen-empty", "gen-into-corpus", "mine-corpus", "train-corpus", "eval-corpus",
+        "mine-unreadable-corpus", "mine-graph", "convert-no-mode", "convert-two-modes"])
+def test_a_usage_error_in_a_command_prints_its_usage(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "rule.txt").write_text(PLANTED)
+    _write_corpus(tmp_path / "corpus")
+    (tmp_path / "unreadable").mkdir()
+    (tmp_path / "unreadable" / "g0.thg").write_bytes(_LATIN1_LINE)
+    before = sorted(p.name for p in tmp_path.iterdir())
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines()[0].startswith(f"usage: rulewalk {argv[0]} ")
+    assert err.splitlines()[-1].startswith("rulewalk: error: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 
 def test_mine_on_a_corpus_without_negatives_exits_2(tmp_path, rule_file, capsys):

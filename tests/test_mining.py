@@ -19,7 +19,9 @@ from rulewalk.mining import (
     mine_rules,
 )
 from rulewalk.rules import Query, chain_connected, coverage_filter, evaluate, trace_to_rule
-from rulewalk.walk import WalkParams, derive_seed, sample_walks
+from rulewalk.walk import WalkParams, derive_seed
+
+from oracles import replay_walks
 
 R = Relation
 
@@ -165,7 +167,7 @@ def test_link_prediction_mining_targets_query_tail():
 
 
 def _lift_every_walk(graphs, qs, params):
-    """mine_rules without the per-trace memo: every kept walk is lifted anew.
+    """mine_rules walk by walk: every kept walk of the memo-free replay is lifted anew.
 
     Returns the ranked rules, the disconnected count and the number of
     kept walks whose trace repeats an earlier one of the same query.
@@ -177,13 +179,13 @@ def _lift_every_walk(graphs, qs, params):
         wparams = WalkParams(max_steps=params.max_steps, num_walks=params.num_walks,
                              seed=derive_seed(params.seed, "query", qi),
                              start_events=params.start_events)
-        walks = sample_walks(graph, query, wparams)
+        walks, _ = replay_walks(graph, query, wparams)
         repeats += len(walks) - len({tuple(trace) for trace, _ in walks})
         for trace, net in walks:
             if not chain_connected(graph, trace, query):
                 disconnected += 1
                 continue
-            rule = trace_to_rule(graph, trace, net, query)
+            rule = trace_to_rule(graph, net, query)
             known = aggregated.setdefault(rule.signature, rule)
             if known is rule:
                 rule.support = 1

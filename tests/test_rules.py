@@ -42,7 +42,7 @@ def cooked_query(g):
 def cooked_rule():
     g = cooking_graph()
     net = from_observed([(0, g.events[0].interval), (1, g.events[1].interval)])
-    return g, trace_to_rule(g, [0, 1], net, cooked_query(g))
+    return g, trace_to_rule(g, net, cooked_query(g))
 
 
 def test_trace_to_rule_cooked_example():
@@ -57,7 +57,7 @@ def test_single_edge_trace():
     g.add_event("Put", ["a"], ["b"], (1, 2))
     net = from_observed([(0, g.events[0].interval)])
     a, b = g.entities.id_of("a"), g.entities.id_of("b")
-    rule = trace_to_rule(g, [0], net, Query("Goal", (a,), (b,)))
+    rule = trace_to_rule(g, net, Query("Goal", (a,), (b,)))
     assert len(rule.body) == 1
     assert rule.time_net.n == 1
     assert rule.time_net.cells[0][0] == rel_set(R.EQUAL)
@@ -79,7 +79,7 @@ def test_signature_invariant_under_entity_renaming():
         net = from_observed([(1, g.events[1].interval), (2, g.events[2].interval)])
         ids = {n: g.entities.id_of(name) for n, name in names.items()}
         q = Query("Done", (ids["onion"], ids["garlic"]), (ids["soup"],))
-        return trace_to_rule(g, [1, 2], net, q)
+        return trace_to_rule(g, net, q)
 
     plain = {n: n for n in ("noise", "noise2", "onion", "garlic", "bowl", "soup")}
     renamed = {n: f"zz_{i}_{n}" for i, n in enumerate(sorted(plain, reverse=True))}
@@ -89,14 +89,7 @@ def test_signature_invariant_under_entity_renaming():
 def test_empty_trace_rejected():
     g = cooking_graph()
     with pytest.raises(RuleError):
-        trace_to_rule(g, [], None, Query("Cooked"))
-
-
-def test_net_must_cover_trace():
-    g = cooking_graph()
-    net = from_observed([(0, g.events[0].interval)])
-    with pytest.raises(RuleError):
-        trace_to_rule(g, [0, 1], net, cooked_query(g))
+        trace_to_rule(g, IANetwork([]), Query("Cooked"))
 
 
 def test_trace_to_rule_rejects_an_entity_id_the_graph_lacks():
@@ -105,7 +98,7 @@ def test_trace_to_rule_rejects_an_entity_id_the_graph_lacks():
     pan = g.entities.id_of("pan")
     for ghost in (len(g.entities), -1):
         with pytest.raises(GraphError):
-            trace_to_rule(g, [0, 1], net, Query("Cooked", (ghost,), (pan,)))
+            trace_to_rule(g, net, Query("Cooked", (ghost,), (pan,)))
 
 
 def test_disconnected_trace_rejected():
@@ -115,7 +108,7 @@ def test_disconnected_trace_rejected():
     assert not chain_connected(g, [0, 1], Query("L"))
     net = from_observed([(0, g.events[0].interval), (1, g.events[1].interval)])
     with pytest.raises(RuleError):
-        trace_to_rule(g, [0, 1], net, Query("L"))
+        trace_to_rule(g, net, Query("L"))
     # the query's entities can seed the chain
     a, c, d = (g.entities.id_of(n) for n in ("a", "c", "d"))
     assert chain_connected(g, [0, 1], Query("L", (a, c), (d,)))
@@ -127,7 +120,7 @@ def test_class_atoms_appended_once_per_variable():
     g.add_event("Bacon", ["bacon"], ["bacon"], (0, 10))
     g.add_event("Bacon", ["bacon"], ["bacon"], (0, 11))  # second label ignored
     net = from_observed([(0, g.events[0].interval)])
-    rule = trace_to_rule(g, [0], net, cooked_query(g))
+    rule = trace_to_rule(g, net, cooked_query(g))
     assert rule.signature == "Cooked(X0->X1) <- Put(X0->X1) , Bacon(X0->X0)"
     assert rule.time_net.n == 2
     # observed relation between Put and the class fact

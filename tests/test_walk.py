@@ -237,7 +237,7 @@ def test_sample_walks_finds_unique_path():
     params = WalkParams(max_steps=3, num_walks=50, seed=5)
     results = sample_walks(g, query, params)
     assert results
-    assert all(trace == [0, 1] for trace, _ in results)
+    assert all(net.keys == [0, 1] for net, _ in results)
 
 
 def test_sample_walks_rejects_entity_ids_the_graph_lacks():
@@ -266,8 +266,8 @@ def test_sample_walks_seeded_determinism():
     params = WalkParams(max_steps=4, num_walks=200, seed=99)
     first = sample_walks(g, query, params)
     second = sample_walks(g, query, params)
-    assert [t for t, _ in first] == [t for t, _ in second]
-    assert [n.cells for _, n in first] == [n.cells for _, n in second]
+    assert [(n.keys, walks) for n, walks in first] == [(n.keys, walks) for n, walks in second]
+    assert [n.cells for n, _ in first] == [n.cells for n, _ in second]
 
 
 def test_sample_walks_classification_mode_runs_full_length():
@@ -280,9 +280,9 @@ def test_sample_walks_classification_mode_runs_full_length():
     params = WalkParams(max_steps=2, num_walks=20, seed=3)
     results = sample_walks(g, query, params, diag)
     assert results
-    assert all(len(trace) == 2 for trace, _ in results)
+    assert all(len(net.keys) == 2 for net, _ in results)
     assert diag.walks == 20
-    assert diag.kept == len(results)
+    assert diag.kept == sum(walks for _, walks in results)
 
 
 def test_sample_walks_diagnostics_count_dead_ends():
@@ -321,8 +321,8 @@ def test_returned_time_nets_are_closed_and_nonempty():
     for g in (joined, apart):
         results = sample_walks(g, goal(g, ["a", "b"], "w"), params)
         assert results
-        for trace, net in results:
-            assert net.keys == trace
+        for net, _ in results:
+            trace = net.keys
             assert all(
                 net.cells[i][j] != EMPTY_SET
                 for i in range(net.n)
@@ -340,9 +340,13 @@ def test_returned_time_nets_are_closed_and_nonempty():
 def _assert_matches_replay(g, query, params):
     diag = WalkDiagnostics()
     results = sample_walks(g, query, params, diag)
-    expected, expected_diag = replay_walks(g, query, params)
-    assert [t for t, _ in results] == [t for t, _ in expected]
-    assert [n for _, n in results] == [n for _, n in expected]
+    replayed, expected_diag = replay_walks(g, query, params)
+    # the replay's kept walks grouped by trace, in first-seen order
+    grouped = {}
+    for trace, net in replayed:
+        grouped.setdefault(tuple(trace), []).append(net)
+    assert [tuple(net.keys) for net, _ in results] == list(grouped)
+    assert [[net] * walks for net, walks in results] == list(grouped.values())
     assert diag == expected_diag
     return results, diag
 
@@ -394,9 +398,9 @@ def test_memo_free_replay_covers_modes_multi_heads_and_dead_ends():
     for g, query, params in cases:
         results, diag = _assert_matches_replay(g, query, params)
         mode = "target" if query.tails else "classification"
-        kept[mode] = kept.get(mode, 0) + len(results)
+        kept[mode] = kept.get(mode, 0) + sum(walks for _, walks in results)
         dead_ends += diag.dead_ends
-        multi_head += sum(0 in trace for trace, _ in results)
+        multi_head += sum(0 in net.keys for net, _ in results)
     assert kept["target"] and kept["classification"]
     assert dead_ends and multi_head
 
@@ -405,6 +409,4 @@ def test_walks_with_one_trace_share_one_read_only_network():
     g = chain_graph()
     results = sample_walks(g, goal(g, ["a"], "c"),
                            WalkParams(max_steps=3, num_walks=5, seed=1))
-    assert len(results) == 5
-    assert all(net is results[0][1] for _, net in results)
-    assert len({id(trace) for trace, _ in results}) == 5  # traces are copies
+    assert [(net.keys, walks) for net, walks in results] == [([0, 1], 5)]
