@@ -77,13 +77,6 @@ def iter_members(s: RelationSet) -> Iterator[Relation]:
         s ^= low
 
 
-def inverse(r: Relation) -> Relation:
-    """Converse relation: classify(a, b) == inverse(classify(b, a))."""
-    if r is Relation.EQUAL:
-        return Relation.EQUAL
-    return Relation(r ^ 1)
-
-
 def inverse_set(s: RelationSet) -> RelationSet:
     """Elementwise converse; swaps each even/odd inverse pair of bits."""
     return ((s & _EVEN_MASK) << 1) | ((s & _ODD_MASK) >> 1) | (s & _EQUAL_BIT)

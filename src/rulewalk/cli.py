@@ -12,14 +12,12 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import dataio, evaluation, learner, mining
 from .convert import clique_expand, temporal_kg_adapt, to_time_points
 from .dataio import DataFormatError
 from .hypergraph import GraphError
 from .mining import MiningParams
-from .rules import RuleError, format_rule, parse_rule
+from .rules import RuleError, read_rules, write_rules
 from .synthetic import MAX_SPAN, GenerationError, SynthSpec, synth_generate
 
 
@@ -54,6 +52,15 @@ _NON_NEGATIVE = _number(float, lambda v: v >= 0, "a number >= 0")
 _FRACTION = _number(float, lambda v: 0 < v <= 1, "in (0, 1]")
 _OPEN_FRACTION = _number(float, lambda v: 0 < v < 1, "in (0, 1)")
 _SPAN = _number(int, lambda v: 0 <= v <= MAX_SPAN, f"an integer in [0, {MAX_SPAN}]")
+
+
+def _predicate(text):
+    """An argparse `type=` for a predicate name a rule file can carry."""
+    try:
+        dataio.check_predicate(text, "bad value")
+    except DataFormatError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return text
 
 
 def _names(text):
@@ -111,7 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rules", required=True)
     p.add_argument("--model", default=None)
     p.add_argument("--features", choices=["binary", "reach"], default="binary")
-    p.add_argument("--use", choices=["test", "all"], default="test")
     p.add_argument("--out", default=None, help="also write the JSON record here")
     p.set_defaults(func=cmd_eval, parser=p)
 
@@ -137,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _add_task_arguments(p) -> None:
     p.add_argument("--data", required=True,
                    help="corpus directory (classification) or one graph file")
-    p.add_argument("--target-label", default=None)
+    p.add_argument("--target-label", type=_predicate, default=None)
     p.add_argument("--positive-predicates", type=_names, default=None,
                    help="comma-separated predicate names (event task)")
     p.add_argument("--split-multi-tail", action="store_true")
@@ -173,7 +179,7 @@ def cmd_gen(args) -> int:
     if os.path.isdir(args.out) and dataio.corpus_files(args.out):
         raise UsageError(f"{args.out} already holds .thg files; "
                          "gen writes into a new or empty directory", args.parser)
-    rules = _read_rules(args.rule)
+    rules = read_rules(args.rule)
     if not rules:
         raise DataFormatError(f"{args.rule}: no rule line found")
     spec = SynthSpec(
@@ -237,7 +243,7 @@ def cmd_mine(args) -> int:
     # mining walks only the train positives
     graphs, query_set = _load_task(args, negatives=False)
     rules, _, diag = _mine(args, graphs, query_set)
-    _write_rules(args.out, rules)
+    write_rules(args.out, rules)
     print(f"mined {len(rules)} rules -> {args.out}")
     # inconsistent= stays in the line for its readers; it is always 0, since
     # the graph's own intervals realise every walk's constraint network
@@ -267,7 +273,7 @@ def cmd_train(args) -> int:
     except FloatingPointError as exc:
         raise DataFormatError(f"the fit diverged: {exc}; lower --lr") from None
     _write_all([
-        (args.out, lambda path: _write_rules(path, rules)),
+        (args.out, lambda path: write_rules(path, rules)),
         (args.model_out, lambda path: learner.save_model(path, result.params, rules)),
     ])
     print(f"mined {len(rules)} rules -> {args.out}")
@@ -279,16 +285,13 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     graphs, query_set = _load_task(args)
     _, test_set = evaluation.split_queries(query_set, args.train_frac, args.seed)
-    if args.use == "all":
-        test_set = query_set
     if not test_set.positives:
         raise DataFormatError(
-            f"no positive query left to rank in the {args.use} split "
-            f"({len(query_set.positives)} positive in all); "
-            "add positives or pass --use all"
+            "no positive query left to rank in the test split "
+            f"({len(query_set.positives)} positive in all); add positives"
         )
-    rules = _read_rules(args.rules)
-    params = _load_params(args.model, rules) if args.model is not None else None
+    rules = read_rules(args.rules)
+    params = learner.load_model(args.model, rules) if args.model is not None else None
     scores = evaluation.score_pools(rules, graphs, test_set, params, args.features)
     ranks = evaluation.ranked_evaluation(scores, test_set)
     record = evaluation.metrics_record(ranks, test_set.mode, args.seed)
@@ -300,21 +303,6 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _load_params(path, rules):
-    """Model weights in rule order; every rule must have one."""
-    try:
-        bias, weights = learner.load_model(path)
-    except ValueError as exc:
-        raise DataFormatError(str(exc)) from None
-    for rule in rules:
-        if rule.signature not in weights:
-            raise DataFormatError(
-                f"{path}: no weight for rule {rule.signature!r}; "
-                "the model was trained on other rules"
-            )
-    return learner.ModelParams(np.array([weights[r.signature] for r in rules]), bias)
-
-
 def cmd_convert(args) -> int:
     chosen = [args.clique_expand, args.time_points, args.from_tkg]
     if sum(chosen) != 1:
@@ -322,7 +310,7 @@ def cmd_convert(args) -> int:
             "pick exactly one of --clique-expand, --time-points, --from-tkg", args.parser
         )
     if args.from_tkg:
-        graph = temporal_kg_adapt(_read_tkg(args.input))
+        graph = temporal_kg_adapt(dataio.load_snapshots(args.input))
         dataio.save_graph(graph, args.out)
     else:
         graph, label = dataio.load_graph(args.input, args.split_multi_tail)
@@ -330,31 +318,6 @@ def cmd_convert(args) -> int:
         dataio.save_graph(graph, args.out, label)
     print(f"wrote {args.out}")
     return 0
-
-
-def _read_tkg(path):
-    snapshots: dict[int, list[tuple[str, str, str]]] = {}
-    with dataio.open_text(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = [p.strip() for p in line.split("|")]
-            if len(parts) != 4:
-                raise DataFormatError(
-                    f"{path}:{lineno}: expected 'tau | head | pred | tail'"
-                )
-            try:
-                tau = int(parts[0])
-            except ValueError:
-                raise DataFormatError(
-                    f"{path}:{lineno}: bad time point {parts[0]!r}"
-                ) from None
-            where = f"{path}:{lineno}"
-            for name in parts[1:]:
-                dataio.check_name(name, where)
-            snapshots.setdefault(tau, []).append((parts[1], parts[2], parts[3]))
-    return [(tau, snapshots[tau]) for tau in sorted(snapshots)]
 
 
 def cmd_inspect(args) -> int:
@@ -389,19 +352,9 @@ def cmd_inspect(args) -> int:
         examples = ", ".join(sorted(preds)[:3]) if preds else "-"
         print(f"  {kind:<7} {len(preds):>4} predicates "
               f"{sum(preds.values()):>6} facts   e.g. {examples}")
-    intervals = [
-        (e.interval.start, e.interval.end) for g in graphs for e in g.events
-    ]
-    degenerate = sum(1 for s, e in intervals if s == e)
-    print(f"intervals: {degenerate}/{len(intervals)} degenerate points")
+    degenerate = sum(e.interval.start == e.interval.end for g in graphs for e in g.events)
+    print(f"intervals: {degenerate}/{total_events} degenerate points")
     return 0
-
-
-def _write_rules(path, rules) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for rule in rules:
-            fh.write(f"# support={rule.support}\n")
-            fh.write(format_rule(rule) + "\n")
 
 
 def _write_all(outputs) -> None:
@@ -423,34 +376,6 @@ def _write_all(outputs) -> None:
         for tmp, _ in staged:
             if os.path.exists(tmp):
                 os.remove(tmp)
-
-
-def _read_rules(path):
-    rules = []
-    support = 0
-    with dataio.open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if line.startswith("# support="):
-                try:
-                    support = int(line[len("# support="):])
-                except ValueError:
-                    raise DataFormatError(
-                        f"{path}:{lineno}: support is not an integer: {line!r}"
-                    ) from None
-                if support < 0:
-                    raise DataFormatError(f"{path}:{lineno}: support is negative: {line!r}")
-                continue
-            if not line or line.startswith("#"):
-                continue
-            try:
-                rule = parse_rule(line)
-            except RuleError as exc:
-                raise RuleError(f"{path}:{lineno}: {exc}") from None
-            rule.support = support
-            support = 0
-            rules.append(rule)
-    return rules
 
 
 if __name__ == "__main__":

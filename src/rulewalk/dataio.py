@@ -9,18 +9,21 @@ One graph per file::
 
 Fields are pipe-separated: predicate, comma-separated heads, tails, then
 `start end`.  `#` starts a comment; `|` and `,` are reserved and rejected
-inside names.  A corpus is a directory of `*.thg` files read in filename
-order.
+inside names; a predicate name must be a `NAME_TOKEN`, as rule files
+carry it.  A corpus is a directory of `*.thg` files read in filename order.
 """
 from __future__ import annotations
 
 import os
+import re
 from contextlib import contextmanager
 
 from .hypergraph import GraphError, Interval, TemporalHypergraph
 
 HEADER = "#thg v1"
 RESERVED = ("|", ",", "\n", "\t")
+#: a predicate name: no whitespace, and none of the rule grammar's delimiters
+NAME_TOKEN = r"[^\s(),|;]+"
 
 
 class DataFormatError(ValueError):
@@ -52,23 +55,34 @@ def open_text(path):
             raise DataFormatError(f"{path}: not UTF-8 text") from None
 
 
-def check_name(name: str, where: str) -> str:
+def check_name(name: str, where: str) -> None:
     if not name:
         raise DataFormatError(f"{where}: empty name")
     for ch in RESERVED:
         if ch in name:
             raise DataFormatError(f"{where}: reserved character {ch!r} in {name!r}")
-    return name
+
+
+def check_predicate(name: str, where: str) -> None:
+    """`check_name`, and then the rule grammar's `NAME_TOKEN`."""
+    check_name(name, where)
+    if not re.fullmatch(NAME_TOKEN, name):
+        raise DataFormatError(
+            f"{where}: predicate {name!r} holds whitespace or one of '();', "
+            "which a rule file cannot carry"
+        )
 
 
 def save_graph(graph: TemporalHypergraph, path, label: str | None = None) -> None:
-    """Write one graph file; raises DataFormatError on a reserved name.
+    """Write one graph file; raises DataFormatError on a name `load_graph` would reject.
 
     Every interned name comes from an event, so checking the symbol tables
     checks each name of every event, once.
     """
     predicates, entities = graph.predicates.names, graph.entities.names
-    for name in predicates + entities:
+    for name in predicates:
+        check_predicate(name, path)
+    for name in entities:
         check_name(name, path)
     lines = [HEADER]
     if label is not None:
@@ -89,6 +103,7 @@ def load_graph(
 ) -> tuple[TemporalHypergraph, str | None]:
     graph = TemporalHypergraph()
     label: str | None = None
+    predicates: set[str] = set()  # already checked; cheaper to ask than graph.predicates
     with open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -127,6 +142,9 @@ def load_graph(
                     f"{path}:{lineno}: multi-tail event (pass split_multi_tail "
                     f"to expand into single-tail edges)"
                 )
+            if pred not in predicates:
+                check_predicate(pred, f"{path}:{lineno}")
+                predicates.add(pred)
             try:
                 if len(tails) == 1:
                     graph.add_event(pred, heads, tails, interval)
@@ -138,6 +156,32 @@ def load_graph(
             except GraphError as exc:
                 raise DataFormatError(f"{path}:{lineno}: {exc}") from None
     return graph, label
+
+
+def load_snapshots(path) -> list[tuple[int, list[tuple[str, str, str]]]]:
+    """A snapshot file's `(tau, [(head, predicate, tail), ...])` pairs, by rising tau."""
+    snapshots: dict[int, list[tuple[str, str, str]]] = {}
+    predicates: set[str] = set()
+    with open_text(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            where = f"{path}:{lineno}"
+            parts = [p.strip() for p in line.split("|")]
+            if len(parts) != 4:
+                raise DataFormatError(f"{where}: expected 'tau | head | pred | tail'")
+            try:
+                tau = int(parts[0])
+            except ValueError:
+                raise DataFormatError(f"{where}: bad time point {parts[0]!r}") from None
+            for name in parts[1:]:
+                check_name(name, where)
+            if parts[2] not in predicates:
+                check_predicate(parts[2], where)
+                predicates.add(parts[2])
+            snapshots.setdefault(tau, []).append((parts[1], parts[2], parts[3]))
+    return [(tau, snapshots[tau]) for tau in sorted(snapshots)]
 
 
 def save_corpus(dirpath, graphs, labels=None) -> None:

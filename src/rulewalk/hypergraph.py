@@ -20,6 +20,7 @@ order:
 """
 from __future__ import annotations
 
+from collections.abc import Set
 from dataclasses import dataclass
 
 
@@ -37,9 +38,6 @@ class Interval:
     def __post_init__(self) -> None:
         if self.start > self.end:
             raise GraphError(f"interval start {self.start} > end {self.end}")
-
-    def __iter__(self):
-        return iter((self.start, self.end))
 
 
 @dataclass(frozen=True)
@@ -175,7 +173,7 @@ class TemporalHypergraph:
         """True iff every event has exactly one tail entity."""
         return self._multi_tail_events == 0
 
-    def enabled_edges(self, reached: set[int], traversed: set[int]) -> list[int]:
+    def enabled_edges(self, reached: Set[int], traversed: set[int]) -> list[int]:
         """Event ids not yet traversed whose whole head set is reached.
 
         Returned in ascending event-id order.

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import open_text
+from .dataio import DataFormatError, open_text
 from .rules import evaluate
 from .walk import reach_probability
 
@@ -151,20 +151,26 @@ def save_model(path, params: ModelParams, rules) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def load_model(path) -> tuple[float, dict[str, float]]:
-    """Returns (bias, signature -> weight)."""
+def load_model(path, rules) -> ModelParams:
+    """A `save_model` file's parameters for `rules`, in rule order, or DataFormatError."""
     with open_text(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
     if not lines or not lines[0].startswith("bias "):
-        raise ValueError(f"{path}: model file must start with a bias line")
+        raise DataFormatError(f"{path}: model file must start with a bias line")
     bias = _finite(lines[0][5:], path, lines[0])
     weights: dict[str, float] = {}
     for ln in lines[1:]:
         sig, _, w = ln.rpartition("\t")
         if not sig:
-            raise ValueError(f"{path}: malformed model line {ln!r}")
+            raise DataFormatError(f"{path}: malformed model line {ln!r}")
         weights[sig] = _finite(w, path, ln)
-    return bias, weights
+    for rule in rules:
+        if rule.signature not in weights:
+            raise DataFormatError(
+                f"{path}: no weight for rule {rule.signature!r}; "
+                "the model was trained on other rules"
+            )
+    return ModelParams(np.array([weights[r.signature] for r in rules]), bias)
 
 
 def _finite(text: str, path, line: str) -> float:
@@ -174,5 +180,5 @@ def _finite(text: str, path, line: str) -> float:
     except ValueError:
         value = math.nan
     if not math.isfinite(value):
-        raise ValueError(f"{path}: model line {line!r} does not end in a finite number")
+        raise DataFormatError(f"{path}: model line {line!r} does not end in a finite number")
     return value

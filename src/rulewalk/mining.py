@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from . import constraints
-from .rules import TemporalRule, chain_connected, coverage_filter, trace_to_rule
+from .rules import TemporalRule, coverage_filter, trace_to_rule
 from .walk import WalkDiagnostics, WalkParams, derive_seed, sample_walks
 
 MODE_RELATIONAL = "relational"
@@ -57,10 +57,10 @@ def mine_rules(
         # closed sub-network of its input, so generalize(K, B) == K once K
         # has admitted the closed network B
         for net, walks in sample_walks(graph, query, wparams, diag.walk):
-            if not chain_connected(graph, net.keys, query):
+            rule = trace_to_rule(graph, net, query)
+            if rule is None:
                 diag.disconnected += walks
                 continue
-            rule = trace_to_rule(graph, net, query)
             known = aggregated.get(rule.signature)
             if known is None:
                 rule.support = walks

@@ -12,18 +12,20 @@ Text format, one rule per line::
 Head variables before `->` are the atom's head set, after it the tail set;
 a head atom with no variables renders as `Head()`.  The temporal block
 lists upper-triangle cells that constrain anything; an omitted block (or
-cell) means the full relation set.
+cell) means the full relation set.  A rule file (`read_rules` /
+`write_rules`) holds each rule line after a `# support=<n>` line.
 """
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass, field
 from itertools import permutations
 from typing import Iterator
 
 from . import allen
 from .allen import FULL_SET
 from .constraints import IANetwork, observe
+from .dataio import NAME_TOKEN, DataFormatError, open_text
 from .hypergraph import GraphError, TemporalHypergraph
 
 DEFAULT_EVAL_BUDGET = 1_000_000
@@ -66,13 +68,16 @@ class TemporalRule:
     head: Atom
     body: tuple[Atom, ...]
     time_net: IANetwork        # keyed by body indices 0..len(body)-1
-    signature: str
+    signature: str = field(init=False)  # the rendered head and body
+    _: KW_ONLY
     weight: float = 0.0
     support: int = 0           # occurrence count assigned by the miner
 
     def __post_init__(self) -> None:
         if len(self.body) != self.time_net.n:
             raise RuleError("time_net node count must equal body length")
+        body = " , ".join(render_atom(a) for a in self.body)
+        self.signature = f"{render_atom(self.head)} <- {body}"
 
 
 def render_atom(atom: Atom) -> str:
@@ -81,10 +86,6 @@ def render_atom(atom: Atom) -> str:
     heads = ",".join(f"X{v}" for v in atom.head_vars)
     tails = ",".join(f"X{v}" for v in atom.tail_vars)
     return f"{atom.predicate}({heads}->{tails})"
-
-
-def signature_of(head: Atom, body: tuple[Atom, ...]) -> str:
-    return f"{render_atom(head)} <- {' , '.join(render_atom(a) for a in body)}"
 
 
 # -- trace to rule ---------------------------------------------------------
@@ -107,7 +108,9 @@ def chain_connected(graph: TemporalHypergraph, trace: list[int], query: Query) -
     return True
 
 
-def trace_to_rule(graph: TemporalHypergraph, time_net: IANetwork, query: Query) -> TemporalRule:
+def trace_to_rule(
+    graph: TemporalHypergraph, time_net: IANetwork, query: Query
+) -> TemporalRule | None:
     """Lift a walk trace, the keys of its network, into a rule with canonical variables.
 
     Entities become variables consistently (same entity, same variable);
@@ -115,14 +118,16 @@ def trace_to_rule(graph: TemporalHypergraph, time_net: IANetwork, query: Query) 
     atom is appended for every variable whose entity carries a class-label
     event in the graph, at most one per variable.  `time_net` must be
     path-consistent, as `sample_walks` returns it; the rule's network
-    observes the class atoms against it and is keyed by body indices.  Raises RuleError unless `chain_connected`
-    holds for the trace, and GraphError for a query entity the graph lacks.
+    observes the class atoms against it and is keyed by body indices.
+    Returns None unless `chain_connected` holds for the trace.  Raises
+    RuleError for an empty trace and GraphError for a query entity the
+    graph lacks.
     """
     trace = time_net.keys
     if not trace:
         raise RuleError("cannot build a rule from an empty trace")
     if not chain_connected(graph, trace, query):
-        raise RuleError("trace is not a chain connected to the query's entities")
+        return None
     if not graph.has_entities(query.heads + query.tails):
         raise GraphError(f"query entities {query.heads + query.tails} are not all in the graph")
 
@@ -150,7 +155,7 @@ def trace_to_rule(graph: TemporalHypergraph, time_net: IANetwork, query: Query) 
 
     observed = observe(time_net, class_events, lambda e: graph.events[e].interval)
     net = IANetwork(range(len(body_events)), observed.cells)
-    return TemporalRule(head, body, net, signature_of(head, body))
+    return TemporalRule(head, body, net)
 
 
 def _class_events(graph: TemporalHypergraph, trace: list[int]) -> list[int]:
@@ -400,7 +405,7 @@ def coverage_filter(
 
 # -- text format -------------------------------------------------------------
 
-_ATOM_RE = re.compile(r"^\s*([^\s(),|;]+)\(([^()]*)\)\s*$")
+_ATOM_RE = re.compile(rf"^\s*({NAME_TOKEN})\(([^()]*)\)\s*$")
 
 
 def format_rule(rule: TemporalRule) -> str:
@@ -448,8 +453,7 @@ def parse_rule(line: str) -> TemporalRule:
             except KeyError as exc:
                 raise RuleError(f"unknown relation in {cell!r}") from exc
 
-    rule = TemporalRule(head, body, net, signature_of(head, body), weight=weight)
-    return rule
+    return TemporalRule(head, body, net, weight=weight)
 
 
 def _parse_atom(text: str) -> Atom:
@@ -476,3 +480,41 @@ def _parse_vars(csv: str, context: str) -> tuple[int, ...]:
             raise RuleError(f"bad variable {token!r} in atom {context!r}")
         out.append(int(token[1:]))
     return tuple(out)
+
+
+def write_rules(path, rules) -> None:
+    """Write a rule file: each rule's `# support=` line, then its rule line."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for rule in rules:
+            fh.write(f"# support={rule.support}\n")
+            fh.write(format_rule(rule) + "\n")
+
+
+def read_rules(path) -> list[TemporalRule]:
+    """A `write_rules` file's rules; a bad support line is a DataFormatError, a bad rule
+    line a RuleError, and a rule with no support line before it gets support 0."""
+    rules = []
+    support = 0
+    with open_text(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if line.startswith("# support="):
+                try:
+                    support = int(line[len("# support="):])
+                except ValueError:
+                    raise DataFormatError(
+                        f"{path}:{lineno}: support is not an integer: {line!r}"
+                    ) from None
+                if support < 0:
+                    raise DataFormatError(f"{path}:{lineno}: support is negative: {line!r}")
+                continue
+            if not line or line.startswith("#"):
+                continue
+            try:
+                rule = parse_rule(line)
+            except RuleError as exc:
+                raise RuleError(f"{path}:{lineno}: {exc}") from None
+            rule.support = support
+            support = 0
+            rules.append(rule)
+    return rules

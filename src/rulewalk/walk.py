@@ -87,19 +87,18 @@ class _Path:
 class WalkState:
     """A walk's state: the prefix-tree node reached by one trace from the root's starts.
 
-    `reached`, `arrival_mass`, `trace` and `paths` are never mutated once
-    the state is built, and other walks may share it: read them, never
-    mutate them.  The memo slots fill in on first use: `options` holds the
-    sampling options (enabled event ids, their weights, the weights' sum),
-    `successors` maps a chosen event id to the next state, and `time_net`
-    is built once.
+    `arrival_mass` (whose keys are the reached entities), `trace` and
+    `paths` are never mutated once the state is built, and other walks may
+    share it: read them, never mutate them.  The memo slots fill in on
+    first use: `options` holds the sampling options (enabled event ids,
+    their weights, the weights' sum), `successors` maps a chosen event id
+    to the next state, and `time_net` is built once.
     """
 
-    __slots__ = ("reached", "arrival_mass", "trace", "paths", "options", "successors", "_net")
+    __slots__ = ("arrival_mass", "trace", "paths", "options", "successors", "_net")
 
-    def __init__(self, reached: set[int], arrival_mass: dict[int, float],
-                 trace: list[int], paths: list[_Path]) -> None:
-        self.reached = reached
+    def __init__(self, arrival_mass: dict[int, float], trace: list[int],
+                 paths: list[_Path]) -> None:
         self.arrival_mass = arrival_mass
         self.trace = trace
         self.paths = paths
@@ -137,18 +136,11 @@ def init_walk(graph: TemporalHypergraph, starts: set[int]) -> WalkState:
     if not graph.is_b_graph():
         raise GraphError("random B-walks require a B-graph (single-tail events)")
     paths = [_Path(frozenset((s,)), IANetwork([])) for s in sorted(starts)]
-    return WalkState(set(starts), {s: 1.0 for s in starts}, [], paths)
-
-
-def edge_weight(graph: TemporalHypergraph, state: WalkState, event_id: int) -> float:
-    """min over heads of arrival_mass / out_degree; the walk's raw weight."""
-    event = graph.events[event_id]
-    if event_id in state.trace or not all(h in state.reached for h in event.heads):
-        raise ValueError(f"event {event_id} is not enabled in this state")
-    return _weight(graph, state.arrival_mass, event)
+    return WalkState({s: 1.0 for s in starts}, [], paths)
 
 
 def _weight(graph: TemporalHypergraph, mass: dict[int, float], event) -> float:
+    """min over heads of arrival mass / out-degree; the walk's raw edge weight."""
     return min(mass[h] / graph.out_degree(h) for h in event.heads)
 
 
@@ -161,7 +153,7 @@ def step(graph: TemporalHypergraph, state: WalkState, rng: random.Random):
     per sampled edge.
     """
     if state.options is None:
-        enabled = graph.enabled_edges(state.reached, set(state.trace))
+        enabled = graph.enabled_edges(state.arrival_mass.keys(), set(state.trace))
         weights = [_weight(graph, state.arrival_mass, graph.events[e]) for e in enabled]
         state.options = (enabled, weights, sum(weights))
     enabled, weights, total = state.options
@@ -201,7 +193,7 @@ def _successor(graph, state: WalkState, event_id: int, mass: float) -> WalkState
     paths.append(_Path(entities.union(event.heads, (tail,)), net))
     arrival_mass = dict(state.arrival_mass)
     arrival_mass[tail] = mass
-    return WalkState(state.reached | {tail}, arrival_mass, state.trace + [event_id], paths)
+    return WalkState(arrival_mass, state.trace + [event_id], paths)
 
 
 def reach_probability(
@@ -217,12 +209,11 @@ def reach_probability(
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    reached = set(starts)
     mass = {s: 1.0 for s in starts}
     traversed: set[int] = set()
     score = 0.0
     for _ in range(horizon):
-        enabled = graph.enabled_edges(reached, traversed)
+        enabled = graph.enabled_edges(mass.keys(), traversed)
         if not enabled:
             break
         arrivals: dict[int, float] = {}
@@ -235,8 +226,7 @@ def reach_probability(
             if tail == target:
                 score += w
         for tail, m in arrivals.items():
-            if tail not in reached:
-                reached.add(tail)
+            if tail not in mass:
                 mass[tail] = m
     return score
 

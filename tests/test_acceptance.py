@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from rulewalk import learner
-from rulewalk.allen import COMPOSITION_TABLE, Relation, classify, inverse
+from rulewalk.allen import COMPOSITION_TABLE, Relation, classify, inverse_set, rel_set
 from rulewalk.cli import main as cli_main
 from rulewalk.constraints import IANetwork, resolve_time
 from rulewalk.convert import temporal_kg_adapt
@@ -28,8 +28,8 @@ from rulewalk.evaluation import (
 )
 from rulewalk.hypergraph import TemporalHypergraph
 from rulewalk.mining import MODE_RELATIONAL, MODE_TEMPORAL, MiningParams, mine_rules
-from rulewalk.rules import Atom, Query, TemporalRule, parse_rule, signature_of
-from rulewalk.walk import DEAD_END, WalkParams, edge_weight, init_walk, sample_walks, step
+from rulewalk.rules import Atom, Query, TemporalRule, parse_rule
+from rulewalk.walk import DEAD_END, WalkParams, init_walk, sample_walks, step
 
 from oracles import (
     compose_table_bruteforce,
@@ -56,7 +56,7 @@ def test_criterion_1_allen_exactness():
         for b in grid:
             r = classify(a, b)
             assert isinstance(r, Relation)  # total, single-valued
-            assert r is inverse(classify(b, a))
+            assert rel_set(r) == inverse_set(rel_set(classify(b, a)))
             seen_total += 1
     assert seen_total == len(grid) ** 2
     assert time.time() - started < 10.0
@@ -145,8 +145,15 @@ def test_criterion_4_walk_probability_agreement():
     g = _reference_graph()
     starts = {g.entities.id_of("a"), g.entities.id_of("b")}
     probe = init_walk(g, starts)
-    enabled = g.enabled_edges(probe.reached, set())
-    weights = {e: edge_weight(g, probe, e) for e in enabled}
+    enabled = g.enabled_edges(probe.arrival_mass.keys(), set())
+    # the raw weight: min over the event's heads of arrival mass / out-degree
+    weights = {
+        e: min(probe.arrival_mass[h] / g.out_degree(h) for h in g.events[e].heads)
+        for e in enabled
+    }
+    # `step` records its sampling options on the state it leaves
+    step(g, probe, random.Random("c4"))
+    assert probe.options == (enabled, list(weights.values()), sum(weights.values()))
     total = sum(weights.values())
     expected = {e: w / total for e, w in weights.items()}
 
@@ -167,7 +174,9 @@ def test_criterion_4_walk_probability_agreement():
     g2.add_event("P", ["b"], ["x3"], (0, 1))
     g2.add_event("P", ["b"], ["x4"], (0, 1))
     probe2 = init_walk(g2, {g2.entities.id_of("a"), g2.entities.id_of("b")})
-    assert edge_weight(g2, probe2, 0) == 0.25
+    step(g2, probe2, random.Random("c4"))
+    enabled2, weights2, _ = probe2.options
+    assert weights2[enabled2.index(0)] == min(1 / 2, 1 / 4) == 0.25
     report(4, "walk-probability-agreement")
 
 
@@ -204,7 +213,7 @@ def test_criterion_5_rule_matching_oracle_equivalence():
                         mask |= 1 << r
                     net.set_pair(i, j, mask)
         head = Atom("Goal", (), ())
-        rule = TemporalRule(head, body, net, signature_of(head, body))
+        rule = TemporalRule(head, body, net)
         query = Query("Goal")
         from rulewalk.rules import evaluate
 
@@ -338,10 +347,10 @@ def test_criterion_8_determinism_and_round_trips(tmp_path):
         loaded, label = load_graph(path)
         assert label == f"L{trial}"
         assert [
-            (loaded.event_names(e.event_id), tuple(e.interval))
+            (loaded.event_names(e.event_id), (e.interval.start, e.interval.end))
             for e in loaded.events
         ] == [
-            (g.event_names(e.event_id), tuple(e.interval)) for e in g.events
+            (g.event_names(e.event_id), (e.interval.start, e.interval.end)) for e in g.events
         ]
         assert len(clique_expand(g)) == expected_expansion
     report(8, "determinism-and-round-trips")

@@ -13,7 +13,6 @@ from rulewalk.allen import (
     classify,
     classify_grid,
     compose_sets,
-    inverse,
     inverse_set,
     iter_members,
     rel_set,
@@ -23,6 +22,13 @@ from rulewalk.hypergraph import Interval
 from oracles import compose_table_bruteforce, interval_grid
 
 R = Relation
+
+
+def inverse(r):
+    """The converse base relation: `inverse_set` of the singleton {r}."""
+    (converse,) = iter_members(inverse_set(rel_set(r)))
+    return converse
+
 
 relation_sets = st.integers(EMPTY_SET, FULL_SET)
 

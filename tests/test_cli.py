@@ -125,7 +125,7 @@ def test_convert_time_points(tmp_path):
                  "--time-points"]) == 0
     graph, label = load_graph(out)
     assert label == "L"
-    assert tuple(graph.events[0].interval) == (3, 3)
+    assert (graph.events[0].interval.start, graph.events[0].interval.end) == (3, 3)
 
 
 def test_convert_clique_expand(tmp_path):
@@ -164,6 +164,8 @@ def test_convert_from_tkg(tmp_path):
     ("2 | a | p | ", "empty name"),
     ("2 | a,c | p | b", "reserved character ',' in 'a,c'"),
     ("2 | a | p\tq | b", "reserved character '\\t' in 'p\\tq'"),
+    ("2 | a | p q | b",
+     "predicate 'p q' holds whitespace or one of '();', which a rule file cannot carry"),
 ])
 def test_convert_from_tkg_rejects_a_bad_name_at_its_line(tmp_path, capsys, line, message):
     src = tmp_path / "bad.tkg"
@@ -214,6 +216,7 @@ def test_eval_with_empty_test_split_exits_2(tmp_path, rule_file, capsys):
     assert main(["eval", *task, "--rules", rules, "--model", model]) == 2
     err = capsys.readouterr().err
     assert "no positive query" in err
+    assert err.rstrip().endswith("; add positives")
     assert "Traceback" not in err
 
 
@@ -574,6 +577,10 @@ _TASK = ["--data", "corpus", "--target-label", "Target", "--out", "rules.txt"]
     ["gen", "--rule", "r.rule", "--out", "corpus", "--span", "-3"],
     ["mine", *_TASK, "--positive-predicates", ""],
     ["mine", *_TASK, "--positive-predicates", " , "],
+    # a head atom's predicate must be a name the rule grammar can carry
+    ["mine", *_TASK, "--target-label", "Foo Bar"],
+    ["eval", *_TASK[:-2], "--rules", "rules.txt", "--target-label", "F(x)"],
+    ["train", *_TASK, "--model-out", "m.txt", "--target-label", ""],
 ], ids=lambda argv: f"{argv[0]}{argv[-2]}={argv[-1]}")
 def test_out_of_range_option_value_is_usage_error(argv, capsys):
     assert main(argv) == 1
@@ -581,6 +588,26 @@ def test_out_of_range_option_value_is_usage_error(argv, capsys):
     assert "usage:" in err
     assert f"argument {argv[-2]}:" in err
     assert "Traceback" not in err
+
+
+def test_eval_has_no_use_option(capsys):
+    # ranking the training positives would let eval see its own answer
+    argv = ["eval", *_TASK[:-2], "--rules", "rules.txt", "--use", "all"]
+    assert main(argv) == 1
+    assert "unrecognized arguments: --use all" in capsys.readouterr().err
+
+
+def test_a_predicate_a_rule_file_cannot_carry_is_a_data_error(tmp_path, capsys):
+    # else mine would write a rule line that eval then rejects
+    graph = tmp_path / "g.thg"
+    graph.write_text("#thg v1\nPut It | a | b | 1 2\nGet | b | a | 3 4\n")
+    out = tmp_path / "rules.txt"
+    assert main(["mine", "--data", str(graph), "--positive-predicates", "Get",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{graph}:2: predicate 'Put It'" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_mine_output_is_pinned_at_three_steps(tmp_path, capsys):

@@ -23,7 +23,7 @@ def test_clique_expand_preserves_intervals():
     g = TemporalHypergraph()
     g.add_event("Mix", ["a", "b"], ["c"], (3, 7))
     out = clique_expand(g)
-    assert all(tuple(e.interval) == (3, 7) for e in out.events)
+    assert all((e.interval.start, e.interval.end) == (3, 7) for e in out.events)
 
 
 def test_to_time_points():
@@ -31,9 +31,9 @@ def test_to_time_points():
     g.add_event("P", ["a"], ["b"], (3, 5))
     g.add_event("Q", ["b"], ["c"], (2, 2))
     out = to_time_points(g)
-    assert [tuple(e.interval) for e in out.events] == [(3, 3), (2, 2)]
+    assert [(e.interval.start, e.interval.end) for e in out.events] == [(3, 3), (2, 2)]
     twice = to_time_points(out)
-    assert [tuple(e.interval) for e in twice.events] == [(3, 3), (2, 2)]
+    assert [(e.interval.start, e.interval.end) for e in twice.events] == [(3, 3), (2, 2)]
 
 
 events_strategy = st.lists(
@@ -81,7 +81,7 @@ def test_temporal_kg_adapt_structure():
 def test_temporal_kg_adapt_same_entity_bridges():
     g = temporal_kg_adapt(snapshots())
     bridges = [
-        (g.event_names(e.event_id), tuple(e.interval))
+        (g.event_names(e.event_id), (e.interval.start, e.interval.end))
         for e in g.events
         if g.predicates.names[e.predicate] == "IsSameEnt"
     ]

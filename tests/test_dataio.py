@@ -3,13 +3,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rulewalk.dataio import DataFormatError, load_corpus, load_graph, save_corpus, save_graph
+from rulewalk.dataio import (
+    DataFormatError,
+    load_corpus,
+    load_graph,
+    load_snapshots,
+    save_corpus,
+    save_graph,
+)
 from rulewalk.hypergraph import TemporalHypergraph
 
 
 def events_of(graph):
     return [
-        (graph.event_names(e.event_id), tuple(e.interval)) for e in graph.events
+        (graph.event_names(e.event_id), (e.interval.start, e.interval.end)) for e in graph.events
     ]
 
 
@@ -92,6 +99,12 @@ def test_reserved_characters_rejected_on_save(tmp_path):
         save_graph(g, path)
     assert str(err.value) == f"{path}: reserved character ',' in 'c,d'"
     assert not path.exists()
+    # a predicate load_graph would reject, since no rule file can carry it
+    g = TemporalHypergraph()
+    g.add_event("Put It", ["a"], ["b"], (0, 1))
+    with pytest.raises(DataFormatError, match="predicate 'Put It' holds whitespace"):
+        save_graph(g, path)
+    assert not path.exists()
 
 
 def test_corpus_round_trip(tmp_path):
@@ -145,7 +158,7 @@ def graph_state(graph):
     """Everything loading must reproduce: events, interning, indices."""
     return {
         "events": [
-            (e.event_id, e.predicate, e.heads, e.tails, tuple(e.interval))
+            (e.event_id, e.predicate, e.heads, e.tails, (e.interval.start, e.interval.end))
             for e in graph.events
         ],
         "entities": list(graph.entities.names),
@@ -227,6 +240,15 @@ def test_load_rebuilds_the_graph_add_event_built(tmp_path_factory, raw_events,
     ("Bad | x,x | y | 1 2", False, "duplicate head entity in ['x', 'x']"),
     ("Bad | x, x | y,z | 1 2", True, "duplicate head entity in ['x', 'x']"),
     ("Bad | x | y,y | 1 2", True, "duplicate tail entity in ['y', 'y']"),
+    # a predicate must be a name the rule grammar can carry
+    (" | x | y | 1 2", False, "empty name"),
+    ("B,ad | x | y | 1 2", False, "reserved character ',' in 'B,ad'"),
+    ("Put It | x | y | 1 2", False,
+     "predicate 'Put It' holds whitespace or one of '();', which a rule file cannot carry"),
+    ("Bad(x) | x | y | 1 2", False,
+     "predicate 'Bad(x)' holds whitespace or one of '();', which a rule file cannot carry"),
+    ("B;ad | x | y,z | 1 2", True,
+     "predicate 'B;ad' holds whitespace or one of '();', which a rule file cannot carry"),
 ])
 def test_load_error_messages_are_pinned(tmp_path, line, split, message):
     path = tmp_path / "g.thg"
@@ -234,3 +256,19 @@ def test_load_error_messages_are_pinned(tmp_path, line, split, message):
     with pytest.raises(DataFormatError) as err:
         load_graph(path, split_multi_tail=split)
     assert str(err.value) == f"{path}:2: {message}"
+
+
+def test_a_bad_predicate_is_rejected_at_its_first_line(tmp_path):
+    path = tmp_path / "g.thg"
+    path.write_text("#thg v1\nGood | a | b | 1 2\nPut It | a | b | 1 2\nPut It | b | a | 1 2\n")
+    with pytest.raises(DataFormatError, match=f"^{path}:3: predicate 'Put It' "):
+        load_graph(path)
+
+
+def test_load_snapshots_groups_triples_by_rising_time_point(tmp_path):
+    path = tmp_path / "s.tkg"
+    path.write_text("# snapshots\n3 | a | p | b\n\n1 | b | q | c\n3 | c | p | a\n")
+    assert load_snapshots(path) == [
+        (1, [("b", "q", "c")]),
+        (3, [("a", "p", "b"), ("c", "p", "a")]),
+    ]

@@ -289,8 +289,8 @@ def test_synth_deterministic_per_seed():
     assert a_labels == b_labels
     for ga, gb in zip(a_graphs, b_graphs):
         assert [
-            (e.predicate, e.heads, e.tails, tuple(e.interval)) for e in ga.events
-        ] == [(e.predicate, e.heads, e.tails, tuple(e.interval)) for e in gb.events]
+            (e.predicate, e.heads, e.tails, (e.interval.start, e.interval.end)) for e in ga.events
+        ] == [(e.predicate, e.heads, e.tails, (e.interval.start, e.interval.end)) for e in gb.events]
 
 
 def test_synth_positive_keeps_planted_span_and_start():

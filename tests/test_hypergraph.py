@@ -101,7 +101,8 @@ def test_predicate_tail_arity_stays_declared():
 
 def test_span():
     g = small_graph()
-    assert tuple(g.span()) == (3, 9)
+    span = g.span()
+    assert (span.start, span.end) == (3, 9)
     assert TemporalHypergraph().span() is None
 
 

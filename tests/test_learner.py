@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from rulewalk import learner
+from rulewalk.dataio import DataFormatError
 from rulewalk.learner import FeatureMatrix, ModelParams, loss, gradient, scores, train
 
 from oracles import finite_difference_gradient
@@ -143,19 +144,22 @@ def test_row_permutation_reaches_same_optimum():
 
 def test_model_file_round_trip(tmp_path):
     from rulewalk.constraints import IANetwork
-    from rulewalk.rules import Atom, TemporalRule, signature_of
+    from rulewalk.rules import Atom, TemporalRule
 
     head = Atom("L", (), ())
     rules = []
     for name in ("P", "Q"):
         body = (Atom(name, (0,), (1,)),)
-        rules.append(
-            TemporalRule(head, body, IANetwork([0]), signature_of(head, body))
-        )
+        rules.append(TemporalRule(head, body, IANetwork([0])))
     params = ModelParams(np.array([0.123456789012345678, -2.5]), 0.75)
     path = tmp_path / "model.txt"
     learner.save_model(path, params, rules)
-    bias, weights = learner.load_model(path)
-    assert bias == params.bias
-    assert weights[rules[0].signature] == params.theta[0]
-    assert weights[rules[1].signature] == params.theta[1]
+    loaded = learner.load_model(path, rules)
+    assert loaded.bias == params.bias
+    assert loaded.theta[0] == params.theta[0]
+    assert loaded.theta[1] == params.theta[1]
+    # weights come back in the order of the rules asked for
+    assert learner.load_model(path, rules[::-1]).theta.tolist() == [-2.5, params.theta[0]]
+    other = TemporalRule(head, (Atom("R", (0,), (1,)),), IANetwork([0]))
+    with pytest.raises(DataFormatError, match="no weight for rule 'L\\(\\) <- R\\(X0->X1\\)'"):
+        learner.load_model(path, rules + [other])

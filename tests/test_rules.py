@@ -18,8 +18,9 @@ from rulewalk.rules import (
     format_rule,
     iter_groundings,
     parse_rule,
-    signature_of,
+    read_rules,
     trace_to_rule,
+    write_rules,
 )
 
 from oracles import from_observed, grounding_exists_bruteforce
@@ -107,8 +108,7 @@ def test_disconnected_trace_rejected():
     g.add_event("Q", ["c"], ["d"], (2, 3))
     assert not chain_connected(g, [0, 1], Query("L"))
     net = from_observed([(0, g.events[0].interval), (1, g.events[1].interval)])
-    with pytest.raises(RuleError):
-        trace_to_rule(g, net, Query("L"))
+    assert trace_to_rule(g, net, Query("L")) is None
     # the query's entities can seed the chain
     a, c, d = (g.entities.id_of(n) for n in ("a", "c", "d"))
     assert chain_connected(g, [0, 1], Query("L", (a, c), (d,)))
@@ -137,9 +137,7 @@ def test_evaluate_rejects_wrong_temporal_order():
 
 def test_evaluate_full_net_is_relational_only():
     _, rule = cooked_rule()
-    relational = TemporalRule(
-        rule.head, rule.body, IANetwork([0, 1]), rule.signature
-    )
+    relational = TemporalRule(rule.head, rule.body, IANetwork([0, 1]))
     g = TemporalHypergraph()
     g.add_event("Put", ["bacon"], ["pan"], (6, 9))
     g.add_event("Fry", ["pan"], ["pan"], (3, 5))
@@ -161,7 +159,7 @@ def test_evaluate_budget_exhaustion_flags_diagnostics():
     body = (Atom("P", (0,), (1,)), Atom("P", (0,), (2,)))
     net = IANetwork([0, 1])
     net.set_pair(0, 1, rel_set(R.BEFORE))  # impossible: all P intervals equal
-    rule = TemporalRule(head, body, net, signature_of(head, body))
+    rule = TemporalRule(head, body, net)
     diag = {}
     assert not evaluate(rule, g, Query("Goal"), budget=3, diagnostics=diag)
     assert diag.get("budget_exhausted")
@@ -189,7 +187,7 @@ def _simple_rule(body_spec, cells=None):
     if cells:
         for i, j, s in cells:
             net.set_pair(i, j, s)
-    return TemporalRule(head, body, net, signature_of(head, body))
+    return TemporalRule(head, body, net)
 
 
 def test_coverage_filter_thresholds():
@@ -241,7 +239,7 @@ def test_evaluate_agrees_with_bruteforce_oracle():
                 if rng.random() < 0.5:
                     chosen = rng.sample(list(Relation), rng.randint(1, 6))
                     net.set_pair(i, j, rel_set(*chosen))
-        rule = TemporalRule(head, tuple(body), net, signature_of(head, tuple(body)))
+        rule = TemporalRule(head, tuple(body), net)
         query = Query("Goal")
         if evaluate(rule, g, query) != grounding_exists_bruteforce(rule, g, query):
             mismatches += 1
@@ -286,7 +284,7 @@ def test_evaluate_with_bound_query_entities_agrees_with_bruteforce_oracle():
                 if rng.random() < 0.4:
                     chosen = rng.sample(list(Relation), rng.randint(2, 8))
                     net.set_pair(i, j, rel_set(*chosen))
-        rule = TemporalRule(head, body, net, signature_of(head, body))
+        rule = TemporalRule(head, body, net)
         known = [g.entities.id_of(n) for n in entities if n in g.entities]
         if len(known) < n_heads:
             continue
@@ -312,10 +310,37 @@ def test_format_round_trip():
     assert format_rule(parsed) == line
 
 
+def test_rule_file_round_trip_keeps_support(tmp_path):
+    _, rule = cooked_rule()
+    rule.weight, rule.support = 0.375, 12
+    other = _simple_rule([("A", 0, 1)])
+    path = tmp_path / "rules.txt"
+    write_rules(path, [rule, other])
+    assert path.read_text() == (
+        "# support=12\n" + format_rule(rule) + "\n# support=0\n" + format_rule(other) + "\n"
+    )
+    loaded = read_rules(path)
+    assert [(r.signature, r.support, r.weight) for r in loaded] == [
+        (rule.signature, 12, 0.375), (other.signature, 0, 0.0)
+    ]
+    assert loaded[0].time_net.cells == rule.time_net.cells
+
+
+def test_signature_is_derived_and_weight_is_keyword_only():
+    head = Atom("L", (), ())
+    body = (Atom("P", (0,), (1,)),)
+    rule = TemporalRule(head, body, IANetwork([0]), weight=0.5, support=3)
+    assert rule.signature == "L() <- P(X0->X1)"
+    with pytest.raises(TypeError):
+        TemporalRule(head, body, IANetwork([0]), "L() <- P(X0->X1)")
+    with pytest.raises(TypeError):
+        TemporalRule(head, body, IANetwork([0]), signature="L() <- P(X0->X1)")
+
+
 def test_format_omits_full_cells():
     head = Atom("L", (), ())
     body = (Atom("P", (0,), (1,)), Atom("Q", (1,), (2,)))
-    rule = TemporalRule(head, body, IANetwork([0, 1]), signature_of(head, body))
+    rule = TemporalRule(head, body, IANetwork([0, 1]))
     line = format_rule(rule)
     assert "|" not in line
     parsed = parse_rule(line)

@@ -13,7 +13,6 @@ from rulewalk.walk import (
     WalkParams,
     WalkDiagnostics,
     derive_seed,
-    edge_weight,
     init_walk,
     sample_walks,
     reach_probability,
@@ -41,6 +40,14 @@ def two_head_graph():
     return g
 
 
+def recorded_weight(g, state, event_id):
+    """The weight `step` records for `event_id` among `state`'s options."""
+    if state.options is None:
+        step(g, state, random.Random(0))
+    enabled, weights, _ = state.options
+    return weights[enabled.index(event_id)]
+
+
 def goal(g, heads, tail):
     """A target-mode query for `g`: its head entities and its tail, by id."""
     return Query("Goal", tuple(map(g.entities.id_of, heads)), (g.entities.id_of(tail),))
@@ -50,7 +57,7 @@ def test_init_walk_masses():
     g = chain_graph()
     a = g.entities.id_of("a")
     state = init_walk(g, {a})
-    assert state.reached == {a}
+    assert state.arrival_mass.keys() == {a}
     assert state.arrival_mass[a] == 1.0
     assert state.trace == []
 
@@ -76,11 +83,11 @@ def test_init_walk_errors():
 def test_edge_weight_examples():
     g = chain_graph()
     state = init_walk(g, {g.entities.id_of("a")})
-    assert edge_weight(g, state, 0) == 1.0
+    assert recorded_weight(g, state, 0) == 1.0
 
     g2 = two_head_graph()
     state2 = init_walk(g2, {g2.entities.id_of("a"), g2.entities.id_of("b")})
-    assert edge_weight(g2, state2, 0) == 0.25  # min(1/2, 1/4)
+    assert recorded_weight(g2, state2, 0) == 0.25  # min(1/2, 1/4)
 
 
 def test_edge_weight_halved_mass():
@@ -94,8 +101,8 @@ def test_edge_weight_halved_mass():
         state = step(g, init_walk(g, {s}), random.Random(seed))
         if state.trace == [0]:  # walked s -> a: mass(a) = 1/2, out_degree(a) = 2
             assert state.arrival_mass[a] == 0.5
-            assert edge_weight(g, state, 2) == 0.25
-            assert edge_weight(g, state, 3) == 0.25
+            assert recorded_weight(g, state, 2) == 0.25
+            assert recorded_weight(g, state, 3) == 0.25
             return
     pytest.fail("edge 0 never sampled in 20 seeds")
 
@@ -108,20 +115,17 @@ def test_step_records_the_chosen_edges_weight():
         state = init_walk(g, starts)
         rng = random.Random(seed)
         while True:
-            enabled = g.enabled_edges(state.reached, set(state.trace))
-            expected = {e: edge_weight(g, state, e) for e in enabled}
+            enabled = g.enabled_edges(state.arrival_mass.keys(), set(state.trace))
+            # the raw weight: min over the heads of arrival mass / out-degree
+            expected = {
+                e: min(state.arrival_mass[h] / g.out_degree(h) for h in g.events[e].heads)
+                for e in enabled
+            }
             state = step(g, state, rng)
             if state is DEAD_END:
                 break
             chosen = state.trace[-1]
             assert state.arrival_mass[g.events[chosen].tails[0]] == expected[chosen]
-
-
-def test_edge_weight_disabled_edge_raises():
-    g = chain_graph()
-    state = init_walk(g, {g.entities.id_of("a")})
-    with pytest.raises(ValueError):
-        edge_weight(g, state, 1)  # b not reached yet
 
 
 def test_step_returns_the_memoised_successor():
@@ -132,13 +136,13 @@ def test_step_returns_the_memoised_successor():
     first = step(g, root, rng)
     state = step(g, first, rng)
     assert state.trace == [0, 1]
-    assert state.reached == {
+    assert state.arrival_mass.keys() == {
         g.entities.id_of(n) for n in ("a", "b", "c")
     }
     assert step(g, state, rng) is DEAD_END
     # the parents are left as they were
-    assert root.trace == [] and root.reached == {a} and root.arrival_mass == {a: 1.0}
-    assert first.trace == [0] and len(first.reached) == 2
+    assert root.trace == [] and root.arrival_mass == {a: 1.0}
+    assert first.trace == [0] and len(first.arrival_mass) == 2
     # a second walk through the same edges gets the same objects
     rng = random.Random(2)
     assert step(g, root, rng) is first
