@@ -14,6 +14,7 @@ carry it.  A corpus is a directory of `*.thg` files read in filename order.
 """
 from __future__ import annotations
 
+import gc
 import os
 import re
 from contextlib import contextmanager
@@ -98,20 +99,44 @@ def save_graph(graph: TemporalHypergraph, path, label: str | None = None) -> Non
         fh.write("\n".join(lines) + "\n")
 
 
+@contextmanager
+def _gc_paused():
+    """The cyclic garbage collector off for the `with` body, then as it was."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def load_graph(
     path, split_multi_tail: bool = False
 ) -> tuple[TemporalHypergraph, str | None]:
+    """One graph file's graph and its `#label` (None without one).
+
+    `#label` is read only when whitespace or the end of the line follows it,
+    and a second `#label` line is a DataFormatError.  The parse runs with
+    the cyclic garbage collector paused: a graph holds no reference cycles,
+    so each collection would rescan the growing graph and free nothing.
+    """
     graph = TemporalHypergraph()
     label: str | None = None
     predicates: set[str] = set()  # already checked; cheaper to ask than graph.predicates
-    with open_text(path) as fh:
+    with _gc_paused(), open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
                 continue
             if line[0] == "#":
-                if line.startswith("#label"):
-                    label = line[len("#label"):].strip()
+                keyword, *value = line.split(None, 1)
+                if keyword == "#label":
+                    if label is not None:
+                        raise DataFormatError(
+                            f"{path}:{lineno}: a second #label line; a graph has one label"
+                        )
+                    label = value[0] if value else ""
                 continue
             parts = line.split("|")
             if len(parts) != 4:
@@ -121,8 +146,14 @@ def load_graph(
                 )
             pred, heads_text, tails_text, time_text = parts
             pred = pred.strip()
-            heads = [h.strip() for h in heads_text.split(",")]
-            tails = [t.strip() for t in tails_text.split(",")]
+            if "," in heads_text:
+                heads = [h.strip() for h in heads_text.split(",")]
+            else:
+                heads = (heads_text.strip(),)
+            if "," in tails_text:
+                tails = [t.strip() for t in tails_text.split(",")]
+            else:
+                tails = (tails_text.strip(),)
             if "" in heads:
                 raise DataFormatError(f"{path}:{lineno}: empty head entity")
             if "" in tails:

@@ -6,8 +6,13 @@ predicates are interned to dense integer ids on first sight.  The graph is
 append-only; after loading it is treated as immutable and is safe to read
 from any number of threads.
 
-`add_event` maintains every index, each event list in ascending event-id
-order:
+`Interval` and `Event` are immutable named tuples: each equals, and hashes
+as, the plain tuple of its fields.  An `Interval` checks `start <= end`
+however it is built.
+
+`add_event` is the one way an event enters a graph; the loaders, the
+converters and the generator all call it.  It interns the event's names
+and maintains every index, each event list in ascending event-id order:
 
 - `head_index`: entity id -> events with the entity in their head set;
 - `tail_index`: entity id -> events with the entity in their tail set;
@@ -20,28 +25,32 @@ order:
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Set
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class GraphError(ValueError):
     """Raised on malformed events or unknown symbols."""
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(namedtuple("Interval", "start end")):
     """Closed tick interval [start, end]; degenerate points allowed."""
 
-    start: int
-    end: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.start > self.end:
-            raise GraphError(f"interval start {self.start} > end {self.end}")
+    def __new__(cls, start: int, end: int) -> Interval:
+        if start > end:
+            raise GraphError(f"interval start {start} > end {end}")
+        return tuple.__new__(cls, (start, end))
+
+    @classmethod
+    def _make(cls, iterable) -> Interval:
+        # namedtuple's own `_make` (and so `_replace`) bypasses `__new__`
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     event_id: int
     predicate: int
     heads: tuple[int, ...]   # sorted entity ids, no duplicates
@@ -50,19 +59,11 @@ class Event:
 
 
 class SymbolTable:
-    """Bijective name <-> dense id interning."""
+    """Bijective name <-> dense id table; `TemporalHypergraph.add_event` fills it."""
 
     def __init__(self) -> None:
         self._ids: dict[str, int] = {}
         self._names: list[str] = []
-
-    def intern(self, name: str) -> int:
-        ident = self._ids.get(name)
-        if ident is None:
-            ident = len(self._names)
-            self._ids[name] = ident
-            self._names.append(name)
-        return ident
 
     def id_of(self, name: str) -> int:
         try:
@@ -104,7 +105,12 @@ class TemporalHypergraph:
         tails: list[str] | tuple[str, ...],
         interval: Interval | tuple[int, int],
     ) -> int:
-        """Append one event, interning any new names; returns its id."""
+        """Append one event, interning any new names; returns its id.
+
+        The predicate is interned first, then the heads and then the tails,
+        each in the given order.  A new entity gets its empty `head_index` /
+        `tail_index` slots when it is interned.
+        """
         n_heads, n_tails = len(heads), len(tails)
         if not n_heads:
             raise GraphError("event requires at least one head entity")
@@ -117,45 +123,50 @@ class TemporalHypergraph:
         if not isinstance(interval, Interval):
             interval = Interval(int(interval[0]), int(interval[1]))
 
-        pred_id = self._intern_predicate(predicate, n_tails)
-        head_ids = self._intern_entities(heads)
-        tail_ids = self._intern_entities(tails)
+        # interning is inlined: this runs once per event of every graph built
+        predicates = self.predicates
+        pred_id = predicates._ids.get(predicate)
+        if pred_id is None:
+            pred_id = predicates._ids[predicate] = len(predicates._names)
+            predicates._names.append(predicate)
+            self.tail_arity.append(n_tails)
+        elif self.tail_arity[pred_id] != n_tails:
+            raise GraphError(
+                f"predicate {predicate!r} declared with {self.tail_arity[pred_id]} tails, "
+                f"event has {n_tails}"
+            )
+        entity_ids, entity_names = self.entities._ids, self.entities._names
+        head_index, tail_index = self.head_index, self.tail_index
         event_id = len(self.events)
-        self.events.append(Event(event_id, pred_id, head_ids, tail_ids, interval))
-        for h in head_ids:
-            self.head_index[h].append(event_id)
-        for t in tail_ids:
-            self.tail_index[t].append(event_id)
+        head_ids = []
+        for name in heads:
+            ident = entity_ids.get(name)
+            if ident is None:
+                ident = entity_ids[name] = len(entity_names)
+                entity_names.append(name)
+                head_index[ident] = []
+                tail_index[ident] = []
+            head_index[ident].append(event_id)
+            head_ids.append(ident)
+        tail_ids = []
+        for name in tails:
+            ident = entity_ids.get(name)
+            if ident is None:
+                ident = entity_ids[name] = len(entity_names)
+                entity_names.append(name)
+                head_index[ident] = []
+                tail_index[ident] = []
+            tail_index[ident].append(event_id)
+            tail_ids.append(ident)
+        head_ids.sort()
+        tail_ids.sort()
+        self.events.append(
+            Event(event_id, pred_id, tuple(head_ids), tuple(tail_ids), interval)
+        )
         self.shape_index.setdefault((pred_id, n_heads, n_tails), []).append(event_id)
         if n_tails != 1:
             self._multi_tail_events += 1
         return event_id
-
-    def _intern_entities(self, names) -> tuple[int, ...]:
-        """Ascending ids of `names`, interned in the given order.
-
-        A new entity gets its empty `head_index` / `tail_index` slots here.
-        """
-        ids = []
-        for name in names:
-            ident = self.entities.intern(name)
-            if ident not in self.head_index:
-                self.head_index[ident] = []
-                self.tail_index[ident] = []
-            ids.append(ident)
-        ids.sort()
-        return tuple(ids)
-
-    def _intern_predicate(self, name: str, n_tails: int) -> int:
-        pred_id = self.predicates.intern(name)
-        if pred_id == len(self.tail_arity):
-            self.tail_arity.append(n_tails)
-        elif self.tail_arity[pred_id] != n_tails:
-            raise GraphError(
-                f"predicate {name!r} declared with {self.tail_arity[pred_id]} tails, "
-                f"event has {n_tails}"
-            )
-        return pred_id
 
     # -- queries ----------------------------------------------------------
 

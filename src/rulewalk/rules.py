@@ -25,7 +25,7 @@ from typing import Iterator
 from . import allen
 from .allen import FULL_SET
 from .constraints import IANetwork, observe
-from .dataio import NAME_TOKEN, DataFormatError, open_text
+from .dataio import NAME_TOKEN, DataFormatError, check_predicate, open_text
 from .hypergraph import GraphError, TemporalHypergraph
 
 DEFAULT_EVAL_BUDGET = 1_000_000
@@ -483,7 +483,15 @@ def _parse_vars(csv: str, context: str) -> tuple[int, ...]:
 
 
 def write_rules(path, rules) -> None:
-    """Write a rule file: each rule's `# support=` line, then its rule line."""
+    """Write a rule file: each rule's `# support=` line, then its rule line.
+
+    A predicate `read_rules` could not parse back is a DataFormatError, raised
+    before the file is opened.  Only a graph built in-process can hold one:
+    the loaders check every predicate they read.
+    """
+    for rule in rules:
+        for atom in (rule.head, *rule.body):
+            check_predicate(atom.predicate, str(path))
     with open(path, "w", encoding="utf-8") as fh:
         for rule in rules:
             fh.write(f"# support={rule.support}\n")

@@ -113,6 +113,13 @@ def test_malformed_graph_exits_2(tmp_path, capsys):
     assert "bad.thg:2" in capsys.readouterr().err
 
 
+def test_a_second_label_line_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.thg"
+    bad.write_text("#thg v1\n#label A\n#label B\nPut | a | b | 1 2\n")
+    assert main(["inspect", "--data", str(bad)]) == 2
+    assert "bad.thg:3: a second #label line" in capsys.readouterr().err
+
+
 def test_help_exits_0():
     assert main(["--help"]) == 0
 

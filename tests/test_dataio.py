@@ -1,4 +1,6 @@
 """Graph file format and corpus round trips."""
+import gc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -272,3 +274,56 @@ def test_load_snapshots_groups_triples_by_rising_time_point(tmp_path):
         (1, [("b", "q", "c")]),
         (3, [("a", "p", "b"), ("c", "p", "a")]),
     ]
+
+
+def test_label_needs_whitespace_or_the_line_end_after_it(tmp_path):
+    path = tmp_path / "g.thg"
+    path.write_text("#thg v1\n#labelled by hand\nPut | a | b | 1 2\n")
+    assert load_graph(path)[1] is None
+    path.write_text("#thg v1\n#label\tBLT \nPut | a | b | 1 2\n")
+    assert load_graph(path)[1] == "BLT"
+    path.write_text("#thg v1\n#label\nPut | a | b | 1 2\n")
+    assert load_graph(path)[1] == ""
+
+
+def test_a_second_label_line_is_a_data_error(tmp_path):
+    path = tmp_path / "g.thg"
+    path.write_text("#thg v1\n#label BLT\nPut | a | b | 1 2\n#label other\n")
+    with pytest.raises(DataFormatError) as err:
+        load_graph(path)
+    assert str(err.value) == f"{path}:4: a second #label line; a graph has one label"
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("line", ["Put | a | b | 1 2", "Put | a | b | 2 1"])
+def test_load_graph_pauses_the_gc_and_leaves_it_as_it_found_it(
+    tmp_path, monkeypatch, enabled, line
+):
+    path = tmp_path / "g.thg"
+    path.write_text(f"#thg v1\nGet | b | a | 0 1\n{line}\n")
+    seen = []
+    add_event = TemporalHypergraph.add_event
+
+    def spy(self, *args):
+        seen.append(gc.isenabled())
+        return add_event(self, *args)
+
+    monkeypatch.setattr(TemporalHypergraph, "add_event", spy)
+    before = gc.isenabled()
+    try:
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+        if line.endswith("2 1"):
+            with pytest.raises(DataFormatError):
+                load_graph(path)
+        else:
+            load_graph(path)
+        assert gc.isenabled() == enabled
+    finally:
+        if before:
+            gc.enable()
+        else:
+            gc.disable()
+    assert seen and not any(seen)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from rulewalk.dataio import DataFormatError, load_graph
 from rulewalk.hypergraph import GraphError, Interval, TemporalHypergraph
 
 
@@ -195,3 +196,54 @@ def test_graph_error_messages_are_pinned():
     with pytest.raises(GraphError) as err:
         g.add_event("Q", ["a", "a"], ["b"], (0, 1))
     assert str(err.value) == "duplicate head entity in ['a', 'a']"
+
+
+def test_interval_rejects_start_after_end_however_built():
+    builds = [
+        lambda: Interval(3, 1),
+        lambda: Interval(start=3, end=1),
+        lambda: Interval._make((3, 1)),
+        lambda: Interval(1, 1)._replace(start=3),
+        lambda: Interval(3, 4)._replace(end=1),
+    ]
+    for build in builds:
+        with pytest.raises(GraphError) as err:
+            build()
+        assert str(err.value) == "interval start 3 > end 1"
+    assert Interval._make((1, 3)) == Interval(1, 3)
+    assert Interval(1, 3)._replace(end=5) == Interval(1, 5)
+
+
+def test_a_reversed_interval_is_rejected_by_add_event_and_by_the_loader(tmp_path):
+    g = TemporalHypergraph()
+    with pytest.raises(GraphError) as err:
+        g.add_event("P", ["a"], ["b"], (3, 1))
+    assert str(err.value) == "interval start 3 > end 1"
+    assert len(g) == 0 and len(g.entities) == 0 and len(g.predicates) == 0
+    path = tmp_path / "g.thg"
+    path.write_text("#thg v1\nP | a | b | 3 1\n")
+    with pytest.raises(DataFormatError) as err:
+        load_graph(path)
+    assert str(err.value) == f"{path}:2: interval start 3 > end 1"
+
+
+def test_interval_and_event_fields_cannot_be_assigned():
+    g = small_graph()
+    event, interval = g.events[0], g.events[0].interval
+    for record, field in ((interval, "start"), (interval, "end"), (event, "event_id"),
+                          (event, "heads"), (event, "interval")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0)
+    with pytest.raises(AttributeError):
+        interval.length = 2
+
+
+def test_an_event_is_the_tuple_of_its_fields():
+    g = small_graph()
+    event = g.events[1]
+    fields = (1, event.predicate, event.heads, event.tails, (7, 9))
+    assert event == fields and event.interval == (7, 9)
+    # the hash a frozen dataclass of the same fields had: set and dict order stay put
+    assert hash(event) == hash(fields)
+    assert hash(event.interval) == hash((7, 9))
+    assert repr(event.interval) == "Interval(start=7, end=9)"

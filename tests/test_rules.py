@@ -5,6 +5,7 @@ import pytest
 
 from rulewalk.allen import FULL_SET, Relation, rel_set
 from rulewalk.constraints import IANetwork
+from rulewalk.dataio import DataFormatError
 from rulewalk.hypergraph import GraphError, Interval, TemporalHypergraph
 from rulewalk.rules import (
     Atom,
@@ -324,6 +325,30 @@ def test_rule_file_round_trip_keeps_support(tmp_path):
         (rule.signature, 12, 0.375), (other.signature, 0, 0.0)
     ]
     assert loaded[0].time_net.cells == rule.time_net.cells
+
+
+def test_write_rules_refuses_a_predicate_read_rules_cannot_parse(tmp_path):
+    # the README library example, with `Put` renamed to a name no rule line carries
+    from rulewalk.evaluation import build_classification_queries
+    from rulewalk.mining import MODE_TEMPORAL, MiningParams, mine_rules
+
+    blt = TemporalHypergraph()
+    blt.add_event("Put It", ["bacon"], ["pan"], (3, 5))
+    blt.add_event("Fry", ["pan"], ["pan"], (6, 9))
+    other = TemporalHypergraph()
+    other.add_event("Fry", ["pan"], ["pan"], (0, 2))
+    other.add_event("Put It", ["bacon"], ["pan"], (4, 6))
+    queries = build_classification_queries(["BLT", "other"], "BLT")
+    rules = mine_rules([blt, other], queries, MiningParams(seed=7), MODE_TEMPORAL)
+    assert any(atom.predicate == "Put It" for rule in rules for atom in rule.body)
+    path = tmp_path / "rules.txt"
+    with pytest.raises(DataFormatError) as err:
+        write_rules(path, rules)
+    assert str(err.value) == (
+        f"{path}: predicate 'Put It' holds whitespace or one of '();', "
+        "which a rule file cannot carry"
+    )
+    assert not path.exists()
 
 
 def test_signature_is_derived_and_weight_is_keyword_only():
