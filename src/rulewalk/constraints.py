@@ -13,18 +13,20 @@ incremental idea of PC-2).  A triangle of old nodes can only stop being
 path-consistent after one of its cells shrank, and every shrunk cell is
 queued again, so the propagation reaches the same (unique) closure.
 
-Walks and rules grow their networks through two operations on closed
-inputs.  `merge_paths` joins the networks of two walk paths, which never
-share an event: the join's cross cells are FULL_SET, and composing a
-non-empty set with FULL_SET gives FULL_SET, so no cross cell tightens
-anything and the join is closed as it stands.  `observe` appends nodes
-with the observed relations of their intervals and closes through the
-closed prefix; walks observe each new event, rules their class atoms.
-Every cell then holds the relation of the graph's own intervals, which
-realise the network (Allen 1983), so the closure never empties a cell;
-`observe` raises if it ever does.
-
-`generalize` widens a rule network to admit a newly observed grounding.
+Closed-input contract: `observe` is the only operation that closes a
+network.  It appends nodes with the observed relations of their intervals
+and closes through the closed prefix; walks observe each new event, rules
+their class atoms.  Every cell then holds the relation of the graph's own
+intervals, which realise the network (Allen 1983), so the closure never
+empties a cell; `observe` raises if it ever does.  The other operations
+take closed networks and only copy or OR their cells, since the result is
+closed as it stands.  Composition distributes over union, so each cell of
+a cellwise union of two closed networks lies inside the composition of
+the union's legs (Mackworth 1977): `generalize`, which widens a rule
+network to admit another grounding, is that union.  `merge_paths` joins
+networks that share no node with FULL_SET cells between them, and
+composing a non-empty set with FULL_SET gives FULL_SET, so no cross cell
+tightens anything.
 """
 from __future__ import annotations
 
@@ -141,23 +143,31 @@ def resolve_time(net: IANetwork, closed_prefix: int = 0) -> tuple[bool, IANetwor
     return True, out
 
 
-def merge_paths(net_a: IANetwork, net_b: IANetwork) -> IANetwork:
-    """Join two closed networks that share no key: `net_a`'s nodes, then `net_b`'s.
+def merge_paths(nets: Sequence[IANetwork], keys: Sequence[Hashable]) -> IANetwork:
+    """Join closed networks that share no key, their nodes laid out in `keys` order.
 
-    Cells within each input are copied and cells between them are FULL_SET,
-    so the join is closed (see above).  Raises KeyMismatchError on a shared
-    key.
+    Cells within each input are copied and cells between inputs are
+    FULL_SET, so the join is closed (see above).  Raises KeyMismatchError
+    when two networks share a key, or when a network key and `keys` do not
+    name the same nodes.
     """
-    shared = set(net_a.keys).intersection(net_b.keys)
-    if shared:
-        raise KeyMismatchError(f"networks share keys {sorted(shared, key=repr)!r}")
-    merged = IANetwork(net_a.keys + net_b.keys)
-    n = net_a.n
-    for i, row in enumerate(net_a.cells):
-        merged.cells[i][:n] = row
-    for i, row in enumerate(net_b.cells):
-        merged.cells[n + i][n:] = row
-    return merged
+    free = {k: i for i, k in enumerate(keys)}
+    # each node's diagonal cell is copied from the one network that holds it
+    cells = [[FULL_SET] * len(keys) for _ in keys]
+    for net in nets:
+        try:
+            idx = [free.pop(k) for k in net.keys]
+        except KeyError as exc:
+            key = exc.args[0]
+            why = "held by two networks" if key in keys else "missing from keys"
+            raise KeyMismatchError(f"key {key!r} is {why}") from None
+        for i, row in zip(idx, net.cells):
+            out = cells[i]
+            for j, s in zip(idx, row):
+                out[j] = s
+    if free:
+        raise KeyMismatchError(f"keys {list(free)!r} are held by no network")
+    return IANetwork(keys, cells)
 
 
 def observe(
@@ -187,25 +197,15 @@ def observe(
 
 
 def generalize(rule_net: IANetwork, observed_net: IANetwork) -> IANetwork:
-    """Widen a rule network to also admit an observed grounding.
+    """Widen a closed rule network to also admit a closed observed network.
 
-    Cellwise union followed by path-consistency closure.  When the observed
-    network is realisable (the singleton relations of concrete intervals)
-    the closure can never drop an observed relation, so the result still
-    admits it.
+    The cellwise union, which is closed (see above).
     """
     if rule_net.keys != observed_net.keys:
         raise KeyMismatchError(
             f"node keys differ: {rule_net.keys!r} vs {observed_net.keys!r}"
         )
-    widened = rule_net.copy()
-    for i in range(widened.n):
-        for j in range(widened.n):
-            if i != j:
-                widened.cells[i][j] |= observed_net.cells[i][j]
-    consistent, closed = resolve_time(widened)
-    if not consistent:
-        # union of two consistent networks over the same nodes; unreachable
-        # for observed groundings, kept as a guard for hand-built inputs
-        raise ValueError("generalization produced an inconsistent network")
-    return closed
+    return IANetwork(rule_net.keys, [
+        [a | b for a, b in zip(row, other)]
+        for row, other in zip(rule_net.cells, observed_net.cells)
+    ])

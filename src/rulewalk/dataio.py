@@ -10,7 +10,8 @@ One graph per file::
 Fields are pipe-separated: predicate, comma-separated heads, tails, then
 `start end`.  `#` starts a comment; `|` and `,` are reserved and rejected
 inside names; a predicate name must be a `NAME_TOKEN`, as rule files
-carry it.  A corpus is a directory of `*.thg` files read in filename order.
+carry it and a line that begins with `#` is a comment.  A corpus is a
+directory of `*.thg` files read in filename order.
 """
 from __future__ import annotations
 
@@ -23,8 +24,9 @@ from .hypergraph import GraphError, Interval, TemporalHypergraph
 
 HEADER = "#thg v1"
 RESERVED = ("|", ",", "\n", "\t")
-#: a predicate name: no whitespace, and none of the rule grammar's delimiters
-NAME_TOKEN = r"[^\s(),|;]+"
+#: a predicate name: no whitespace, none of the rule grammar's delimiters, and
+#: no leading `#`, which would turn its graph file line into a comment
+NAME_TOKEN = r"[^\s(),|;#][^\s(),|;]*"
 
 
 class DataFormatError(ValueError):
@@ -68,6 +70,11 @@ def check_predicate(name: str, where: str) -> None:
     """`check_name`, and then the rule grammar's `NAME_TOKEN`."""
     check_name(name, where)
     if not re.fullmatch(NAME_TOKEN, name):
+        if name[0] == "#":
+            raise DataFormatError(
+                f"{where}: predicate {name!r} begins with '#', "
+                "which makes its graph file line a comment"
+            )
         raise DataFormatError(
             f"{where}: predicate {name!r} holds whitespace or one of '();', "
             "which a rule file cannot carry"

@@ -3,14 +3,15 @@
 Two variants share one walk pass.  The plain variant keeps the relational
 chains and leaves every temporal cell unconstrained; the path-consistency
 variant generalizes the constraint network of each rule signature across
-all its positive occurrences (cellwise union, then closure).  Rules are
-ranked by occurrence count with ties broken by signature.
+all its positive occurrences (a cellwise union, closed as it stands).
+Rules are ranked by occurrence count with ties broken by signature.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
 from . import constraints
+from .evaluation import CLASSIFICATION
 from .rules import TemporalRule, coverage_filter, trace_to_rule
 from .walk import WalkDiagnostics, WalkParams, derive_seed, sample_walks
 
@@ -53,9 +54,7 @@ def mine_rules(
     for qi, query in enumerate(query_set.positives):
         graph = graphs[query.graph_index]
         wparams = replace(params, seed=derive_seed(params.seed, "query", qi))
-        # lifting a trace once stands for all its walks: closure keeps every
-        # closed sub-network of its input, so generalize(K, B) == K once K
-        # has admitted the closed network B
+        # lifting a trace once stands for all its walks: union is idempotent
         for net, walks in sample_walks(graph, query, wparams, diag.walk):
             rule = trace_to_rule(graph, net, query)
             if rule is None:
@@ -74,7 +73,7 @@ def mine_rules(
         for rule in rules:
             rule.time_net = constraints.IANetwork(rule.time_net.keys)
 
-    if query_set.mode == "classification":
+    if query_set.mode == CLASSIFICATION:
         rules = _apply_coverage(rules, graphs, query_set, params, diag)
 
     rules.sort(key=lambda r: (-r.support, r.signature))

@@ -9,11 +9,10 @@ unnormalized quantity, so the same walk yields both a sampler and a score.
 
 Every start entity opens its own path.  A path's constraint network holds
 the observed pairwise relations of its events, closed by path
-consistency; when an edge joins two paths their networks are joined with
-`constraints.merge_paths` (cross-path cells stay unconstrained, never
-re-observed) and the new event is added with `constraints.observe`.  The
-graph's own intervals realise every such network, so the closure never
-finds one inconsistent; `observe` raises if it ever does.
+consistency; when an edge joins paths their networks are joined with
+`constraints.merge_paths` and the new event is added with
+`constraints.observe`.  `constraints` states why each result is closed
+and why `observe` never finds one inconsistent.
 
 A walk's state depends only on its start set and its trace, so the states
 form a prefix tree rooted at the start set, and a `WalkState` is one node
@@ -108,22 +107,9 @@ class WalkState:
 
     @property
     def time_net(self) -> IANetwork:
-        """Path-consistent constraint network over the trace, built once per state.
-
-        It joins the closed path networks by unconstrained cross-path
-        cells.  Composing any non-empty set with FULL_SET gives FULL_SET,
-        so no cross-path cell can tighten anything: the join is closed.
-        """
+        """Path-consistent network over the trace: the paths' `constraints.merge_paths`."""
         if self._net is None:
-            net = IANetwork(self.trace)
-            pos = {k: i for i, k in enumerate(self.trace)}
-            for path in self.paths:
-                idx = [pos[k] for k in path.net.keys]
-                for i, row in zip(idx, path.net.cells):
-                    out = net.cells[i]
-                    for j, s in zip(idx, row):
-                        out[j] = s
-            self._net = net
+            self._net = constraints.merge_paths([p.net for p in self.paths], self.trace)
         return self._net
 
 
@@ -185,9 +171,10 @@ def _successor(graph, state: WalkState, event_id: int, mass: float) -> WalkState
         if any(h in path.entities for h in event.heads) or tail in path.entities
     ]
     entities, net = touched[0].entities, touched[0].net
-    for other in touched[1:]:
-        net = constraints.merge_paths(net, other.net)
-        entities = entities | other.entities
+    if len(touched) > 1:
+        entities = entities.union(*(p.entities for p in touched[1:]))
+        net = constraints.merge_paths([p.net for p in touched],
+                                      [k for p in touched for k in p.net.keys])
     net = constraints.observe(net, [event_id], lambda e: graph.events[e].interval)
     paths = [p for p in state.paths if p not in touched]
     paths.append(_Path(entities.union(event.heads, (tail,)), net))

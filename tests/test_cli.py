@@ -173,6 +173,9 @@ def test_convert_from_tkg(tmp_path):
     ("2 | a | p\tq | b", "reserved character '\\t' in 'p\\tq'"),
     ("2 | a | p q | b",
      "predicate 'p q' holds whitespace or one of '();', which a rule file cannot carry"),
+    # written out, the event's line would begin with '#' and load as a comment
+    ("2 | a | #likes | b",
+     "predicate '#likes' begins with '#', which makes its graph file line a comment"),
 ])
 def test_convert_from_tkg_rejects_a_bad_name_at_its_line(tmp_path, capsys, line, message):
     src = tmp_path / "bad.tkg"
@@ -521,6 +524,18 @@ def test_malformed_rule_line_in_gen_rule_names_file_and_line(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_gen_rule_with_a_predicate_beginning_with_hash_exits_2(tmp_path, capsys):
+    # its events would be written as comment lines, and mine would find none
+    rule = tmp_path / "hash.rule"
+    rule.write_text("w=0.0 Target() <- #A(X0->X1) , B(X1->X2) | 0 {BEFORE} 1\n")
+    corpus = tmp_path / "corpus"
+    assert main(["gen", "--rule", str(rule), "--out", str(corpus)]) == 2
+    err = capsys.readouterr().err
+    assert f"{rule}:1: bad atom '#A(X0->X1)'" in err
+    assert "Traceback" not in err
+    assert not corpus.exists()
+
+
 def test_malformed_rule_line_after_the_first_in_gen_rule_exits_2(tmp_path, capsys):
     rule = tmp_path / "two.rule"
     rule.write_text(PLANTED + "w=0.0 Target() A(X0->X1)\n")
@@ -588,6 +603,7 @@ _TASK = ["--data", "corpus", "--target-label", "Target", "--out", "rules.txt"]
     ["mine", *_TASK, "--target-label", "Foo Bar"],
     ["eval", *_TASK[:-2], "--rules", "rules.txt", "--target-label", "F(x)"],
     ["train", *_TASK, "--model-out", "m.txt", "--target-label", ""],
+    ["mine", *_TASK, "--target-label", "#x"],
 ], ids=lambda argv: f"{argv[0]}{argv[-2]}={argv[-1]}")
 def test_out_of_range_option_value_is_usage_error(argv, capsys):
     assert main(argv) == 1

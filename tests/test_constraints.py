@@ -100,17 +100,32 @@ def test_resolve_time_matches_realization_oracle_on_singletons():
 def test_merge_disjoint_paths_keeps_cross_cells_wide():
     net_a = from_observed([(0, Interval(0, 1)), (1, Interval(2, 3))])
     net_b = from_observed([(2, Interval(5, 6))])
-    merged = merge_paths(net_a, net_b)
-    assert merged.keys == [0, 1, 2]
-    i0, i2 = merged.keys.index(0), merged.keys.index(2)
-    assert merged.cells[i0][i2] == FULL_SET
+    net_c = from_observed([(3, Interval(1, 4)), (4, Interval(7, 8))])
+    merged = merge_paths([net_a, net_b, net_c], [3, 0, 2, 4, 1])
+    assert merged.keys == [3, 0, 2, 4, 1]
+    i0, i1, i2 = merged.keys.index(0), merged.keys.index(1), merged.keys.index(2)
+    i3, i4 = merged.keys.index(3), merged.keys.index(4)
+    assert merged.cells[i0][i1] == net_a.cells[0][1]
+    assert merged.cells[i3][i4] == net_c.cells[0][1]
+    for i, j in ((i0, i2), (i2, i4), (i1, i3), (i0, i4)):
+        assert merged.cells[i][j] == merged.cells[j][i] == FULL_SET
 
 
 def test_merge_paths_rejects_a_shared_key():
     net_a = IANetwork(["a", "s"])
     net_b = IANetwork(["s", "b"])
-    with pytest.raises(KeyMismatchError, match="'s'"):
-        merge_paths(net_a, net_b)
+    with pytest.raises(KeyMismatchError, match="'s' is held by two networks"):
+        merge_paths([net_a, IANetwork(["c"]), net_b], ["a", "s", "b", "c"])
+
+
+def test_merge_paths_rejects_a_network_key_missing_from_keys():
+    with pytest.raises(KeyMismatchError, match="'b' is missing from keys"):
+        merge_paths([IANetwork(["a"]), IANetwork(["b"])], ["a"])
+
+
+def test_merge_paths_rejects_a_key_no_network_holds():
+    with pytest.raises(KeyMismatchError, match=r"\['c'\] are held by no network"):
+        merge_paths([IANetwork(["a"]), IANetwork(["b"])], ["a", "c", "b"])
 
 
 def test_observe_raises_when_the_closure_empties_a_cell():
@@ -139,7 +154,8 @@ def test_generalize_idempotent_on_same_network():
 
 
 def test_generalize_closes_under_pc():
-    # union that is not closed: widen one leg of a chain
+    # widen a closed chain by an observation of it: the union of the two
+    # closed networks is closed as it stands
     rule_net = IANetwork([0, 1, 2])
     rule_net.set_pair(0, 1, rel_set(R.BEFORE))
     rule_net.set_pair(1, 2, rel_set(R.BEFORE))
@@ -229,15 +245,36 @@ def _draw_closed(data, keys, intervals=None):
 @settings(max_examples=200)
 @given(st.data())
 def test_merge_paths_of_disjoint_closed_networks_is_the_closed_join(data):
-    a = _draw_closed(data, list(range(data.draw(st.integers(0, 4)))))
-    b = _draw_closed(data, list(range(10, 10 + data.draw(st.integers(0, 4)))))
-    join = IANetwork(a.keys + b.keys)
-    for src, offset in ((a, 0), (b, a.n)):
-        for i, row in enumerate(src.cells):
-            join.cells[offset + i][offset:offset + src.n] = row
+    sizes = data.draw(st.lists(st.integers(0, 3), max_size=4), label="network sizes")
+    nets = [_draw_closed(data, [10 * m + i for i in range(size)])
+            for m, size in enumerate(sizes)]
+    keys = data.draw(st.permutations([k for net in nets for k in net.keys]), label="keys")
+    pos = {k: i for i, k in enumerate(keys)}
+    join = IANetwork(keys)
+    for net in nets:
+        for a, row in zip(net.keys, net.cells):
+            for b, s in zip(net.keys, row):
+                join.cells[pos[a]][pos[b]] = s
     expected_ok, expected = resolve_time(join)
     assert expected_ok
-    assert merge_paths(a, b) == expected
+    assert merge_paths(nets, keys) == expected
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_generalize_is_the_closure_of_the_union(data):
+    # the reference closes the cellwise union; generalize does not need to,
+    # since the union of two closed networks is already closed
+    keys = list(range(data.draw(st.integers(1, 5))))
+    rule_net, observed = _draw_closed(data, keys), _draw_closed(data, keys)
+    union = rule_net.copy()
+    for i in range(len(keys)):
+        for j in range(len(keys)):
+            if i != j:
+                union.cells[i][j] |= observed.cells[i][j]
+    consistent, closed = resolve_time(union)
+    assert consistent
+    assert generalize(rule_net, observed) == closed
 
 
 @settings(max_examples=200)

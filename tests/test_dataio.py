@@ -107,6 +107,16 @@ def test_reserved_characters_rejected_on_save(tmp_path):
     with pytest.raises(DataFormatError, match="predicate 'Put It' holds whitespace"):
         save_graph(g, path)
     assert not path.exists()
+    # a predicate whose line would begin with '#' and load as a comment
+    g = TemporalHypergraph()
+    g.add_event("#likes", ["a"], ["b"], (0, 1))
+    with pytest.raises(DataFormatError) as err:
+        save_graph(g, path)
+    assert str(err.value) == (
+        f"{path}: predicate '#likes' begins with '#', "
+        "which makes its graph file line a comment"
+    )
+    assert not path.exists()
 
 
 def test_corpus_round_trip(tmp_path):

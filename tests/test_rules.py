@@ -351,6 +351,18 @@ def test_write_rules_refuses_a_predicate_read_rules_cannot_parse(tmp_path):
     assert not path.exists()
 
 
+def test_a_predicate_beginning_with_hash_is_neither_written_nor_parsed(tmp_path):
+    rule = TemporalRule(Atom("L", (), ()), (Atom("#likes", (0,), (1,)),), IANetwork([0]))
+    path = tmp_path / "rules.txt"
+    with pytest.raises(DataFormatError, match="predicate '#likes' begins with '#'"):
+        write_rules(path, [rule])
+    assert not path.exists()
+    with pytest.raises(RuleError, match="bad atom '#likes\\(X0->X1\\)'"):
+        parse_rule("w=0.0 L() <- #likes(X0->X1)")
+    with pytest.raises(RuleError, match="bad atom '#L\\(\\)'"):
+        parse_rule("w=0.0 #L() <- P(X0->X1)")
+
+
 def test_signature_is_derived_and_weight_is_keyword_only():
     head = Atom("L", (), ())
     body = (Atom("P", (0,), (1,)),)
