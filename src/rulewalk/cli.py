@@ -182,6 +182,9 @@ def cmd_gen(args) -> int:
     rules = read_rules(args.rule)
     if not rules:
         raise DataFormatError(f"{args.rule}: no rule line found")
+    if len(rules) > 1:
+        raise DataFormatError(f"{args.rule}: {len(rules)} rule lines found; "
+                              "gen plants exactly one rule")
     spec = SynthSpec(
         planted_rule=rules[0],
         num_pos=args.num_pos,
@@ -207,22 +210,16 @@ def _load_task(args, negatives: bool = True):
         if args.target_label is None:
             raise UsageError("--target-label is required for a corpus directory", args.parser)
         graphs, labels = dataio.load_corpus(args.data, args.split_multi_tail)
-        try:
-            return graphs, evaluation.build_classification_queries(
-                [l or "" for l in labels], args.target_label
-            )
-        except ValueError as exc:
-            raise DataFormatError(str(exc)) from None
+        return graphs, evaluation.build_classification_queries(
+            [l or "" for l in labels], args.target_label
+        )
     if not args.positive_predicates:
         raise UsageError("--positive-predicates is required for a single graph file",
                          args.parser)
     graph, _ = dataio.load_graph(args.data, args.split_multi_tail)
-    try:
-        return [graph], evaluation.build_event_queries(
-            graph, args.positive_predicates, negatives=negatives
-        )
-    except ValueError as exc:
-        raise DataFormatError(str(exc)) from None
+    return [graph], evaluation.build_event_queries(
+        graph, args.positive_predicates, negatives=negatives
+    )
 
 
 def _mine(args, graphs, query_set):

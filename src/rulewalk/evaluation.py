@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import learner
+from .dataio import DataFormatError
 from .hypergraph import TemporalHypergraph
 # `evaluate` is unused here but stays bound: the benchmark's tracer test
 # (bench/tests/test_bench.py) checks that it is wrapped at this binding too.
@@ -39,7 +40,10 @@ class QuerySet:
 
 
 def build_classification_queries(labels: list[str], target_label: str) -> QuerySet:
-    """One query per graph, positive when the graph carries the target label."""
+    """One query per graph, positive when the graph carries the target label.
+
+    A label set without positives or without negatives is a DataFormatError.
+    """
     positives = []
     negatives = []
     for i, label in enumerate(labels):
@@ -49,9 +53,9 @@ def build_classification_queries(labels: list[str], target_label: str) -> QueryS
         else:
             negatives.append(query)
     if not positives:
-        raise ValueError(f"no graph is labeled {target_label!r}")
+        raise DataFormatError(f"no graph is labeled {target_label!r}")
     if not negatives:
-        raise ValueError(f"every graph is labeled {target_label!r}; nothing to rank")
+        raise DataFormatError(f"every graph is labeled {target_label!r}; nothing to rank")
     return QuerySet(positives, negatives, CLASSIFICATION)
 
 
@@ -64,12 +68,13 @@ def build_event_queries(
     """Partition a graph's events into positive and negative queries.
 
     With `negatives=False` the negatives are left out; `split_queries` cuts
-    positives under their own sub-seed, so their split is the same.
+    positives under their own sub-seed, so their split is the same.  A
+    positive predicate the graph lacks is a DataFormatError.
     """
     positive_predicates = set(positive_predicates)
     for name in positive_predicates:
         if name not in graph.predicates:
-            raise ValueError(f"predicate {name!r} not present in the graph")
+            raise DataFormatError(f"predicate {name!r} not present in the graph")
     positive_ids = {graph.predicates.id_of(name) for name in positive_predicates}
     predicate_names = graph.predicates.names
     positives: list[Query] = []

@@ -28,11 +28,16 @@ from .constraints import IANetwork, observe
 from .dataio import NAME_TOKEN, DataFormatError, check_predicate, open_text
 from .hypergraph import GraphError, TemporalHypergraph
 
-DEFAULT_EVAL_BUDGET = 1_000_000
+# candidate events one grounding search may visit; read at call time
+GROUNDING_BUDGET = 1_000_000
 
 
 class RuleError(ValueError):
     """Malformed rule construction or rule text."""
+
+
+class GroundingBudgetError(RuleError):
+    """A grounding search visited more than GROUNDING_BUDGET candidate events."""
 
 
 @dataclass(frozen=True)
@@ -160,7 +165,6 @@ def trace_to_rule(
 
 def _class_events(graph: TemporalHypergraph, trace: list[int]) -> list[int]:
     """First class-label event per trace entity, skipping walked ones."""
-    in_trace = set(trace)
     covered: set[int] = set()
     for eid in trace:
         ev = graph.events[eid]
@@ -178,7 +182,7 @@ def _class_events(graph: TemporalHypergraph, trace: list[int]) -> list[int]:
             continue
         for eid in graph.head_index[x]:
             ev = graph.events[eid]
-            if ev.heads == (x,) and ev.tails == (x,) and eid not in in_trace:
+            if ev.heads == (x,) and ev.tails == (x,):
                 extra.append(eid)
                 covered.add(x)
                 break
@@ -218,48 +222,25 @@ def _canonical_variables(query_heads, query_tails, atom_entities) -> dict[int, i
 # -- grounding and evaluation ----------------------------------------------
 
 
-class _BudgetExhausted(Exception):
-    pass
-
-
-def evaluate(
-    rule: TemporalRule,
-    graph: TemporalHypergraph,
-    query: Query,
-    budget: int = DEFAULT_EVAL_BUDGET,
-    diagnostics: dict | None = None,
-) -> bool:
-    """True iff some grounding of the rule body matches graph and query.
-
-    The query's entities are bound to the head atom's variables; body
-    atoms are matched in order by exhaustive backtracking over events in
-    ascending id order, with every pairwise interval relation required to
-    lie in the rule's constraint network.  Each atom visits only the events
-    of its shape that contain its already-bound entities, and each visit
-    costs one budget step.  Exhausting the step budget returns False and
-    flags `diagnostics['budget_exhausted']`.
-    """
-    try:
-        return next(iter_groundings(rule, graph, query, budget), None) is not None
-    except _BudgetExhausted:
-        if diagnostics is not None:
-            diagnostics["budget_exhausted"] = True
-        return False
+def evaluate(rule: TemporalRule, graph: TemporalHypergraph, query: Query) -> bool:
+    """True iff some grounding of the rule body matches graph and query."""
+    return next(iter_groundings(rule, graph, query), None) is not None
 
 
 def iter_groundings(
-    rule: TemporalRule,
-    graph: TemporalHypergraph,
-    query: Query,
-    budget: int = DEFAULT_EVAL_BUDGET,
+    rule: TemporalRule, graph: TemporalHypergraph, query: Query
 ) -> Iterator[tuple[int, ...]]:
     """All groundings in deterministic backtracking order.
 
     A grounding is the tuple of event ids matched by the body atoms, in
-    body order.
-
-    Raises _BudgetExhausted when the step budget runs out; `evaluate`
-    converts that into a False verdict.
+    body order.  The query's entities are bound to the head atom's
+    variables; body atoms are matched in order by exhaustive backtracking
+    over events in ascending id order, with every pairwise interval
+    relation required to lie in the rule's constraint network.  Each atom
+    visits only the events of its shape that contain its already-bound
+    entities.  Raises GroundingBudgetError once the search has visited
+    more than GROUNDING_BUDGET candidate events, so an unfinished search
+    is never read as "no match".
     """
     if len(query.heads) != len(rule.head.head_vars):
         return
@@ -272,7 +253,7 @@ def iter_groundings(
     if any(not events for _, events in candidates):
         return
 
-    steps = [budget]
+    steps = [GROUNDING_BUDGET]
     for head_bind in _set_bindings(rule.head.head_vars, query.heads, {}):
         for bind in _set_bindings(rule.head.tail_vars, query.tails, head_bind):
             yield from _match_body(rule, graph, candidates, bind, [], steps)
@@ -354,7 +335,10 @@ def _match_body(
         event = graph.events[eid]
         steps[0] -= 1
         if steps[0] < 0:
-            raise _BudgetExhausted
+            raise GroundingBudgetError(
+                f"grounding search for rule {rule.signature} visited more "
+                f"than {GROUNDING_BUDGET:,} candidate events"
+            )
         ok_temporal = True
         for other_pos, other_eid in enumerate(chosen):
             rel = allen.classify(graph.events[other_eid].interval, event.interval)
@@ -380,12 +364,7 @@ def coverage_span(grounding: tuple[int, ...], graph: TemporalHypergraph) -> tupl
     return min(starts), max(ends)
 
 
-def coverage_filter(
-    rule: TemporalRule,
-    graph: TemporalHypergraph,
-    rho: float,
-    budget: int = DEFAULT_EVAL_BUDGET,
-) -> bool:
+def coverage_filter(rule: TemporalRule, graph: TemporalHypergraph, rho: float) -> bool:
     """True iff some grounding spans at least rho of the graph's own span."""
     if not 0 < rho <= 1:
         raise ValueError("rho must lie in (0, 1]")
@@ -393,13 +372,10 @@ def coverage_filter(
     if graph_span is None:
         return False
     required = rho * (graph_span.end - graph_span.start)
-    try:
-        for grounding in iter_groundings(rule, graph, Query(rule.head.predicate), budget):
-            lo, hi = coverage_span(grounding, graph)
-            if hi - lo >= required:
-                return True
-    except _BudgetExhausted:
-        return False
+    for grounding in iter_groundings(rule, graph, Query(rule.head.predicate)):
+        lo, hi = coverage_span(grounding, graph)
+        if hi - lo >= required:
+            return True
     return False
 
 

@@ -9,6 +9,7 @@ import pytest
 
 from rulewalk.cli import main
 from rulewalk.dataio import load_corpus, load_graph
+from rulewalk.rules import parse_rule
 from rulewalk.synthetic import MAX_SPAN
 
 PLANTED = "w=0.0 Target() <- A(X0->X1) , B(X1->X2) | 0 {BEFORE} 1\n"
@@ -556,6 +557,17 @@ def test_gen_rule_file_without_a_rule_line_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_gen_rule_file_with_two_rule_lines_exits_2(tmp_path, capsys):
+    rule = tmp_path / "two.rule"
+    rule.write_text(PLANTED + "w=0.0 Target() <- B(X0->X1) , A(X1->X2)\n")
+    corpus = tmp_path / "corpus"
+    assert main(["gen", "--rule", str(rule), "--out", str(corpus)]) == 2
+    err = capsys.readouterr().err
+    assert f"{rule}: 2 rule lines found" in err
+    assert "Traceback" not in err
+    assert not corpus.exists()
+
+
 def test_gen_span_above_the_bound_is_usage_error(tmp_path, capsys):
     # argparse rejects the span before the rule file is read or a grid built
     corpus = tmp_path / "corpus"
@@ -707,6 +719,46 @@ def _small_event_graph(path):
         start = rng.randrange(60)
         lines.append(f"p{i % 4} | {heads} | e{tail} | {start} {start + rng.randrange(9)}")
     path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("command", ["mine", "train", "eval", "gen"])
+def test_an_exhausted_grounding_budget_exits_2_naming_the_rule(
+        tmp_path, rule_file, monkeypatch, capsys, command):
+    # mine grounds in its coverage filter, train and eval in their feature
+    # rows, gen when it checks each graph it built against the planted rule
+    corpus, graph = tmp_path / "corpus", tmp_path / "events.thg"
+    events = ["--data", str(graph), "--positive-predicates", "p0", "--seed", "3"]
+    if command == "mine":
+        assert main(["gen", "--rule", rule_file, "--out", str(corpus),
+                     "--num-pos", "4", "--num-neg", "4", "--seed", "1"]) == 0
+        output = tmp_path / "mined.txt"
+        argv = ["mine", "--data", str(corpus), "--target-label", "Target",
+                "--walks", "20", "--out", str(output)]
+    elif command == "train":
+        _small_event_graph(graph)
+        output = tmp_path / "rules.txt"
+        argv = ["train", *events, "--walks", "20", "--out", str(output),
+                "--model-out", str(tmp_path / "model.txt")]
+    elif command == "eval":
+        _small_event_graph(graph)
+        rules = tmp_path / "rules.txt"
+        assert main(["mine", *events, "--walks", "20", "--out", str(rules)]) == 0
+        output = tmp_path / "metrics.json"
+        argv = ["eval", *events, "--rules", str(rules), "--out", str(output)]
+    else:
+        output = corpus
+        argv = ["gen", "--rule", rule_file, "--out", str(corpus), "--seed", "1"]
+    capsys.readouterr()
+    monkeypatch.setattr("rulewalk.rules.GROUNDING_BUDGET", 1)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    prefix = "rulewalk: error: grounding search for rule "
+    suffix = " visited more than 1 candidate events\n"
+    assert err.startswith(prefix) and err.endswith(suffix) and err.count("\n") == 1
+    # what lies between is a rule's signature, which parses as a rule line
+    assert parse_rule("w=0.0 " + err[len(prefix):-len(suffix)]).body
+    assert not output.exists()
+    assert not (tmp_path / "model.txt").exists()
 
 
 def test_target_mode_outputs_are_pinned(tmp_path, capsys):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from rulewalk import learner, mining
 from rulewalk.cli import main
-from rulewalk.dataio import load_corpus, load_graph
+from rulewalk.dataio import DataFormatError, load_corpus, load_graph
 from rulewalk.evaluation import (
     QuerySet,
     build_classification_queries,
@@ -38,9 +38,9 @@ PLANTED = "w=0.0 Target() <- A(X0->X1) , B(X1->X2) | 0 {BEFORE} 1"
 def test_build_classification_queries():
     qs = build_classification_queries(["A", "A", "B"], "A")
     assert len(qs.positives) == 2 and len(qs.negatives) == 1
-    with pytest.raises(ValueError):
+    with pytest.raises(DataFormatError):
         build_classification_queries(["A", "A"], "C")
-    with pytest.raises(ValueError):
+    with pytest.raises(DataFormatError):
         build_classification_queries(["A", "A"], "A")
 
 
@@ -54,7 +54,7 @@ def test_build_event_queries_partitions():
     assert len(qs.positives) == 3 and len(qs.negatives) == 7
     qs_all = build_event_queries(g, {"ego.brake", "other"})
     assert len(qs_all.negatives) == 0
-    with pytest.raises(ValueError):
+    with pytest.raises(DataFormatError):
         build_event_queries(g, {"missing"})
 
 

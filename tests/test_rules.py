@@ -9,6 +9,7 @@ from rulewalk.dataio import DataFormatError
 from rulewalk.hypergraph import GraphError, Interval, TemporalHypergraph
 from rulewalk.rules import (
     Atom,
+    GroundingBudgetError,
     Query,
     RuleError,
     TemporalRule,
@@ -152,7 +153,8 @@ def test_evaluate_unknown_query_entity_is_false():
     assert not evaluate(rule, g, Query("Cooked", (-1,), (g.entities.id_of("pan"),)))
 
 
-def test_evaluate_budget_exhaustion_flags_diagnostics():
+def _budget_rule_and_graph():
+    """Ten P events sharing head `a`, and a two-atom rule none of them satisfies."""
     g = TemporalHypergraph()
     for i in range(10):
         g.add_event("P", ["a"], [f"b{i}"], (0, 1))
@@ -160,14 +162,28 @@ def test_evaluate_budget_exhaustion_flags_diagnostics():
     body = (Atom("P", (0,), (1,)), Atom("P", (0,), (2,)))
     net = IANetwork([0, 1])
     net.set_pair(0, 1, rel_set(R.BEFORE))  # impossible: all P intervals equal
-    rule = TemporalRule(head, body, net)
-    diag = {}
-    assert not evaluate(rule, g, Query("Goal"), budget=3, diagnostics=diag)
-    assert diag.get("budget_exhausted")
-    # with room to finish, the verdict is an honest False without the flag
-    diag = {}
-    assert not evaluate(rule, g, Query("Goal"), budget=10_000, diagnostics=diag)
-    assert not diag.get("budget_exhausted")
+    return TemporalRule(head, body, net), g
+
+
+def test_evaluate_raises_when_the_grounding_budget_runs_out(monkeypatch):
+    rule, g = _budget_rule_and_graph()
+    monkeypatch.setattr("rulewalk.rules.GROUNDING_BUDGET", 3)
+    with pytest.raises(GroundingBudgetError) as info:
+        evaluate(rule, g, Query("Goal"))
+    assert rule.signature in str(info.value) and "3 candidate events" in str(info.value)
+    assert isinstance(info.value, RuleError)
+    # with room to finish, the verdict is an honest False
+    monkeypatch.setattr("rulewalk.rules.GROUNDING_BUDGET", 10_000)
+    assert not evaluate(rule, g, Query("Goal"))
+
+
+def test_coverage_filter_raises_when_the_grounding_budget_runs_out(monkeypatch):
+    rule, g = _budget_rule_and_graph()
+    monkeypatch.setattr("rulewalk.rules.GROUNDING_BUDGET", 3)
+    with pytest.raises(GroundingBudgetError, match="Goal"):
+        coverage_filter(rule, g, 0.5)
+    monkeypatch.setattr("rulewalk.rules.GROUNDING_BUDGET", 10_000)
+    assert not coverage_filter(rule, g, 0.5)
 
 
 def test_coverage_span():
