@@ -287,7 +287,21 @@ def cmd_eval(args) -> int:
             "no positive query left to rank in the test split "
             f"({len(query_set.positives)} positive in all); add positives"
         )
+    alone = sum(len(evaluation.candidate_pool(q, test_set)) == 1 for q in test_set.positives)
+    if alone:
+        raise DataFormatError(
+            f"{alone} of {len(test_set.positives)} test positives have no negative query "
+            f"to rank against in the test split ({len(query_set.negatives)} negative "
+            "in all); add negatives"
+        )
     rules = read_rules(args.rules)
+    targets = {q.predicate for q in query_set.positives}
+    for rule in rules:
+        if rule.head.predicate not in targets:
+            raise DataFormatError(
+                f"{args.rules}: rule {rule.signature} predicts {rule.head.predicate!r}, "
+                f"not this task's {', '.join(map(repr, sorted(targets)))}"
+            )
     params = learner.load_model(args.model, rules) if args.model is not None else None
     scores = evaluation.score_pools(rules, graphs, test_set, params, args.features)
     ranks = evaluation.ranked_evaluation(scores, test_set)

@@ -222,12 +222,11 @@ def load_snapshots(path) -> list[tuple[int, list[tuple[str, str, str]]]]:
     return [(tau, snapshots[tau]) for tau in sorted(snapshots)]
 
 
-def save_corpus(dirpath, graphs, labels=None) -> None:
+def save_corpus(dirpath, graphs, labels) -> None:
     os.makedirs(dirpath, exist_ok=True)
     width = max(4, len(str(len(graphs))))
     for i, graph in enumerate(graphs):
-        label = labels[i] if labels is not None else None
-        save_graph(graph, os.path.join(dirpath, f"g{i:0{width}d}.thg"), label)
+        save_graph(graph, os.path.join(dirpath, f"g{i:0{width}d}.thg"), labels[i])
 
 
 def corpus_files(dirpath) -> list[str]:

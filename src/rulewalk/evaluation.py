@@ -60,16 +60,14 @@ def build_classification_queries(labels: list[str], target_label: str) -> QueryS
 
 
 def build_event_queries(
-    graph: TemporalHypergraph,
-    positive_predicates,
-    graph_index: int = 0,
-    negatives: bool = True,
+    graph: TemporalHypergraph, positive_predicates, negatives: bool = True
 ) -> QuerySet:
     """Partition a graph's events into positive and negative queries.
 
     With `negatives=False` the negatives are left out; `split_queries` cuts
     positives under their own sub-seed, so their split is the same.  A
-    positive predicate the graph lacks is a DataFormatError.
+    positive predicate the graph lacks is a DataFormatError, and so is a
+    graph whose every event is positive, unless `negatives=False`.
     """
     positive_predicates = set(positive_predicates)
     for name in positive_predicates:
@@ -86,10 +84,13 @@ def build_event_queries(
             bucket = others
         else:
             continue
-        bucket.append(Query(
-            predicate_names[event.predicate], event.heads, event.tails,
-            graph_index, event_id=event.event_id,
-        ))
+        bucket.append(Query(predicate_names[event.predicate], event.heads, event.tails,
+                            event_id=event.event_id))
+    if negatives and not others:
+        raise DataFormatError(
+            f"every event's predicate is positive ({', '.join(sorted(positive_predicates))}); "
+            "nothing to rank"
+        )
     return QuerySet(positives, others, LINK_PREDICTION)
 
 

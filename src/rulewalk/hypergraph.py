@@ -15,9 +15,8 @@ converters and the generator all call it.  It interns the event's names
 and maintains every index, each event list in ascending event-id order:
 
 - `head_index`: entity id -> events with the entity in their head set;
-- `tail_index`: entity id -> events with the entity in their tail set;
-  both get an empty slot when the entity is interned, so every interned
-  entity has one in each, even if it never heads or tails an event;
+  it gets an empty slot when the entity is interned, so every interned
+  entity has one, even if it heads no event;
 - `shape_index`: (predicate id, head count, tail count) -> events of that
   shape, the candidate lists of rule grounding;
 - `tail_arity`: predicate id -> the tail count every event of it has;
@@ -84,7 +83,7 @@ class SymbolTable:
 
 
 class TemporalHypergraph:
-    """Event store plus the head/tail adjacency indices used by walks."""
+    """Event store plus the head and shape indices used by walks and grounding."""
 
     def __init__(self) -> None:
         self.entities = SymbolTable()
@@ -92,7 +91,6 @@ class TemporalHypergraph:
         self.tail_arity: list[int] = []
         self.events: list[Event] = []
         self.head_index: dict[int, list[int]] = {}
-        self.tail_index: dict[int, list[int]] = {}
         self.shape_index: dict[tuple[int, int, int], list[int]] = {}
         self._multi_tail_events = 0
 
@@ -108,8 +106,8 @@ class TemporalHypergraph:
         """Append one event, interning any new names; returns its id.
 
         The predicate is interned first, then the heads and then the tails,
-        each in the given order.  A new entity gets its empty `head_index` /
-        `tail_index` slots when it is interned.
+        each in the given order.  A new entity gets its empty `head_index`
+        slot when it is interned.
         """
         n_heads, n_tails = len(heads), len(tails)
         if not n_heads:
@@ -136,7 +134,7 @@ class TemporalHypergraph:
                 f"event has {n_tails}"
             )
         entity_ids, entity_names = self.entities._ids, self.entities._names
-        head_index, tail_index = self.head_index, self.tail_index
+        head_index = self.head_index
         event_id = len(self.events)
         head_ids = []
         for name in heads:
@@ -145,7 +143,6 @@ class TemporalHypergraph:
                 ident = entity_ids[name] = len(entity_names)
                 entity_names.append(name)
                 head_index[ident] = []
-                tail_index[ident] = []
             head_index[ident].append(event_id)
             head_ids.append(ident)
         tail_ids = []
@@ -155,8 +152,6 @@ class TemporalHypergraph:
                 ident = entity_ids[name] = len(entity_names)
                 entity_names.append(name)
                 head_index[ident] = []
-                tail_index[ident] = []
-            tail_index[ident].append(event_id)
             tail_ids.append(ident)
         head_ids.sort()
         tail_ids.sort()

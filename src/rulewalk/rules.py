@@ -7,13 +7,15 @@ construction so that isomorphic traces produce byte-identical signatures.
 
 Text format, one rule per line::
 
-    w=<weight> Head(X0->X1) <- P1(X0->X1) , P2(X1,X2->X3) | 0 {BEFORE,MEETS} 1
+    w=0.0 Head(X0->X1) <- P1(X0->X1) , P2(X1,X2->X3) | 0 {BEFORE,MEETS} 1
 
-Head variables before `->` are the atom's head set, after it the tail set;
-a head atom with no variables renders as `Head()`.  The temporal block
-lists upper-triangle cells that constrain anything; an omitted block (or
-cell) means the full relation set.  A rule file (`read_rules` /
-`write_rules`) holds each rule line after a `# support=<n>` line.
+`w=` takes a number that `parse_rule` checks and drops: learned weights
+live in model files.  Head variables before `->` are the atom's head set,
+after it the tail set; a head atom with no variables renders as `Head()`.
+The temporal block lists upper-triangle cells that constrain anything; an
+omitted block (or cell) means the full relation set.  A rule file
+(`read_rules` / `write_rules`) holds each rule line after a `# support=<n>`
+line.
 """
 from __future__ import annotations
 
@@ -75,7 +77,6 @@ class TemporalRule:
     time_net: IANetwork        # keyed by body indices 0..len(body)-1
     signature: str = field(init=False)  # the rendered head and body
     _: KW_ONLY
-    weight: float = 0.0
     support: int = 0           # occurrence count assigned by the miner
 
     def __post_init__(self) -> None:
@@ -277,22 +278,19 @@ def _candidate_events(
 def _narrowed(graph, atom, shape, events, binding) -> list[int]:
     """Candidate events of one body atom under the current binding.
 
-    A head (tail) variable that is already bound confines the atom to the
-    events with that entity in their head (tail) set.  The shortest of those
-    index lists, filtered to the atom's shape, replaces the shape list; all
-    of them are in ascending event-id order, so the grounding order is the
-    same as over the shape list.
+    A head variable that is already bound confines the atom to the events
+    with that entity in their head set.  The shortest of those index lists,
+    filtered to the atom's shape, replaces the shape list; all of them are
+    in ascending event-id order, so the grounding order is the same as over
+    the shape list.  A walk reaches an event's heads before it fires, so
+    walk-mined bodies bind an atom's heads before the atom.
     """
     best = events
-    for variables, index in (
-        (atom.head_vars, graph.head_index),
-        (atom.tail_vars, graph.tail_index),
-    ):
-        for var in variables:
-            if var in binding:
-                bound = index[binding[var]]
-                if len(bound) < len(best):
-                    best = bound
+    for var in atom.head_vars:
+        if var in binding:
+            bound = graph.head_index[binding[var]]
+            if len(bound) < len(best):
+                best = bound
     if best is events:
         return events
     all_events = graph.events
@@ -385,7 +383,7 @@ _ATOM_RE = re.compile(rf"^\s*({NAME_TOKEN})\(([^()]*)\)\s*$")
 
 
 def format_rule(rule: TemporalRule) -> str:
-    parts = [f"w={rule.weight!r} {rule.signature}"]
+    parts = [f"w=0.0 {rule.signature}"]
     cells = []
     for i in range(rule.time_net.n):
         for j in range(i + 1, rule.time_net.n):
@@ -404,7 +402,7 @@ def parse_rule(line: str) -> TemporalRule:
         raise RuleError(f"rule line must start with 'w=': {line!r}")
     weight_token, _, rest = text.partition(" ")
     try:
-        weight = float(weight_token[2:])
+        float(weight_token[2:])
     except ValueError as exc:
         raise RuleError(f"bad weight in {weight_token!r}") from exc
 
@@ -429,7 +427,7 @@ def parse_rule(line: str) -> TemporalRule:
             except KeyError as exc:
                 raise RuleError(f"unknown relation in {cell!r}") from exc
 
-    return TemporalRule(head, body, net, weight=weight)
+    return TemporalRule(head, body, net)
 
 
 def _parse_atom(text: str) -> Atom:

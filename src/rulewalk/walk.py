@@ -65,7 +65,6 @@ class WalkDiagnostics:
 
     walks: int = 0
     dead_ends: int = 0
-    missed_target: int = 0
     kept: int = 0
 
 
@@ -253,9 +252,7 @@ def sample_walks(
             hit = target is not None and graph.events[state.trace[-1]].tails[0] == target
         if state is DEAD_END:
             diag.dead_ends += 1
-        elif target is not None and not hit:
-            diag.missed_target += 1
-        else:
+        elif target is None or hit:
             diag.kept += 1
             kept[state] = kept.get(state, 0) + 1
     return [(state.time_net, walks) for state, walks in kept.items()]

@@ -118,9 +118,7 @@ def replay_walks(graph, query, params):
                 break
         if dead_end:
             diag.dead_ends += 1
-        elif target is not None and graph.events[trace[-1]].tails[0] != target:
-            diag.missed_target += 1
-        else:
+        elif target is None or graph.events[trace[-1]].tails[0] == target:
             diag.kept += 1
             kept.append((trace, _observed_closure(graph, trace, observed)[1]))
     return kept, diag

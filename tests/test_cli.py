@@ -231,6 +231,95 @@ def test_eval_with_empty_test_split_exits_2(tmp_path, rule_file, capsys):
     assert "Traceback" not in err
 
 
+def _alternating_event_graph(path):
+    # CI's ten-event graph: A and B events alternate on one entity pair
+    path.write_text("#thg v1\n" + "".join(
+        f"A | x | y | {t} {t + 1}\nB | x | y | {t + 2} {t + 3}\n" for t in range(0, 20, 4)
+    ))
+
+
+def _one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("rulewalk: error: ") and err.count("\n") == 1
+    return err
+
+
+@pytest.mark.parametrize("task", ["classification", "event"])
+def test_eval_with_no_negative_left_to_rank_exits_2(tmp_path, rule_file, capsys, task):
+    metrics = tmp_path / "metrics.json"
+    rules = tmp_path / "rules.txt"
+    if task == "classification":
+        # split_queries keeps the one negative graph in train
+        corpus = str(tmp_path / "corpus")
+        assert main(["gen", "--rule", rule_file, "--out", corpus,
+                     "--num-pos", "4", "--num-neg", "1", "--seed", "1"]) == 0
+        args = ["--data", corpus, "--target-label", "Target"]
+        assert main(["mine", *args, "--walks", "30", "--out", str(rules)]) == 0
+        expected = "1 of 1 test positives have no negative query"
+    else:
+        # every negative has one head, so each two-head positive's pool
+        # holds the positive alone
+        graph = tmp_path / "events.thg"
+        graph.write_text("#thg v1\n" + "".join(
+            f"M | a,b | c | {t} {t + 1}\nB | a | c | {t + 2} {t + 3}\n"
+            for t in range(0, 40, 4)
+        ))
+        args = ["--data", str(graph), "--positive-predicates", "M"]
+        rules.write_text("w=0.0 M(X0,X1->X2) <- B(X0->X2)\n")
+        expected = "2 of 2 test positives have no negative query"
+    capsys.readouterr()
+    assert main(["eval", *args, "--rules", str(rules), "--out", str(metrics)]) == 2
+    err = _one_error_line(capsys)
+    assert expected in err and err.rstrip().endswith("; add negatives")
+    assert not metrics.exists()
+
+
+def test_an_event_task_whose_every_event_is_positive_exits_2(tmp_path, capsys):
+    graph = tmp_path / "events.thg"
+    _alternating_event_graph(graph)
+    task = ["--data", str(graph), "--positive-predicates", "A,B", "--seed", "1"]
+    mined, rules, model = (tmp_path / n for n in ("mined.txt", "rules.txt", "model.txt"))
+    # mine walks only the positives, so it has what it needs
+    assert main(["mine", *task, "--walks", "20", "--out", str(mined)]) == 0
+    capsys.readouterr()
+    assert main(["train", *task, "--walks", "20", "--out", str(rules),
+                 "--model-out", str(model)]) == 2
+    message = "every event's predicate is positive (A, B); nothing to rank"
+    assert message in _one_error_line(capsys)
+    assert not rules.exists() and not model.exists()
+    metrics = tmp_path / "metrics.json"
+    assert main(["eval", *task, "--rules", str(mined), "--out", str(metrics)]) == 2
+    assert message in _one_error_line(capsys)
+    assert not metrics.exists()
+
+
+@pytest.mark.parametrize("task", ["classification", "event"])
+def test_eval_with_rules_mined_for_another_task_exits_2(tmp_path, rule_file, capsys, task):
+    rules, metrics = tmp_path / "rules.txt", tmp_path / "metrics.json"
+    if task == "classification":
+        corpus = str(tmp_path / "corpus")
+        assert main(["gen", "--rule", rule_file, "--out", corpus,
+                     "--num-pos", "8", "--num-neg", "8", "--seed", "1"]) == 0
+        args = ["--data", corpus, "--target-label", "Target"]
+        assert main(["mine", *args, "--walks", "30", "--out", str(rules)]) == 0
+        rules.write_text(rules.read_text().replace("Target()", "Other()"))
+        head, target = "Other", "Target"
+    else:
+        graph = tmp_path / "events.thg"
+        _alternating_event_graph(graph)
+        assert main(["mine", "--data", str(graph), "--positive-predicates", "B",
+                     "--walks", "20", "--seed", "1", "--out", str(rules)]) == 0
+        args = ["--data", str(graph), "--positive-predicates", "A"]
+        head, target = "B", "A"
+    capsys.readouterr()
+    assert main(["eval", *args, "--seed", "1", "--rules", str(rules),
+                 "--out", str(metrics)]) == 2
+    err = _one_error_line(capsys)
+    assert f"error: {rules}: rule {head}(" in err
+    assert err.endswith(f" predicts {head!r}, not this task's {target!r}\n")
+    assert not metrics.exists()
+
+
 def test_train_with_no_surviving_rule_exits_2(tmp_path, rule_file, capsys):
     corpus = str(tmp_path / "corpus")
     rules = tmp_path / "rules.txt"

@@ -177,7 +177,6 @@ def graph_state(graph):
         "predicates": list(graph.predicates.names),
         "arities": list(graph.tail_arity),
         "head_index": sorted(graph.head_index.items()),
-        "tail_index": sorted(graph.tail_index.items()),
         "shape_index": sorted(graph.shape_index.items()),
         "is_b_graph": graph.is_b_graph(),
     }
@@ -224,12 +223,10 @@ def test_load_rebuilds_the_graph_add_event_built(tmp_path_factory, raw_events,
     assert state == graph_state(expected)
     if g.is_b_graph():
         assert state == graph_state(g)
-    for index in (loaded.head_index, loaded.tail_index, loaded.shape_index):
+    for index in (loaded.head_index, loaded.shape_index):
         assert all(ids == sorted(ids) for ids in index.values())
-    # every interned entity has a slot in both entity indices
-    assert set(loaded.head_index) == set(loaded.tail_index) == set(
-        range(len(loaded.entities))
-    )
+    # every interned entity has a slot in the entity index
+    assert set(loaded.head_index) == set(range(len(loaded.entities)))
 
 
 # Each message is pinned in full.  The graph's own tail-arity check cannot

@@ -52,19 +52,23 @@ def test_build_event_queries_partitions():
         g.add_event("other", [f"e{i}"], [f"f{i}"], (i, i + 1))
     qs = build_event_queries(g, {"ego.brake"})
     assert len(qs.positives) == 3 and len(qs.negatives) == 7
-    qs_all = build_event_queries(g, {"ego.brake", "other"})
-    assert len(qs_all.negatives) == 0
+    with pytest.raises(DataFormatError, match=(
+        r"^every event's predicate is positive \(ego.brake, other\); nothing to rank$"
+    )):
+        build_event_queries(g, {"ego.brake", "other"})
+    qs_all = build_event_queries(g, {"ego.brake", "other"}, negatives=False)
+    assert len(qs_all.positives) == 10 and len(qs_all.negatives) == 0
     with pytest.raises(DataFormatError):
         build_event_queries(g, {"missing"})
 
 
-def event_queries_by_names(graph, positive_predicates, graph_index=0):
+def event_queries_by_names(graph, positive_predicates):
     """The per-event `event_names` construction, with entity names looked up as ids."""
     positives, negatives = [], []
     for event in graph.events:
         pred, heads, tails = graph.event_names(event.event_id)
         heads, tails = (tuple(map(graph.entities.id_of, names)) for names in (heads, tails))
-        query = Query(pred, heads, tails, graph_index, event_id=event.event_id)
+        query = Query(pred, heads, tails, event_id=event.event_id)
         (positives if pred in positive_predicates else negatives).append(query)
     return positives, negatives
 
@@ -90,14 +94,16 @@ def test_build_event_queries_matches_the_event_names_construction(raw_events, da
         g.add_event(pred, heads, tails, (i, i + 2))
     present = list(g.predicates.names)
     positive = set(data.draw(st.lists(st.sampled_from(present), min_size=1)))
-    graph_index = data.draw(st.integers(0, 3))
-    qs = build_event_queries(g, positive, graph_index)
-    assert (qs.positives, qs.negatives) == event_queries_by_names(
-        g, positive, graph_index
-    )
-    only = build_event_queries(g, positive, graph_index, negatives=False)
-    assert only.positives == qs.positives
+    positives, negatives = event_queries_by_names(g, positive)
+    only = build_event_queries(g, positive, negatives=False)
+    assert only.positives == positives
     assert only.negatives == []
+    if not negatives:
+        with pytest.raises(DataFormatError, match="every event's predicate is positive"):
+            build_event_queries(g, positive)
+        return
+    qs = build_event_queries(g, positive)
+    assert (qs.positives, qs.negatives) == (positives, negatives)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 17])

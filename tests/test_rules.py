@@ -265,7 +265,7 @@ def test_evaluate_agrees_with_bruteforce_oracle():
 
 def test_evaluate_with_bound_query_entities_agrees_with_bruteforce_oracle():
     # event queries bind the head atom's variables, so body atoms are
-    # narrowed through the head/tail indices from the first atom on
+    # narrowed through the head index from the first atom on
     rng = random.Random(29)
     shapes = {"P": 1, "Q": 1, "M": 2}  # predicate -> tail count
     verdicts = []
@@ -313,23 +313,54 @@ def test_evaluate_with_bound_query_entities_agrees_with_bruteforce_oracle():
     assert 10 <= sum(verdicts) <= len(verdicts) - 10
 
 
+@pytest.mark.parametrize("line, bound_query", [
+    # the class atom binds only X2, so B(X1->X2) is bound at its tail alone
+    ("w=0.0 Goal() <- C(X2->X2) , B(X1->X2) | 0 {BEFORE,MEETS,OVERLAPS} 1", False),
+    # the query binds X0 and X2, and the first atom's head X1 is free
+    ("w=0.0 Goal(X0->X2) <- B(X1->X2) , B(X0->X1) | 0 {AFTER,MET_BY} 1", True),
+])
+def test_an_atom_bound_only_at_its_tail_agrees_with_bruteforce_oracle(line, bound_query):
+    rule = parse_rule(line)
+    rng = random.Random(31)
+    verdicts = []
+    for trial in range(150):
+        g = TemporalHypergraph()
+        entities = [f"e{i}" for i in range(rng.randint(2, 6))]
+        for _ in range(rng.randint(1, 12)):
+            s = rng.randint(0, 8)
+            if rng.random() < 0.3:
+                x = rng.choice(entities)
+                g.add_event("C", [x], [x], (s, rng.randint(s, 8)))
+            else:
+                h, t = rng.sample(entities, 2)
+                g.add_event("B", [h], [t], (s, rng.randint(s, 8)))
+        query = Query("Goal")
+        if bound_query:
+            known = range(len(g.entities))
+            query = Query("Goal", (rng.choice(known),), (rng.choice(known),))
+        got = evaluate(rule, g, query)
+        assert got == grounding_exists_bruteforce(rule, g, query), trial
+        verdicts.append(got)
+    assert 10 <= sum(verdicts) <= len(verdicts) - 10
+
+
 def test_format_round_trip():
     _, rule = cooked_rule()
-    rule.weight = 0.375
     line = format_rule(rule)
     assert line == (
-        "w=0.375 Cooked(X0->X1) <- Put(X0->X1) , Fry(X1->X1) | 0 {BEFORE} 1"
+        "w=0.0 Cooked(X0->X1) <- Put(X0->X1) , Fry(X1->X1) | 0 {BEFORE} 1"
     )
     parsed = parse_rule(line)
     assert parsed.signature == rule.signature
-    assert parsed.weight == rule.weight
     assert parsed.time_net.cells == rule.time_net.cells
     assert format_rule(parsed) == line
+    # any number after `w=` parses, and none is kept
+    assert format_rule(parse_rule(line.replace("w=0.0", "w=0.375"))) == line
 
 
 def test_rule_file_round_trip_keeps_support(tmp_path):
     _, rule = cooked_rule()
-    rule.weight, rule.support = 0.375, 12
+    rule.support = 12
     other = _simple_rule([("A", 0, 1)])
     path = tmp_path / "rules.txt"
     write_rules(path, [rule, other])
@@ -337,8 +368,8 @@ def test_rule_file_round_trip_keeps_support(tmp_path):
         "# support=12\n" + format_rule(rule) + "\n# support=0\n" + format_rule(other) + "\n"
     )
     loaded = read_rules(path)
-    assert [(r.signature, r.support, r.weight) for r in loaded] == [
-        (rule.signature, 12, 0.375), (other.signature, 0, 0.0)
+    assert [(r.signature, r.support) for r in loaded] == [
+        (rule.signature, 12), (other.signature, 0)
     ]
     assert loaded[0].time_net.cells == rule.time_net.cells
 
@@ -379,10 +410,10 @@ def test_a_predicate_beginning_with_hash_is_neither_written_nor_parsed(tmp_path)
         parse_rule("w=0.0 #L() <- P(X0->X1)")
 
 
-def test_signature_is_derived_and_weight_is_keyword_only():
+def test_signature_is_derived_and_support_is_keyword_only():
     head = Atom("L", (), ())
     body = (Atom("P", (0,), (1,)),)
-    rule = TemporalRule(head, body, IANetwork([0]), weight=0.5, support=3)
+    rule = TemporalRule(head, body, IANetwork([0]), support=3)
     assert rule.signature == "L() <- P(X0->X1)"
     with pytest.raises(TypeError):
         TemporalRule(head, body, IANetwork([0]), "L() <- P(X0->X1)")
@@ -403,6 +434,8 @@ def test_format_omits_full_cells():
 def test_parse_rule_errors():
     with pytest.raises(RuleError):
         parse_rule("no weight prefix")
+    with pytest.raises(RuleError, match="bad weight in 'w=x'"):
+        parse_rule("w=x H() <- P(X0->X1)")
     with pytest.raises(RuleError):
         parse_rule("w=1.0 Head(X0->X1)")  # missing body
     with pytest.raises(RuleError):
