@@ -243,7 +243,7 @@ def cmd_mine(args) -> int:
     write_rules(args.out, rules)
     print(f"mined {len(rules)} rules -> {args.out}")
     # inconsistent= stays in the line for its readers; it is always 0, since
-    # the graph's own intervals realise every walk's constraint network
+    # the graph's own intervals realise every trace's constraint network
     print(f"walks={diag.walk.walks} kept={diag.walk.kept} "
           f"dead_ends={diag.walk.dead_ends} inconsistent=0 "
           f"disconnected={diag.disconnected} coverage_filtered={diag.coverage_filtered}")
@@ -295,6 +295,9 @@ def cmd_eval(args) -> int:
             "in all); add negatives"
         )
     rules = read_rules(args.rules)
+    if not rules:
+        # with no rule every candidate ties, which would score as a number
+        raise DataFormatError(f"{args.rules}: no rule line found; nothing to score with")
     targets = {q.predicate for q in query_set.positives}
     for rule in rules:
         if rule.head.predicate not in targets:

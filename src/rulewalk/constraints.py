@@ -15,18 +15,18 @@ queued again, so the propagation reaches the same (unique) closure.
 
 Closed-input contract: `observe` is the only operation that closes a
 network.  It appends nodes with the observed relations of their intervals
-and closes through the closed prefix; walks observe each new event, rules
-their class atoms.  Every cell then holds the relation of the graph's own
-intervals, which realise the network (Allen 1983), so the closure never
-empties a cell; `observe` raises if it ever does.  The other operations
-take closed networks and only copy or OR their cells, since the result is
-closed as it stands.  Composition distributes over union, so each cell of
-a cellwise union of two closed networks lies inside the composition of
-the union's legs (Mackworth 1977): `generalize`, which widens a rule
-network to admit another grounding, is that union.  `merge_paths` joins
-networks that share no node with FULL_SET cells between them, and
-composing a non-empty set with FULL_SET gives FULL_SET, so no cross cell
-tightens anything.
+and closes through the closed prefix; `rules.trace_network` observes each
+event of a trace, `rules.trace_to_rule` the class atoms.  Every cell then
+holds the relation of the graph's own intervals, which realise the network
+(Allen 1983), so the closure never empties a cell; `observe` raises if it
+ever does.  The other operations take closed networks and only copy or OR
+their cells, since the result is closed as it stands.  Composition
+distributes over union, so each cell of a cellwise union of two closed
+networks lies inside the composition of the union's legs (Mackworth 1977):
+`generalize`, which widens a rule network to admit another grounding, is
+that union.  `merge_paths` joins networks that share no node with FULL_SET
+cells between them, and composing a non-empty set with FULL_SET gives
+FULL_SET, so no cross cell tightens anything.
 """
 from __future__ import annotations
 

@@ -55,8 +55,8 @@ def mine_rules(
         graph = graphs[query.graph_index]
         wparams = replace(params, seed=derive_seed(params.seed, "query", qi))
         # lifting a trace once stands for all its walks: union is idempotent
-        for net, walks in sample_walks(graph, query, wparams, diag.walk):
-            rule = trace_to_rule(graph, net, query)
+        for trace, walks in sample_walks(graph, query, wparams, diag.walk):
+            rule = trace_to_rule(graph, trace, query)
             if rule is None:
                 diag.disconnected += walks
                 continue

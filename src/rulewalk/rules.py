@@ -4,6 +4,8 @@ A rule is a head atom, an ordered body of atoms over logical variables,
 and a constraint network over body positions.  Rules reference predicates
 by name so they can travel between graphs; variables are canonicalized at
 construction so that isomorphic traces produce byte-identical signatures.
+A walk trace carries no network: `trace_to_rule` builds it with
+`trace_network` from the graph's intervals when it lifts the trace.
 
 Text format, one rule per line::
 
@@ -26,11 +28,11 @@ from typing import Iterator
 
 from . import allen
 from .allen import FULL_SET
-from .constraints import IANetwork, observe
+from .constraints import IANetwork, merge_paths, observe
 from .dataio import NAME_TOKEN, DataFormatError, check_predicate, open_text
 from .hypergraph import GraphError, TemporalHypergraph
 
-# candidate events one grounding search may visit; read at call time
+# candidate events and bindings one grounding search may try; read at call time
 GROUNDING_BUDGET = 1_000_000
 
 
@@ -39,7 +41,7 @@ class RuleError(ValueError):
 
 
 class GroundingBudgetError(RuleError):
-    """A grounding search visited more than GROUNDING_BUDGET candidate events."""
+    """A grounding search tried more than GROUNDING_BUDGET candidate events and bindings."""
 
 
 @dataclass(frozen=True)
@@ -114,22 +116,49 @@ def chain_connected(graph: TemporalHypergraph, trace: list[int], query: Query) -
     return True
 
 
+def trace_network(graph: TemporalHypergraph, trace: list[int]) -> IANetwork:
+    """The path-consistent network of a walk trace, keyed by its event ids.
+
+    A multi-start walk opens one sub-walk per start entity, but a sub-walk
+    holds no event until an event names its start, and that event carries
+    the start itself.  So the sub-walks that hold events are the groups of
+    trace events joined by shared entities, built in trace order, whatever
+    the start set.  Each event joins the groups it touches with
+    `merge_paths` and is observed against the joined group; the groups are
+    then laid out in trace order, and cells between groups that never met
+    stay FULL_SET.  The singleton cells of real intervals are already
+    closed (Allen 1983), so closure only acts where two groups with events
+    meet.
+    """
+    groups: list[tuple[set[int], IANetwork]] = []  # (entities, closed network)
+    for eid in trace:
+        event = graph.events[eid]
+        entities = set(event.heads).union(event.tails)
+        touched = [g for g in groups if not entities.isdisjoint(g[0])]
+        groups = [g for g in groups if entities.isdisjoint(g[0])]
+        if len(touched) > 1:
+            net = merge_paths([n for _, n in touched], [k for _, n in touched for k in n.keys])
+        else:
+            net = touched[0][1] if touched else IANetwork([])
+        entities.update(*(ents for ents, _ in touched))
+        groups.append((entities, observe(net, [eid], lambda e: graph.events[e].interval)))
+    return merge_paths([net for _, net in groups], trace)
+
+
 def trace_to_rule(
-    graph: TemporalHypergraph, time_net: IANetwork, query: Query
+    graph: TemporalHypergraph, trace: list[int], query: Query
 ) -> TemporalRule | None:
-    """Lift a walk trace, the keys of its network, into a rule with canonical variables.
+    """Lift a walk trace into a rule with canonical variables.
 
     Entities become variables consistently (same entity, same variable);
     the query's entities become the head atom's variables.  A unary class
     atom is appended for every variable whose entity carries a class-label
-    event in the graph, at most one per variable.  `time_net` must be
-    path-consistent, as `sample_walks` returns it; the rule's network
-    observes the class atoms against it and is keyed by body indices.
-    Returns None unless `chain_connected` holds for the trace.  Raises
-    RuleError for an empty trace and GraphError for a query entity the
-    graph lacks.
+    event in the graph, at most one per variable.  The rule's network is
+    the trace's `trace_network`, with the class atoms observed against it,
+    keyed by body indices.  Returns None unless `chain_connected` holds for
+    the trace.  Raises RuleError for an empty trace and GraphError for a
+    query entity the graph lacks.
     """
-    trace = time_net.keys
     if not trace:
         raise RuleError("cannot build a rule from an empty trace")
     if not chain_connected(graph, trace, query):
@@ -159,7 +188,8 @@ def trace_to_rule(
         for e in body_events
     )
 
-    observed = observe(time_net, class_events, lambda e: graph.events[e].interval)
+    observed = observe(trace_network(graph, trace), class_events,
+                       lambda e: graph.events[e].interval)
     net = IANetwork(range(len(body_events)), observed.cells)
     return TemporalRule(head, body, net)
 
@@ -239,9 +269,11 @@ def iter_groundings(
     over events in ascending id order, with every pairwise interval
     relation required to lie in the rule's constraint network.  Each atom
     visits only the events of its shape that contain its already-bound
-    entities.  Raises GroundingBudgetError once the search has visited
-    more than GROUNDING_BUDGET candidate events, so an unfinished search
-    is never read as "no match".
+    entities.  Each candidate event and each head or tail bijection tried
+    costs one step, so the bound holds at any arity; raises
+    GroundingBudgetError once the search has taken more than
+    GROUNDING_BUDGET steps, so an unfinished search is never read as "no
+    match".
     """
     if len(query.heads) != len(rule.head.head_vars):
         return
@@ -254,10 +286,19 @@ def iter_groundings(
     if any(not events for _, events in candidates):
         return
 
-    steps = [GROUNDING_BUDGET]
-    for head_bind in _set_bindings(rule.head.head_vars, query.heads, {}):
-        for bind in _set_bindings(rule.head.tail_vars, query.tails, head_bind):
-            yield from _match_body(rule, graph, candidates, bind, [], steps)
+    left = [GROUNDING_BUDGET]
+
+    def spend() -> None:
+        left[0] -= 1
+        if left[0] < 0:
+            raise GroundingBudgetError(
+                f"grounding search for rule {rule.signature} tried more than "
+                f"{GROUNDING_BUDGET:,} candidate events and bindings"
+            )
+
+    for head_bind in _set_bindings(rule.head.head_vars, query.heads, {}, spend):
+        for bind in _set_bindings(rule.head.tail_vars, query.tails, head_bind, spend):
+            yield from _match_body(rule, graph, candidates, bind, [], spend)
 
 
 def _candidate_events(
@@ -302,12 +343,15 @@ def _narrowed(graph, atom, shape, events, binding) -> list[int]:
     ]
 
 
-def _set_bindings(variables, entities, base: dict[int, int]) -> Iterator[dict[int, int]]:
-    """Bind a variable tuple to an entity set via every consistent bijection."""
-    if not variables:
-        yield dict(base)
-        return
+def _set_bindings(
+    variables, entities, base: dict[int, int], spend
+) -> Iterator[dict[int, int]]:
+    """Bind a variable tuple to an entity set via every consistent bijection.
+
+    Each bijection tried costs one `spend()`.
+    """
     for perm in permutations(entities):
+        spend()
         bound = dict(base)
         ok = True
         for var, ent in zip(variables, perm):
@@ -320,7 +364,7 @@ def _set_bindings(variables, entities, base: dict[int, int]) -> Iterator[dict[in
 
 
 def _match_body(
-    rule, graph, candidates, binding, chosen, steps
+    rule, graph, candidates, binding, chosen, spend
 ) -> Iterator[tuple[int, ...]]:
     pos = len(chosen)
     if pos == len(rule.body):
@@ -331,12 +375,7 @@ def _match_body(
     shape, events = candidates[pos]
     for eid in _narrowed(graph, atom, shape, events, binding):
         event = graph.events[eid]
-        steps[0] -= 1
-        if steps[0] < 0:
-            raise GroundingBudgetError(
-                f"grounding search for rule {rule.signature} visited more "
-                f"than {GROUNDING_BUDGET:,} candidate events"
-            )
+        spend()
         ok_temporal = True
         for other_pos, other_eid in enumerate(chosen):
             rel = allen.classify(graph.events[other_eid].interval, event.interval)
@@ -345,10 +384,10 @@ def _match_body(
                 break
         if not ok_temporal:
             continue
-        for head_bind in _set_bindings(atom.head_vars, event.heads, binding):
-            for bind in _set_bindings(atom.tail_vars, event.tails, head_bind):
+        for head_bind in _set_bindings(atom.head_vars, event.heads, binding, spend):
+            for bind in _set_bindings(atom.tail_vars, event.tails, head_bind, spend):
                 chosen.append(eid)
-                yield from _match_body(rule, graph, candidates, bind, chosen, steps)
+                yield from _match_body(rule, graph, candidates, bind, chosen, spend)
                 chosen.pop()
 
 

@@ -1,4 +1,4 @@
-"""Random walks over B-graphs with temporal constraint tracking.
+"""Random walks over B-graphs.
 
 A walk starts from a set of entities that each carry unit mass and only
 ever crosses an edge once all of its head entities have been reached
@@ -7,21 +7,16 @@ heads of (arrival mass / head out-degree); sampling normalizes those
 weights over the enabled set, while the recorded arrival mass keeps the
 unnormalized quantity, so the same walk yields both a sampler and a score.
 
-Every start entity opens its own path.  A path's constraint network holds
-the observed pairwise relations of its events, closed by path
-consistency; when an edge joins paths their networks are joined with
-`constraints.merge_paths` and the new event is added with
-`constraints.observe`.  `constraints` states why each result is closed
-and why `observe` never finds one inconsistent.
+A walk only samples a trace: the temporal constraint network of a kept
+trace is a function of the graph and the trace alone, and
+`rules.trace_network` builds it when the trace is lifted into a rule.
 
 A walk's state depends only on its start set and its trace, so the states
 form a prefix tree rooted at the start set, and a `WalkState` is one node
-of that tree.  Each state computes its sampling options, each of its
-successors and its trace network once, the first time a walk needs them;
-later walks through the same prefix reuse them.  `step` returns the
-successor rather than changing its argument, so walks that share a trace
-share its state and its `IANetwork`, which callers must treat as
-read-only.
+of that tree.  Each state computes its sampling options and each of its
+successors once, the first time a walk needs them; later walks through
+the same prefix reuse them.  `step` returns the successor rather than
+changing its argument, so walks that share a trace share its state.
 """
 from __future__ import annotations
 
@@ -29,8 +24,6 @@ import hashlib
 import random
 from dataclasses import dataclass
 
-from . import constraints
-from .constraints import IANetwork
 from .hypergraph import GraphError, TemporalHypergraph
 
 
@@ -68,48 +61,24 @@ class WalkDiagnostics:
     kept: int = 0
 
 
-class _Path:
-    """One sub-walk: its entity territory and its closed event constraint network.
-
-    Never mutated once built: successor states share the paths a step leaves
-    untouched with their parent.
-    """
-
-    __slots__ = ("entities", "net")
-
-    def __init__(self, entities: frozenset[int], net: IANetwork):
-        self.entities = entities
-        self.net = net
-
-
 class WalkState:
     """A walk's state: the prefix-tree node reached by one trace from the root's starts.
 
-    `arrival_mass` (whose keys are the reached entities), `trace` and
-    `paths` are never mutated once the state is built, and other walks may
-    share it: read them, never mutate them.  The memo slots fill in on
-    first use: `options` holds the sampling options (enabled event ids,
-    their weights, the weights' sum), `successors` maps a chosen event id
-    to the next state, and `time_net` is built once.
+    `arrival_mass` (whose keys are the reached entities) and `trace` are
+    never mutated once the state is built, and other walks may share it:
+    read them, never mutate them.  The memo slots fill in on first use:
+    `options` holds the sampling options (enabled event ids, their
+    weights, the weights' sum), and `successors` maps a chosen event id to
+    the next state.
     """
 
-    __slots__ = ("arrival_mass", "trace", "paths", "options", "successors", "_net")
+    __slots__ = ("arrival_mass", "trace", "options", "successors")
 
-    def __init__(self, arrival_mass: dict[int, float], trace: list[int],
-                 paths: list[_Path]) -> None:
+    def __init__(self, arrival_mass: dict[int, float], trace: list[int]) -> None:
         self.arrival_mass = arrival_mass
         self.trace = trace
-        self.paths = paths
         self.options: tuple[list[int], list[float], float] | None = None
         self.successors: dict[int, WalkState] = {}
-        self._net: IANetwork | None = None
-
-    @property
-    def time_net(self) -> IANetwork:
-        """Path-consistent network over the trace: the paths' `constraints.merge_paths`."""
-        if self._net is None:
-            self._net = constraints.merge_paths([p.net for p in self.paths], self.trace)
-        return self._net
 
 
 def init_walk(graph: TemporalHypergraph, starts: set[int]) -> WalkState:
@@ -120,8 +89,7 @@ def init_walk(graph: TemporalHypergraph, starts: set[int]) -> WalkState:
         raise GraphError(f"unknown start entity in {sorted(starts)}")
     if not graph.is_b_graph():
         raise GraphError("random B-walks require a B-graph (single-tail events)")
-    paths = [_Path(frozenset((s,)), IANetwork([])) for s in sorted(starts)]
-    return WalkState({s: 1.0 for s in starts}, [], paths)
+    return WalkState({s: 1.0 for s in starts}, [])
 
 
 def _weight(graph: TemporalHypergraph, mass: dict[int, float], event) -> float:
@@ -154,32 +122,10 @@ def step(graph: TemporalHypergraph, state: WalkState, rng: random.Random):
             break
     succ = state.successors.get(chosen)
     if succ is None:
-        succ = state.successors[chosen] = _successor(graph, state, chosen, mass)
+        arrival_mass = dict(state.arrival_mass)
+        arrival_mass[graph.events[chosen].tails[0]] = mass
+        succ = state.successors[chosen] = WalkState(arrival_mass, state.trace + [chosen])
     return succ
-
-
-def _successor(graph, state: WalkState, event_id: int, mass: float) -> WalkState:
-    """The state one step past `state` along `event_id`.
-
-    The paths the event touches are joined into one, which observes it.
-    """
-    event = graph.events[event_id]
-    tail = event.tails[0]
-    touched = [
-        path for path in state.paths
-        if any(h in path.entities for h in event.heads) or tail in path.entities
-    ]
-    entities, net = touched[0].entities, touched[0].net
-    if len(touched) > 1:
-        entities = entities.union(*(p.entities for p in touched[1:]))
-        net = constraints.merge_paths([p.net for p in touched],
-                                      [k for p in touched for k in p.net.keys])
-    net = constraints.observe(net, [event_id], lambda e: graph.events[e].interval)
-    paths = [p for p in state.paths if p not in touched]
-    paths.append(_Path(entities.union(event.heads, (tail,)), net))
-    arrival_mass = dict(state.arrival_mass)
-    arrival_mass[tail] = mass
-    return WalkState(arrival_mass, state.trace + [event_id], paths)
 
 
 def reach_probability(
@@ -222,8 +168,8 @@ def sample_walks(
     query,
     params: WalkParams,
     diagnostics: WalkDiagnostics | None = None,
-) -> list[tuple[IANetwork, int]]:
-    """Run seeded walks for one query; return one (time_net, walks) per kept trace.
+) -> list[tuple[list[int], int]]:
+    """Run seeded walks for one query; return one (trace, walks) per kept trace.
 
     Target mode (the query has a tail): walks start from the query's head
     entities and stop as soon as a step lands on the target; walks that
@@ -231,8 +177,7 @@ def sample_walks(
     tail): walks start from the heads of the graph's earliest events and
     must complete all max_steps steps.  Each distinct kept trace comes
     once, in the order of its first kept walk, with the number of kept
-    walks that ended on it; the trace is `time_net.keys`.  The network is
-    path-consistent and shared with the prefix tree, so it is read-only.
+    walks that ended on it; each trace is a fresh list of event ids.
     Identical inputs give identical output.
     """
     diag = diagnostics if diagnostics is not None else WalkDiagnostics()
@@ -255,7 +200,7 @@ def sample_walks(
         elif target is None or hit:
             diag.kept += 1
             kept[state] = kept.get(state, 0) + 1
-    return [(state.time_net, walks) for state, walks in kept.items()]
+    return [(list(state.trace), walks) for state, walks in kept.items()]
 
 
 def _resolve_starts(graph, query, params: WalkParams) -> set[int]:

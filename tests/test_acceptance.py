@@ -382,11 +382,11 @@ def test_criterion_9_temporal_kg_adapter():
     params = WalkParams(max_steps=4, num_walks=400, seed=9)
     results = sample_walks(g, query, params)
     crossing = [
-        net.keys
-        for net, _ in results
+        trace
+        for trace, _ in results
         if any(
             g.predicates.names[g.events[eid].predicate] == "IsSameEnt"
-            for eid in net.keys
+            for eid in trace
         )
     ]
     assert crossing

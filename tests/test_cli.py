@@ -646,6 +646,29 @@ def test_gen_rule_file_without_a_rule_line_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("content", ["empty", "comments", "mined"])
+def test_eval_rules_file_without_a_rule_line_exits_2(tmp_path, rule_file, capsys, content):
+    # with no rule every candidate ties, which used to score as MRR 0.5
+    corpus = str(tmp_path / "corpus")
+    assert main(["gen", "--rule", rule_file, "--out", corpus,
+                 "--num-pos", "10", "--num-neg", "10", "--seed", "1"]) == 0
+    capsys.readouterr()
+    task = ["--data", corpus, "--target-label", "Target"]
+    rules = tmp_path / "rules.txt"
+    if content == "mined":
+        # 3-step walks over this corpus keep no rule
+        assert main(["mine", *task, "--max-steps", "3", "--walks", "20", "--seed", "1",
+                     "--out", str(rules)]) == 0
+        assert capsys.readouterr().out.startswith("mined 0 rules")
+    else:
+        rules.write_text("" if content == "empty" else "# no rules\n# support=3\n\n")
+    metrics = tmp_path / "metrics.json"
+    assert main(["eval", *task, "--rules", str(rules), "--out", str(metrics)]) == 2
+    assert _one_error_line(capsys) == (
+        f"rulewalk: error: {rules}: no rule line found; nothing to score with\n")
+    assert not metrics.exists()
+
+
 def test_gen_rule_file_with_two_rule_lines_exits_2(tmp_path, capsys):
     rule = tmp_path / "two.rule"
     rule.write_text(PLANTED + "w=0.0 Target() <- B(X0->X1) , A(X1->X2)\n")
@@ -842,7 +865,7 @@ def test_an_exhausted_grounding_budget_exits_2_naming_the_rule(
     assert main(argv) == 2
     err = capsys.readouterr().err
     prefix = "rulewalk: error: grounding search for rule "
-    suffix = " visited more than 1 candidate events\n"
+    suffix = " tried more than 1 candidate events and bindings\n"
     assert err.startswith(prefix) and err.endswith(suffix) and err.count("\n") == 1
     # what lies between is a rule's signature, which parses as a rule line
     assert parse_rule("w=0.0 " + err[len(prefix):-len(suffix)]).body
@@ -878,3 +901,35 @@ def test_target_mode_outputs_are_pinned(tmp_path, capsys):
     assert hashlib.sha256(model.read_bytes()).hexdigest() == (
         "33eba1f1e82b7befbc647f642e523d3bc48b8f0d194c0473a303ad7ccccfde3f"
     )
+
+
+def _two_head_graph(path):
+    # sub-walks from a and from b meet only through the two-head J or M
+    lines = ["#thg v1"]
+    for t in range(0, 50, 10):
+        lines += [f"A | a | x | {t} {t + 1}", f"C | b | y | {t + 2} {t + 3}",
+                  f"J | x,y | c | {t + 4} {t + 5}", f"M | a,b | c | {t + 6} {t + 7}"]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_multi_head_sub_walk_networks_are_pinned(tmp_path, capsys):
+    # byte-identity guard for the one case in which a rule's network is not
+    # all observed singletons: the walks from the query's two heads build
+    # separate groups of events, so a cell between two groups is only what
+    # path consistency derives through an event that joins them
+    graph, mined = tmp_path / "two-head.thg", tmp_path / "mined.txt"
+    _two_head_graph(graph)
+    assert main(["mine", "--data", str(graph), "--positive-predicates", "M",
+                 "--max-steps", "3", "--walks", "50", "--seed", "1",
+                 "--out", str(mined)]) == 0
+    assert capsys.readouterr().out.startswith("mined 9 rules")
+    assert hashlib.sha256(mined.read_bytes()).hexdigest() == (
+        "586d9b1df3588fc396ce2ec5aeb85235bdb1d1f1653f5fac909fd165dbaff7ff"
+    )
+    lines = mined.read_text().splitlines()
+    # A and C never met before M joined them: their cell says nothing
+    assert ("w=0.0 M(X0,X1->X2) <- A(X0->X3) , C(X1->X4) , M(X0,X1->X2)"
+            " | 0 {BEFORE,AFTER} 2 ; 1 {BEFORE,AFTER} 2") in lines
+    # closure derived C before A from C before J and J before A
+    assert any(line.startswith("w=0.0 M(X0,X1->X2) <- C(X0->X3) , A(X1->X4) ,"
+                               " J(X3,X4->X2) | 0 {BEFORE} 1 ; ") for line in lines)

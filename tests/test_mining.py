@@ -169,6 +169,8 @@ def test_link_prediction_mining_targets_query_tail():
 def _lift_every_walk(graphs, qs, params):
     """mine_rules walk by walk: every kept walk of the memo-free replay is lifted anew.
 
+    Each lifted rule's cells among its trace atoms must equal the replay's
+    network, which the replay builds without `rules.trace_network`.
     Returns the ranked rules, the disconnected count and the number of
     kept walks whose trace repeats an earlier one of the same query.
     """
@@ -185,7 +187,9 @@ def _lift_every_walk(graphs, qs, params):
             if not chain_connected(graph, trace, query):
                 disconnected += 1
                 continue
-            rule = trace_to_rule(graph, net, query)
+            rule = trace_to_rule(graph, trace, query)
+            n = len(trace)
+            assert [row[:n] for row in rule.time_net.cells[:n]] == net.cells
             known = aggregated.setdefault(rule.signature, rule)
             if known is rule:
                 rule.support = 1

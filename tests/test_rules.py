@@ -21,11 +21,12 @@ from rulewalk.rules import (
     iter_groundings,
     parse_rule,
     read_rules,
+    trace_network,
     trace_to_rule,
     write_rules,
 )
 
-from oracles import from_observed, grounding_exists_bruteforce
+from oracles import grounding_exists_bruteforce
 
 R = Relation
 
@@ -44,8 +45,7 @@ def cooked_query(g):
 
 def cooked_rule():
     g = cooking_graph()
-    net = from_observed([(0, g.events[0].interval), (1, g.events[1].interval)])
-    return g, trace_to_rule(g, net, cooked_query(g))
+    return g, trace_to_rule(g, [0, 1], cooked_query(g))
 
 
 def test_trace_to_rule_cooked_example():
@@ -58,9 +58,8 @@ def test_trace_to_rule_cooked_example():
 def test_single_edge_trace():
     g = TemporalHypergraph()
     g.add_event("Put", ["a"], ["b"], (1, 2))
-    net = from_observed([(0, g.events[0].interval)])
     a, b = g.entities.id_of("a"), g.entities.id_of("b")
-    rule = trace_to_rule(g, net, Query("Goal", (a,), (b,)))
+    rule = trace_to_rule(g, [0], Query("Goal", (a,), (b,)))
     assert len(rule.body) == 1
     assert rule.time_net.n == 1
     assert rule.time_net.cells[0][0] == rel_set(R.EQUAL)
@@ -79,29 +78,41 @@ def test_signature_invariant_under_entity_renaming():
         g.add_event("Zzz", [names["noise"]], [names["noise2"]], (0, 0))
         g.add_event("Mix", [names["onion"], names["garlic"]], [names["bowl"]], (1, 2))
         g.add_event("Heat", [names["bowl"]], [names["soup"]], (4, 5))
-        net = from_observed([(1, g.events[1].interval), (2, g.events[2].interval)])
         ids = {n: g.entities.id_of(name) for n, name in names.items()}
         q = Query("Done", (ids["onion"], ids["garlic"]), (ids["soup"],))
-        return trace_to_rule(g, net, q)
+        return trace_to_rule(g, [1, 2], q)
 
     plain = {n: n for n in ("noise", "noise2", "onion", "garlic", "bowl", "soup")}
     renamed = {n: f"zz_{i}_{n}" for i, n in enumerate(sorted(plain, reverse=True))}
     assert build(plain).signature == build(renamed).signature
 
 
+def test_trace_network_relates_groups_only_through_an_event_that_joins_them():
+    g = TemporalHypergraph()
+    g.add_event("C", ["b"], ["y"], (2, 3))
+    g.add_event("A", ["a"], ["x"], (10, 11))
+    g.add_event("J", ["x", "y"], ["c"], (4, 5))
+    # C and A share no entity: before J they are two groups, cell FULL_SET
+    assert trace_network(g, [0, 1]).cells[0][1] == FULL_SET
+    # J is observed against both; closure derives C before A through it
+    net = trace_network(g, [0, 1, 2])
+    assert net.keys == [0, 1, 2]
+    assert net.cells[0][2] == rel_set(R.BEFORE) and net.cells[1][2] == rel_set(R.AFTER)
+    assert net.cells[0][1] == rel_set(R.BEFORE)
+
+
 def test_empty_trace_rejected():
     g = cooking_graph()
     with pytest.raises(RuleError):
-        trace_to_rule(g, IANetwork([]), Query("Cooked"))
+        trace_to_rule(g, [], Query("Cooked"))
 
 
 def test_trace_to_rule_rejects_an_entity_id_the_graph_lacks():
     g = cooking_graph()
-    net = from_observed([(0, g.events[0].interval), (1, g.events[1].interval)])
     pan = g.entities.id_of("pan")
     for ghost in (len(g.entities), -1):
         with pytest.raises(GraphError):
-            trace_to_rule(g, net, Query("Cooked", (ghost,), (pan,)))
+            trace_to_rule(g, [0, 1], Query("Cooked", (ghost,), (pan,)))
 
 
 def test_disconnected_trace_rejected():
@@ -109,8 +120,7 @@ def test_disconnected_trace_rejected():
     g.add_event("P", ["a"], ["b"], (0, 1))
     g.add_event("Q", ["c"], ["d"], (2, 3))
     assert not chain_connected(g, [0, 1], Query("L"))
-    net = from_observed([(0, g.events[0].interval), (1, g.events[1].interval)])
-    assert trace_to_rule(g, net, Query("L")) is None
+    assert trace_to_rule(g, [0, 1], Query("L")) is None
     # the query's entities can seed the chain
     a, c, d = (g.entities.id_of(n) for n in ("a", "c", "d"))
     assert chain_connected(g, [0, 1], Query("L", (a, c), (d,)))
@@ -121,8 +131,7 @@ def test_class_atoms_appended_once_per_variable():
     g.add_event("Put", ["bacon"], ["pan"], (3, 5))
     g.add_event("Bacon", ["bacon"], ["bacon"], (0, 10))
     g.add_event("Bacon", ["bacon"], ["bacon"], (0, 11))  # second label ignored
-    net = from_observed([(0, g.events[0].interval)])
-    rule = trace_to_rule(g, net, cooked_query(g))
+    rule = trace_to_rule(g, [0], cooked_query(g))
     assert rule.signature == "Cooked(X0->X1) <- Put(X0->X1) , Bacon(X0->X0)"
     assert rule.time_net.n == 2
     # observed relation between Put and the class fact
@@ -184,6 +193,20 @@ def test_coverage_filter_raises_when_the_grounding_budget_runs_out(monkeypatch):
         coverage_filter(rule, g, 0.5)
     monkeypatch.setattr("rulewalk.rules.GROUNDING_BUDGET", 10_000)
     assert not coverage_filter(rule, g, 0.5)
+
+
+@pytest.mark.parametrize("heads", [8, 9])
+def test_the_grounding_budget_counts_the_bindings_of_an_n_ary_atom(monkeypatch, heads):
+    # one n-ary event grounds the atom once per order of its heads: 8! or 9!
+    # identical groundings, none of which spans the graph
+    g = TemporalHypergraph()
+    g.add_event("M", [f"h{i}" for i in range(heads)], ["t"], (0, 1))
+    g.add_event("N", ["a"], ["b"], (5, 9))
+    body = (Atom("M", tuple(range(heads)), (heads,)),)
+    rule = TemporalRule(Atom("L", (), ()), body, IANetwork([0]))
+    monkeypatch.setattr("rulewalk.rules.GROUNDING_BUDGET", 10)
+    with pytest.raises(GroundingBudgetError, match="10 candidate events and bindings"):
+        coverage_filter(rule, g, 1.0)
 
 
 def test_coverage_span():

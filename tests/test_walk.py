@@ -1,4 +1,4 @@
-"""B-walk mechanics: enabling, weighting, sampling, temporal tracking."""
+"""B-walk mechanics: enabling, weighting, sampling, and the networks of sampled traces."""
 import random
 
 import pytest
@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from rulewalk.allen import EMPTY_SET
 from rulewalk.hypergraph import GraphError, TemporalHypergraph
-from rulewalk.rules import Query
+from rulewalk.rules import Query, trace_network
 from rulewalk.walk import (
     DEAD_END,
     WalkParams,
@@ -177,7 +177,7 @@ def test_walk_time_net_is_observed_chain():
     state = init_walk(g, {g.entities.id_of("a")})
     rng = random.Random(3)
     state = step(g, step(g, state, rng), rng)
-    net = state.time_net
+    net = trace_network(g, state.trace)
     assert net.keys == [0, 1]
     from rulewalk.allen import Relation, rel_set
 
@@ -200,8 +200,10 @@ def test_multi_start_paths_merge_via_join_edge():
                 break
             state = succ
         if len(state.trace) == 3:
-            net = state.time_net
-            assert len(state.paths) == 1
+            net = trace_network(g, state.trace)
+            # the join event was observed against both paths: one group
+            join = state.trace.index(2)
+            assert all(net.cells[join][i].bit_count() == 1 for i in range(3))
             assert all(
                 net.cells[i][j] != EMPTY_SET for i in range(3) for j in range(3)
             )
@@ -241,7 +243,7 @@ def test_sample_walks_finds_unique_path():
     params = WalkParams(max_steps=3, num_walks=50, seed=5)
     results = sample_walks(g, query, params)
     assert results
-    assert all(net.keys == [0, 1] for net, _ in results)
+    assert all(trace == [0, 1] for trace, _ in results)
 
 
 def test_sample_walks_rejects_entity_ids_the_graph_lacks():
@@ -270,8 +272,9 @@ def test_sample_walks_seeded_determinism():
     params = WalkParams(max_steps=4, num_walks=200, seed=99)
     first = sample_walks(g, query, params)
     second = sample_walks(g, query, params)
-    assert [(n.keys, walks) for n, walks in first] == [(n.keys, walks) for n, walks in second]
-    assert [n.cells for n, _ in first] == [n.cells for n, _ in second]
+    assert first == second
+    assert ([trace_network(g, t).cells for t, _ in first]
+            == [trace_network(g, t).cells for t, _ in second])
 
 
 def test_sample_walks_classification_mode_runs_full_length():
@@ -284,7 +287,7 @@ def test_sample_walks_classification_mode_runs_full_length():
     params = WalkParams(max_steps=2, num_walks=20, seed=3)
     results = sample_walks(g, query, params, diag)
     assert results
-    assert all(len(net.keys) == 2 for net, _ in results)
+    assert all(len(trace) == 2 for trace, _ in results)
     assert diag.walks == 20
     assert diag.kept == sum(walks for _, walks in results)
 
@@ -325,8 +328,8 @@ def test_returned_time_nets_are_closed_and_nonempty():
     for g in (joined, apart):
         results = sample_walks(g, goal(g, ["a", "b"], "w"), params)
         assert results
-        for net, _ in results:
-            trace = net.keys
+        for trace, _ in results:
+            net = trace_network(g, trace)
             assert all(
                 net.cells[i][j] != EMPTY_SET
                 for i in range(net.n)
@@ -349,8 +352,9 @@ def _assert_matches_replay(g, query, params):
     grouped = {}
     for trace, net in replayed:
         grouped.setdefault(tuple(trace), []).append(net)
-    assert [tuple(net.keys) for net, _ in results] == list(grouped)
-    assert [[net] * walks for net, walks in results] == list(grouped.values())
+    assert [tuple(trace) for trace, _ in results] == list(grouped)
+    assert [[trace_network(g, trace)] * walks for trace, walks in results] == list(
+        grouped.values())
     assert diag == expected_diag
     return results, diag
 
@@ -404,13 +408,13 @@ def test_memo_free_replay_covers_modes_multi_heads_and_dead_ends():
         mode = "target" if query.tails else "classification"
         kept[mode] = kept.get(mode, 0) + sum(walks for _, walks in results)
         dead_ends += diag.dead_ends
-        multi_head += sum(0 in net.keys for net, _ in results)
+        multi_head += sum(0 in trace for trace, _ in results)
     assert kept["target"] and kept["classification"]
     assert dead_ends and multi_head
 
 
-def test_walks_with_one_trace_share_one_read_only_network():
+def test_walks_with_one_trace_share_one_entry():
     g = chain_graph()
     results = sample_walks(g, goal(g, ["a"], "c"),
                            WalkParams(max_steps=3, num_walks=5, seed=1))
-    assert [(net.keys, walks) for net, walks in results] == [([0, 1], 5)]
+    assert results == [([0, 1], 5)]
