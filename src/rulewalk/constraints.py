@@ -15,11 +15,13 @@ queued again, so the propagation reaches the same (unique) closure.
 
 Closed-input contract: `observe` is the only operation that closes a
 network.  It appends nodes with the observed relations of their intervals
-and closes through the closed prefix; `rules.trace_network` observes each
-event of a trace, `rules.trace_to_rule` the class atoms.  Every cell then
-holds the relation of the graph's own intervals, which realise the network
-(Allen 1983), so the closure never empties a cell; `observe` raises if it
-ever does.  The other operations take closed networks and only copy or OR
+and closes through the closed prefix; `rules.trace_network` observes the
+events of each group of a trace in one batch, `rules.trace_to_rule` the
+class atoms.  The closure of the same input cells is unique, so observing
+events one call at a time or all in one call gives the same cells.  Every
+cell then holds the relation of the graph's own intervals, which realise the
+network (Allen 1983), so the closure never empties a cell; `observe` raises
+if it ever does.  The other operations take closed networks and only copy or OR
 their cells, since the result is closed as it stands.  Composition
 distributes over union, so each cell of a cellwise union of two closed
 networks lies inside the composition of the union's legs (Mackworth 1977):
@@ -41,6 +43,19 @@ class KeyMismatchError(ValueError):
     """Node key lists of two networks do not line up as required."""
 
 
+def _check_distinct(keys: Sequence[Hashable]) -> None:
+    seen = set()
+    for k in keys:
+        if k in seen:
+            raise KeyMismatchError(f"key {k!r} is named twice")
+        seen.add(k)
+
+
+_EQUAL = 1 << allen.Relation.EQUAL
+# the converse of each singleton relation, as a relation set
+_CONVERSE = tuple(allen.inverse_set(1 << r) for r in allen.Relation)
+
+
 class IANetwork:
     """Square matrix of relation sets over a list of node keys.
 
@@ -55,9 +70,8 @@ class IANetwork:
         self.keys = list(keys)
         n = len(self.keys)
         if cells is None:
-            eq = 1 << allen.Relation.EQUAL
             cells = [
-                [eq if i == j else FULL_SET for j in range(n)] for i in range(n)
+                [_EQUAL if i == j else FULL_SET for j in range(n)] for i in range(n)
             ]
         self.cells = cells
 
@@ -148,9 +162,10 @@ def merge_paths(nets: Sequence[IANetwork], keys: Sequence[Hashable]) -> IANetwor
 
     Cells within each input are copied and cells between inputs are
     FULL_SET, so the join is closed (see above).  Raises KeyMismatchError
-    when two networks share a key, or when a network key and `keys` do not
-    name the same nodes.
+    when `keys` names a node twice, when two networks share a key, or when a
+    network key and `keys` do not name the same nodes.
     """
+    _check_distinct(keys)
     free = {k: i for i, k in enumerate(keys)}
     # each node's diagonal cell is copied from the one network that holds it
     cells = [[FULL_SET] * len(keys) for _ in keys]
@@ -177,22 +192,28 @@ def observe(
 
     The cell between a new node and any earlier node (old or new) is the
     singleton relation of their intervals, `interval_of(key)`; the result
-    is closed through `net`'s closed prefix.  Raises ValueError if the
-    closure empties a cell, which observed relations of real intervals
-    never do.
+    is closed through `net`'s closed prefix.  Raises KeyMismatchError when
+    a key is named twice, and ValueError if the closure empties a cell,
+    which observed relations of real intervals never do.
     """
-    old = net.n
-    out = IANetwork(net.keys + list(new_keys))
-    for i, row in enumerate(net.cells):
-        out.cells[i][:old] = row
-    intervals = [interval_of(k) for k in out.keys]
+    keys = net.keys + list(new_keys)
+    _check_distinct(keys)
+    old, n = net.n, len(keys)
+    cells = [row + [0] * (n - old) for row in net.cells]
+    intervals = [interval_of(k) for k in keys]
     classify = allen.classify
-    for j in range(old, out.n):
+    for j in range(old, n):
+        b = intervals[j]
+        row = [0] * n
+        row[j] = _EQUAL
         for i in range(j):
-            out.set_pair(i, j, 1 << classify(intervals[i], intervals[j]))
-    consistent, closed = resolve_time(out, closed_prefix=old)
+            rel = classify(intervals[i], b)
+            cells[i][j] = 1 << rel
+            row[i] = _CONVERSE[rel]
+        cells.append(row)
+    consistent, closed = resolve_time(IANetwork(keys, cells), closed_prefix=old)
     if not consistent:
-        raise ValueError(f"observed network over {out.keys!r} is inconsistent")
+        raise ValueError(f"observed network over {keys!r} is inconsistent")
     return closed
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import re
 from dataclasses import KW_ONLY, dataclass, field
 from itertools import permutations
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from . import allen
 from .allen import FULL_SET
@@ -62,8 +62,7 @@ class Query:
     event_id: int | None = None
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(NamedTuple):
     predicate: str
     head_vars: tuple[int, ...]
     tail_vars: tuple[int, ...]
@@ -123,26 +122,37 @@ def trace_network(graph: TemporalHypergraph, trace: list[int]) -> IANetwork:
     holds no event until an event names its start, and that event carries
     the start itself.  So the sub-walks that hold events are the groups of
     trace events joined by shared entities, built in trace order, whatever
-    the start set.  Each event joins the groups it touches with
-    `merge_paths` and is observed against the joined group; the groups are
-    then laid out in trace order, and cells between groups that never met
-    stay FULL_SET.  The singleton cells of real intervals are already
-    closed (Allen 1983), so closure only acts where two groups with events
-    meet.
+    the start set.  Each group keeps its closed network and the events it
+    has not observed yet, and observes them in one `observe` call: just
+    before an event joins it to other groups with `merge_paths`, or when
+    the trace ends.  The closure of the same cells is unique, so the cells
+    are those of observing each event against its group in turn.  The
+    groups are then laid out in trace order, and cells between groups that
+    never met stay FULL_SET.
     """
-    groups: list[tuple[set[int], IANetwork]] = []  # (entities, closed network)
+    def interval_of(eid: int):
+        return graph.events[eid].interval
+
+    groups: list[tuple[set[int], IANetwork, list[int]]] = []  # (entities, closed, unobserved)
     for eid in trace:
         event = graph.events[eid]
         entities = set(event.heads).union(event.tails)
         touched = [g for g in groups if not entities.isdisjoint(g[0])]
-        groups = [g for g in groups if entities.isdisjoint(g[0])]
-        if len(touched) > 1:
-            net = merge_paths([n for _, n in touched], [k for _, n in touched for k in n.keys])
+        if len(touched) == 1:
+            touched[0][0].update(entities)
+            touched[0][2].append(eid)
+            continue
+        if touched:
+            groups = [g for g in groups if entities.isdisjoint(g[0])]
+            nets = [observe(net, unobserved, interval_of) for _, net, unobserved in touched]
+            net = merge_paths(nets, [k for n in nets for k in n.keys])
+            entities.update(*(ents for ents, _, _ in touched))
         else:
-            net = touched[0][1] if touched else IANetwork([])
-        entities.update(*(ents for ents, _ in touched))
-        groups.append((entities, observe(net, [eid], lambda e: graph.events[e].interval)))
-    return merge_paths([net for _, net in groups], trace)
+            net = IANetwork([])
+        groups.append((entities, net, [eid]))
+    return merge_paths(
+        [observe(net, unobserved, interval_of) for _, net, unobserved in groups], trace
+    )
 
 
 def trace_to_rule(
@@ -161,36 +171,29 @@ def trace_to_rule(
     """
     if not trace:
         raise RuleError("cannot build a rule from an empty trace")
-    if not chain_connected(graph, trace, query):
-        return None
     if not graph.has_entities(query.heads + query.tails):
         raise GraphError(f"query entities {query.heads + query.tails} are not all in the graph")
+    if not chain_connected(graph, trace, query):
+        return None
 
     class_events = _class_events(graph, trace)
-    body_events = trace + class_events
-    atom_entities = [
-        (graph.events[e].heads, graph.events[e].tails) for e in body_events
-    ]
+    events = [graph.events[e] for e in trace + class_events]
+    var_of = _canonical_variables(
+        query.heads, query.tails, [(ev.heads, ev.tails) for ev in events])
 
-    var_of = _canonical_variables(query.heads, query.tails, atom_entities)
+    def variables(entities) -> tuple[int, ...]:
+        return tuple(sorted([var_of[x] for x in entities]))
 
-    head = Atom(
-        query.predicate,
-        tuple(sorted(var_of[x] for x in query.heads)),
-        tuple(sorted(var_of[x] for x in query.tails)),
-    )
+    head = Atom(query.predicate, variables(query.heads), variables(query.tails))
+    names = graph.predicates.names
     body = tuple(
-        Atom(
-            graph.predicates.names[graph.events[e].predicate],
-            tuple(sorted(var_of[x] for x in graph.events[e].heads)),
-            tuple(sorted(var_of[x] for x in graph.events[e].tails)),
-        )
-        for e in body_events
+        Atom(names[ev.predicate], variables(ev.heads), variables(ev.tails)) for ev in events
     )
 
-    observed = observe(trace_network(graph, trace), class_events,
-                       lambda e: graph.events[e].interval)
-    net = IANetwork(range(len(body_events)), observed.cells)
+    net = trace_network(graph, trace)
+    if class_events:
+        net = observe(net, class_events, lambda e: graph.events[e].interval)
+    net = IANetwork(range(len(body)), net.cells)
     return TemporalRule(head, body, net)
 
 
@@ -223,30 +226,27 @@ def _class_events(graph: TemporalHypergraph, trace: list[int]) -> list[int]:
 def _canonical_variables(query_heads, query_tails, atom_entities) -> dict[int, int]:
     """Assign variable ids invariant under graph entity renaming.
 
-    Entities are ordered by their occurrence pattern over the body (which
-    positions they fill); entities with identical patterns are
-    interchangeable, so the remaining tie-break by id cannot change the
-    rendered signature.
+    Entities get ids in order of first appearance, query heads and tails
+    first.  Entities that first appear together in one head or tail set are
+    ordered by their occurrence pattern over the body (which positions they
+    fill); entities with identical patterns are interchangeable, so the
+    remaining tie-break by id cannot change the rendered signature.  The
+    patterns are built only for a set that holds two or more such entities.
     """
-    patterns: dict[int, list[tuple[int, int]]] = {}
-    for pos, (heads, tails) in enumerate(atom_entities):
-        for x in heads:
-            patterns.setdefault(x, []).append((pos, 0))
-        for x in tails:
-            patterns.setdefault(x, []).append((pos, 1))
-
     var_of: dict[int, int] = {}
-
-    def assign(group) -> None:
-        for x in sorted(set(group), key=lambda x: (patterns.get(x, []), x)):
-            if x not in var_of:
-                var_of[x] = len(var_of)
-
-    assign(query_heads)
-    assign(query_tails)
-    for heads, tails in atom_entities:
-        assign(heads)
-        assign(tails)
+    patterns: dict[int, list[tuple[int, int]]] = {}
+    for group in (query_heads, query_tails, *(g for atom in atom_entities for g in atom)):
+        fresh = [x for x in group if x not in var_of]
+        if len(fresh) > 1:
+            if not patterns:
+                for pos, (heads, tails) in enumerate(atom_entities):
+                    for x in heads:
+                        patterns.setdefault(x, []).append((pos, 0))
+                    for x in tails:
+                        patterns.setdefault(x, []).append((pos, 1))
+            fresh = sorted(set(fresh), key=lambda x: (patterns.get(x, []), x))
+        for x in fresh:
+            var_of[x] = len(var_of)
     return var_of
 
 

@@ -6,6 +6,8 @@ search, rule matching by full tuple enumeration, walks by a plain replay
 that recomputes everything at every step, and gradients by central finite
 differences.  `from_observed` builds the singleton network of concrete
 intervals, which is path-consistent because the intervals realise it.
+`trace_network_per_event` is the lift of a trace without batching: it
+observes each event against its group with its own closure.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ import numpy as np
 
 from rulewalk import learner
 from rulewalk.allen import classify
-from rulewalk.constraints import IANetwork, resolve_time
+from rulewalk.constraints import IANetwork, merge_paths, observe, resolve_time
 from rulewalk.hypergraph import Interval
 from rulewalk.walk import WalkDiagnostics
 
@@ -122,6 +124,28 @@ def replay_walks(graph, query, params):
             diag.kept += 1
             kept.append((trace, _observed_closure(graph, trace, observed)[1]))
     return kept, diag
+
+
+def trace_network_per_event(graph, trace) -> IANetwork:
+    """`rules.trace_network`, with one `observe` call per event.
+
+    Each event joins the groups it touches with `merge_paths` and is
+    observed against the joined group at once; the groups are laid out in
+    trace order at the end.
+    """
+    groups: list[tuple[set[int], IANetwork]] = []  # (entities, closed network)
+    for eid in trace:
+        event = graph.events[eid]
+        entities = set(event.heads).union(event.tails)
+        touched = [g for g in groups if not entities.isdisjoint(g[0])]
+        groups = [g for g in groups if entities.isdisjoint(g[0])]
+        if len(touched) > 1:
+            net = merge_paths([n for _, n in touched], [k for _, n in touched for k in n.keys])
+        else:
+            net = touched[0][1] if touched else IANetwork([])
+        entities.update(*(ents for ents, _ in touched))
+        groups.append((entities, observe(net, [eid], lambda e: graph.events[e].interval)))
+    return merge_paths([net for _, net in groups], trace)
 
 
 def _observed_closure(graph, keys, observed):

@@ -128,6 +128,19 @@ def test_merge_paths_rejects_a_key_no_network_holds():
         merge_paths([IANetwork(["a"]), IANetwork(["b"])], ["a", "c", "b"])
 
 
+def test_merge_paths_rejects_keys_that_name_a_node_twice():
+    with pytest.raises(KeyMismatchError, match="'a' is named twice"):
+        merge_paths([IANetwork(["a"])], ["a", "a"])
+
+
+def test_observe_rejects_a_key_named_twice():
+    interval_of = {"a": Interval(0, 1), "b": Interval(2, 3)}.__getitem__
+    with pytest.raises(KeyMismatchError, match="'a' is named twice"):
+        observe(IANetwork([]), ["a", "a"], interval_of)
+    with pytest.raises(KeyMismatchError, match="'b' is named twice"):
+        observe(IANetwork(["b"]), ["a", "b"], interval_of)
+
+
 def test_observe_raises_when_the_closure_empties_a_cell():
     # the old cell says a BEFORE b, but the intervals put a after b, and c
     # lies between them: a AFTER c and c AFTER b force a AFTER b
@@ -331,3 +344,26 @@ def test_observe_on_a_widened_closed_network_matches_the_from_scratch_closure(da
     expected_ok, expected = resolve_time(full)
     assert expected_ok
     assert observe(closed, new_keys, interval_of) == expected
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_observing_keys_in_one_batch_equals_observing_them_one_at_a_time(data):
+    # the closed input is one network, or several joined by merge_paths with
+    # FULL_SET cross cells, as a trace's groups are when they meet
+    sizes = data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=3), label="sizes")
+    new = data.draw(st.integers(0, 4), label="new nodes")
+    total = sum(sizes) + new
+    intervals = data.draw(st.lists(intervals_small, min_size=total, max_size=total))
+    nets, start = [], 0
+    for size in sizes:
+        keys = list(range(start, start + size))
+        nets.append(_draw_closed(data, keys, intervals[start:start + size]))
+        start += size
+    net = merge_paths(nets, data.draw(st.permutations(list(range(start))), label="old keys"))
+    new_keys = list(range(start, total))
+    interval_of = intervals.__getitem__
+    one_at_a_time = net
+    for key in new_keys:
+        one_at_a_time = observe(one_at_a_time, [key], interval_of)
+    assert observe(net, new_keys, interval_of) == one_at_a_time

@@ -2,6 +2,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rulewalk.allen import FULL_SET, Relation, rel_set
 from rulewalk.constraints import IANetwork
@@ -26,7 +28,7 @@ from rulewalk.rules import (
     write_rules,
 )
 
-from oracles import grounding_exists_bruteforce
+from oracles import grounding_exists_bruteforce, trace_network_per_event
 
 R = Relation
 
@@ -87,6 +89,19 @@ def test_signature_invariant_under_entity_renaming():
     assert build(plain).signature == build(renamed).signature
 
 
+def test_signature_invariant_under_entity_ids():
+    # onion and garlic first appear together in Mix's heads: their occurrence
+    # patterns, not the order in which the graph interned them, order them
+    def build(first, second):
+        g = TemporalHypergraph()
+        g.add_event("Mix", [first, second], ["bowl"], (1, 2))
+        g.add_event("Chop", ["garlic"], ["board"], (3, 4))
+        return trace_to_rule(g, [0, 1], Query("Done")).signature
+
+    expected = "Done() <- Mix(X0,X1->X2) , Chop(X1->X3)"
+    assert build("onion", "garlic") == build("garlic", "onion") == expected
+
+
 def test_trace_network_relates_groups_only_through_an_event_that_joins_them():
     g = TemporalHypergraph()
     g.add_event("C", ["b"], ["y"], (2, 3))
@@ -101,6 +116,56 @@ def test_trace_network_relates_groups_only_through_an_event_that_joins_them():
     assert net.cells[0][1] == rel_set(R.BEFORE)
 
 
+def test_trace_network_observes_each_group_before_it_meets_another():
+    # C, D and A, B form two groups of two events each; J joins them, and E
+    # follows J, so each group holds unobserved events when they meet
+    g = TemporalHypergraph()
+    g.add_event("C", ["b"], ["y"], (9, 10))
+    g.add_event("A", ["a"], ["x"], (10, 11))
+    g.add_event("D", ["y"], ["v"], (0, 6))
+    g.add_event("B", ["x"], ["u"], (12, 14))
+    g.add_event("J", ["u", "v"], ["c"], (7, 8))
+    g.add_event("E", ["c"], ["w"], (8, 9))
+    trace = [0, 1, 2, 3, 4, 5]
+    net = trace_network(g, trace)
+    assert net == trace_network_per_event(g, trace)
+    # closure derives D BEFORE B through J; C and A, both after J, were
+    # never observed together, so C MEETS A is not derived
+    assert net.cells[2][3] == rel_set(R.BEFORE)
+    assert net.cells[0][1] != rel_set(R.MEETS)
+
+
+@st.composite
+def multi_head_traces(draw):
+    # each group's events use the group's own entities; bridge events, which
+    # come last in the trace, may name entities of several groups
+    groups = [[f"g{i}e{k}" for k in range(3)] for i in range(draw(st.integers(2, 3)))]
+    g = TemporalHypergraph()
+
+    def add(names):
+        heads = draw(st.lists(st.sampled_from(names), min_size=1, max_size=3, unique=True))
+        tails = draw(st.lists(st.sampled_from(names), min_size=1, max_size=2, unique=True))
+        start = draw(st.integers(0, 8))
+        # a predicate keeps one tail arity
+        g.add_event(draw(st.sampled_from(["P", "Q"])) + str(len(tails)), heads, tails,
+                    (start, start + draw(st.integers(0, 4))))
+        return len(g.events) - 1
+
+    inner = [add(names) for names in groups for _ in range(draw(st.integers(1, 3)))]
+    bridges = [add(sum(groups, [])) for _ in range(draw(st.integers(1, 3)))]
+    return g, draw(st.permutations(inner)) + draw(st.permutations(bridges))
+
+
+@settings(max_examples=300, deadline=None)
+@given(multi_head_traces())
+def test_trace_network_matches_the_per_event_lift(case):
+    g, trace = case
+    net = trace_network(g, trace)
+    expected = trace_network_per_event(g, trace)
+    assert net.keys == expected.keys == trace
+    assert net.cells == expected.cells
+
+
 def test_empty_trace_rejected():
     g = cooking_graph()
     with pytest.raises(RuleError):
@@ -109,10 +174,13 @@ def test_empty_trace_rejected():
 
 def test_trace_to_rule_rejects_an_entity_id_the_graph_lacks():
     g = cooking_graph()
+    g.add_event("Wash", ["cloth"], ["sink"], (0, 1))
     pan = g.entities.id_of("pan")
     for ghost in (len(g.entities), -1):
-        with pytest.raises(GraphError):
-            trace_to_rule(g, [0, 1], Query("Cooked", (ghost,), (pan,)))
+        # a connected trace, and one whose Wash event shares no entity
+        for trace in ([0, 1], [0, 2]):
+            with pytest.raises(GraphError):
+                trace_to_rule(g, trace, Query("Cooked", (ghost,), (pan,)))
 
 
 def test_disconnected_trace_rejected():
