@@ -8,19 +8,22 @@ One graph per file::
     MixInto | onion,garlic,oil | bowl | 7 9
 
 Fields are pipe-separated: predicate, comma-separated heads, tails, then
-`start end`.  `#` starts a comment; `|` and `,` are reserved and rejected
-inside names; a predicate name must be a `NAME_TOKEN`, as rule files
-carry it and a line that begins with `#` is a comment.  A corpus is a
-directory of `*.thg` files read in filename order.
+`start end`.  `#` starts a comment; `|`, `,` and tabs are reserved and
+rejected inside names, on load as on save; a predicate name must be a
+`NAME_TOKEN`, as rule files carry it and a line that begins with `#` is a
+comment.  A corpus is a directory of `*.thg` files read in filename order.
+
+The loaders check each distinct name once.  `load_graph` reads the whole
+file in one call and builds under `hypergraph.gc_paused`; events with equal
+raw time fields share one `Interval`.
 """
 from __future__ import annotations
 
-import gc
 import os
 import re
 from contextlib import contextmanager
 
-from .hypergraph import GraphError, Interval, TemporalHypergraph
+from .hypergraph import GraphError, Interval, TemporalHypergraph, gc_paused
 
 HEADER = "#thg v1"
 RESERVED = ("|", ",", "\n", "\t")
@@ -106,33 +109,23 @@ def save_graph(graph: TemporalHypergraph, path, label: str | None = None) -> Non
         fh.write("\n".join(lines) + "\n")
 
 
-@contextmanager
-def _gc_paused():
-    """The cyclic garbage collector off for the `with` body, then as it was."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
-
-
 def load_graph(
     path, split_multi_tail: bool = False
 ) -> tuple[TemporalHypergraph, str | None]:
     """One graph file's graph and its `#label` (None without one).
 
     `#label` is read only when whitespace or the end of the line follows it,
-    and a second `#label` line is a DataFormatError.  The parse runs with
-    the cyclic garbage collector paused: a graph holds no reference cycles,
-    so each collection would rescan the growing graph and free nothing.
+    and a second `#label` line is a DataFormatError.  Each distinct
+    predicate, entity name and raw time field is checked once, at the first
+    line that holds it, so an error names that line.
     """
     graph = TemporalHypergraph()
     label: str | None = None
     predicates: set[str] = set()  # already checked; cheaper to ask than graph.predicates
-    with _gc_paused(), open_text(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
+    entities, checked = graph.entities.names, 0  # entities[:checked] are checked
+    intervals: dict[str, Interval] = {}  # raw time field -> its interval
+    with gc_paused(), open_text(path) as fh:
+        for lineno, raw in enumerate(fh.read().split("\n"), start=1):
             line = raw.strip()
             if not line:
                 continue
@@ -165,16 +158,19 @@ def load_graph(
                 raise DataFormatError(f"{path}:{lineno}: empty head entity")
             if "" in tails:
                 raise DataFormatError(f"{path}:{lineno}: empty tail entity")
-            ticks = time_text.split()
-            if len(ticks) != 2:
-                raise DataFormatError(
-                    f"{path}:{lineno}: expected '<start> <end>', "
-                    f"got {time_text.strip()!r}"
-                )
-            try:
-                interval = Interval(int(ticks[0]), int(ticks[1]))
-            except (ValueError, GraphError) as exc:
-                raise DataFormatError(f"{path}:{lineno}: {exc}") from None
+            interval = intervals.get(time_text)
+            if interval is None:
+                ticks = time_text.split()
+                if len(ticks) != 2:
+                    raise DataFormatError(
+                        f"{path}:{lineno}: expected '<start> <end>', "
+                        f"got {time_text.strip()!r}"
+                    )
+                try:
+                    interval = Interval(int(ticks[0]), int(ticks[1]))
+                except (ValueError, GraphError) as exc:
+                    raise DataFormatError(f"{path}:{lineno}: {exc}") from None
+                intervals[time_text] = interval
             if len(tails) > 1 and not split_multi_tail:
                 raise DataFormatError(
                     f"{path}:{lineno}: multi-tail event (pass split_multi_tail "
@@ -193,12 +189,20 @@ def load_graph(
                         graph.add_event(pred, heads, [tail], interval)
             except GraphError as exc:
                 raise DataFormatError(f"{path}:{lineno}: {exc}") from None
+            if len(entities) != checked:
+                # the graph interns each name once, so checking the names this
+                # line brought into it checks each distinct name once
+                where = f"{path}:{lineno}"
+                for name in entities[checked:]:
+                    check_name(name, where)
+                checked = len(entities)
     return graph, label
 
 
 def load_snapshots(path) -> list[tuple[int, list[tuple[str, str, str]]]]:
     """A snapshot file's `(tau, [(head, predicate, tail), ...])` pairs, by rising tau."""
     snapshots: dict[int, list[tuple[str, str, str]]] = {}
+    names: set[str] = set()  # already checked
     predicates: set[str] = set()
     with open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -214,7 +218,9 @@ def load_snapshots(path) -> list[tuple[int, list[tuple[str, str, str]]]]:
             except ValueError:
                 raise DataFormatError(f"{where}: bad time point {parts[0]!r}") from None
             for name in parts[1:]:
-                check_name(name, where)
+                if name not in names:
+                    check_name(name, where)
+                    names.add(name)
             if parts[2] not in predicates:
                 check_predicate(parts[2], where)
                 predicates.add(parts[2])

@@ -8,11 +8,15 @@ from any number of threads.
 
 `Interval` and `Event` are immutable named tuples: each equals, and hashes
 as, the plain tuple of its fields.  An `Interval` checks `start <= end`
-however it is built.
+however it is built.  Being immutable, one `Interval` may be shared by many
+events: `dataio.load_graph` builds one per distinct raw time field, and
+`convert.temporal_kg_adapt` one per snapshot and per bridge span.
 
 `add_event` is the one way an event enters a graph; the loaders, the
-converters and the generator all call it.  It interns the event's names
-and maintains every index, each event list in ascending event-id order:
+converters and the generator all call it.  It checks the whole event before
+it changes anything, so a rejected event leaves the graph as it was.  It
+interns the event's names and maintains every index, each event list in
+ascending event-id order:
 
 - `head_index`: entity id -> events with the entity in their head set;
   it gets an empty slot when the entity is interned, so every interned
@@ -21,11 +25,16 @@ and maintains every index, each event list in ascending event-id order:
   shape, the candidate lists of rule grounding;
 - `tail_arity`: predicate id -> the tail count every event of it has;
 - a count of multi-tail events, so `is_b_graph` is O(1).
+
+`gc_paused` pauses the cyclic garbage collector; `dataio.load_graph` and
+`convert.temporal_kg_adapt`, the bulk builders, run under it.
 """
 from __future__ import annotations
 
+import gc
 from collections import namedtuple
 from collections.abc import Set
+from contextlib import contextmanager
 from typing import NamedTuple
 
 
@@ -55,6 +64,11 @@ class Event(NamedTuple):
     heads: tuple[int, ...]   # sorted entity ids, no duplicates
     tails: tuple[int, ...]   # sorted entity ids, no duplicates
     interval: Interval
+
+
+# builds an `Event` without its generated `__new__`; `add_event` has already
+# checked every field
+_new_tuple = tuple.__new__
 
 
 class SymbolTable:
@@ -107,7 +121,7 @@ class TemporalHypergraph:
 
         The predicate is interned first, then the heads and then the tails,
         each in the given order.  A new entity gets its empty `head_index`
-        slot when it is interned.
+        slot when it is interned.  A GraphError leaves the graph unchanged.
         """
         n_heads, n_tails = len(heads), len(tails)
         if not n_heads:
@@ -121,7 +135,8 @@ class TemporalHypergraph:
         if not isinstance(interval, Interval):
             interval = Interval(int(interval[0]), int(interval[1]))
 
-        # interning is inlined: this runs once per event of every graph built
+        # lookups are inlined, as this runs once per event of every graph
+        # built; only a new entity name costs a call
         predicates = self.predicates
         pred_id = predicates._ids.get(predicate)
         if pred_id is None:
@@ -133,35 +148,53 @@ class TemporalHypergraph:
                 f"predicate {predicate!r} declared with {self.tail_arity[pred_id]} tails, "
                 f"event has {n_tails}"
             )
-        entity_ids, entity_names = self.entities._ids, self.entities._names
+        entity_ids = self.entities._ids
         head_index = self.head_index
         event_id = len(self.events)
-        head_ids = []
-        for name in heads:
-            ident = entity_ids.get(name)
+        if n_heads == 1:
+            ident = entity_ids.get(heads[0])
             if ident is None:
-                ident = entity_ids[name] = len(entity_names)
-                entity_names.append(name)
-                head_index[ident] = []
+                ident = self._intern_entity(heads[0])
             head_index[ident].append(event_id)
-            head_ids.append(ident)
-        tail_ids = []
-        for name in tails:
-            ident = entity_ids.get(name)
+            head_ids = (ident,)
+        else:
+            ids = []
+            for name in heads:
+                ident = entity_ids.get(name)
+                if ident is None:
+                    ident = self._intern_entity(name)
+                head_index[ident].append(event_id)
+                ids.append(ident)
+            ids.sort()
+            head_ids = tuple(ids)
+        if n_tails == 1:
+            ident = entity_ids.get(tails[0])
             if ident is None:
-                ident = entity_ids[name] = len(entity_names)
-                entity_names.append(name)
-                head_index[ident] = []
-            tail_ids.append(ident)
-        head_ids.sort()
-        tail_ids.sort()
+                ident = self._intern_entity(tails[0])
+            tail_ids = (ident,)
+        else:
+            ids = []
+            for name in tails:
+                ident = entity_ids.get(name)
+                if ident is None:
+                    ident = self._intern_entity(name)
+                ids.append(ident)
+            ids.sort()
+            tail_ids = tuple(ids)
+            self._multi_tail_events += 1
         self.events.append(
-            Event(event_id, pred_id, tuple(head_ids), tuple(tail_ids), interval)
+            _new_tuple(Event, (event_id, pred_id, head_ids, tail_ids, interval))
         )
         self.shape_index.setdefault((pred_id, n_heads, n_tails), []).append(event_id)
-        if n_tails != 1:
-            self._multi_tail_events += 1
         return event_id
+
+    def _intern_entity(self, name: str) -> int:
+        """A new entity's id, with its empty `head_index` slot."""
+        entities = self.entities
+        ident = entities._ids[name] = len(entities._names)
+        entities._names.append(name)
+        self.head_index[ident] = []
+        return ident
 
     # -- queries ----------------------------------------------------------
 
@@ -215,3 +248,20 @@ class TemporalHypergraph:
 
     def __len__(self) -> int:
         return len(self.events)
+
+
+@contextmanager
+def gc_paused():
+    """The cyclic garbage collector off for the `with` body, then as it was.
+
+    Every bulk builder of a graph runs under it: a graph holds no reference
+    cycles, so each collection would rescan the growing graph and free
+    nothing.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()

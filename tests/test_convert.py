@@ -1,10 +1,12 @@
 """Clique expansion, time-point ablation, snapshot-KG adaptation."""
+import gc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rulewalk.convert import clique_expand, temporal_kg_adapt, to_time_points
-from rulewalk.hypergraph import GraphError, TemporalHypergraph
+from rulewalk.hypergraph import GraphError, Interval, TemporalHypergraph
 
 
 def test_clique_expand_counts():
@@ -106,3 +108,52 @@ def test_unordered_snapshots_rejected():
         temporal_kg_adapt([(2, [("a", "p", "b")]), (1, [("a", "p", "b")])])
     with pytest.raises(ValueError):
         temporal_kg_adapt([(1, []), (1, [])])
+
+
+@settings(max_examples=40)
+@given(st.lists(
+    st.lists(st.tuples(st.sampled_from("abcd"), st.sampled_from("pq"), st.sampled_from("abcd")),
+             max_size=4),
+    min_size=1, max_size=5,
+), st.lists(st.integers(1, 3), min_size=5, max_size=5))
+def test_temporal_kg_adapt_gives_each_event_its_snapshot_or_bridge_interval(triples, gaps):
+    taus = [sum(gaps[:i + 1]) for i in range(len(triples))]
+    g = temporal_kg_adapt(list(zip(taus, triples)))
+    for e in g.events:
+        pred, (head,), (tail,) = g.event_names(e.event_id)
+        head_tau, tail_tau = int(head.split("@")[1]), int(tail.split("@")[1])
+        if pred == "IsSameEnt":
+            assert tail_tau == taus[taus.index(head_tau) + 1]
+        else:
+            assert tail_tau == head_tau
+        assert e.interval == Interval(head_tau, tail_tau)
+    assert len(g) == sum(map(len, triples)) + sum(
+        len({n for h, _, t in a for n in (h, t)} & {n for h, _, t in b for n in (h, t)})
+        for a, b in zip(triples, triples[1:])
+    )
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_temporal_kg_adapt_pauses_the_gc_and_leaves_it_as_it_found_it(monkeypatch, enabled):
+    seen = []
+    add_event = TemporalHypergraph.add_event
+
+    def spy(self, *args):
+        seen.append(gc.isenabled())
+        return add_event(self, *args)
+
+    monkeypatch.setattr(TemporalHypergraph, "add_event", spy)
+    before = gc.isenabled()
+    try:
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+        temporal_kg_adapt(snapshots())
+        assert gc.isenabled() == enabled
+    finally:
+        if before:
+            gc.enable()
+        else:
+            gc.disable()
+    assert seen and not any(seen)

@@ -334,3 +334,55 @@ def test_load_graph_pauses_the_gc_and_leaves_it_as_it_found_it(
         else:
             gc.disable()
     assert seen and not any(seen)
+
+
+# a few distinct times, each written with varying inner whitespace
+time_field_strategy = st.tuples(
+    st.sampled_from([(0, 0), (0, 3), (2, 5), (-4, 7)]),
+    st.sampled_from(["{} {}", " {}  {} ", "{}\t{}", "\t{} {}  "]),
+)
+
+
+@settings(max_examples=60)
+@given(st.lists(st.tuples(hyperedge_strategy, time_field_strategy), max_size=16))
+def test_repeated_time_fields_load_as_add_event_builds(tmp_path_factory, rows):
+    expected = TemporalHypergraph()
+    lines = ["#thg v1"]
+    for (pred, heads, tails, _), ((start, end), spacing) in rows:
+        expected.add_event(pred, heads, tails[:1], (start, end))
+        lines.append(f"{pred} | {','.join(heads)} | {tails[0]} | "
+                     + spacing.format(start, end))
+    path = tmp_path_factory.mktemp("times") / "g.thg"
+    path.write_text("\n".join(lines) + "\n")
+    loaded, _ = load_graph(path)
+    assert graph_state(loaded) == graph_state(expected)
+
+
+@pytest.mark.parametrize("field, message", [
+    ("2 1", "interval start 2 > end 1"),
+    ("1 z", "invalid literal for int() with base 10: 'z'"),
+    ("1", "expected '<start> <end>', got '1'"),
+])
+def test_a_repeated_bad_time_field_is_rejected_at_its_first_line(tmp_path, field, message):
+    path = tmp_path / "g.thg"
+    path.write_text(f"#thg v1\nP | a | b | 0 1\nP | a | b | {field}\n"
+                    f"P | b | a | 0 1\nP | b | a | {field}\n")
+    with pytest.raises(DataFormatError) as err:
+        load_graph(path)
+    assert str(err.value) == f"{path}:3: {message}"
+
+
+@pytest.mark.parametrize("lines, lineno, name", [
+    (["P | a\tb | c | 1 2"], 2, "a\tb"),
+    (["P | a | c | 1 2", "P | c | a\tb | 1 2", "P | a\tb | c | 1 2"], 3, "a\tb"),
+    (["P | a, b\tc | d | 1 2"], 2, "b\tc"),
+    (["P | a | b,c\td | 1 2"], 2, "c\td"),
+])
+def test_a_tab_in_an_entity_name_is_rejected_at_its_first_line(tmp_path, lines, lineno,
+                                                                name):
+    """`save_graph` refuses such a name, so `load_graph` must refuse it too."""
+    path = tmp_path / "g.thg"
+    path.write_text("#thg v1\n" + "\n".join(lines) + "\n")
+    with pytest.raises(DataFormatError) as err:
+        load_graph(path, split_multi_tail=True)
+    assert str(err.value) == f"{path}:{lineno}: reserved character '\\t' in {name!r}"

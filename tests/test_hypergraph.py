@@ -244,3 +244,59 @@ def test_an_event_is_the_tuple_of_its_fields():
     assert hash(event) == hash(fields)
     assert hash(event.interval) == hash((7, 9))
     assert repr(event.interval) == "Interval(start=7, end=9)"
+
+
+def graph_state(g):
+    """Everything a rejected event must leave as it was."""
+    return (
+        list(g.entities.names), dict(g.entities._ids),
+        list(g.predicates.names), dict(g.predicates._ids),
+        list(g.events), {x: list(ids) for x, ids in g.head_index.items()},
+        {shape: list(ids) for shape, ids in g.shape_index.items()},
+        list(g.tail_arity), g.is_b_graph(),
+    )
+
+
+@st.composite
+def rejected_events(draw, g):
+    """(predicate, heads, tails, interval) that `add_event` must reject."""
+    names = st.sampled_from("abcdefxyz")  # x, y, z are never in the graph
+    kinds = ["empty heads", "empty tails", "duplicate head", "duplicate tail",
+             "reversed interval"]
+    if len(g.predicates):
+        kinds.append("tail arity")
+    kind = draw(st.sampled_from(kinds))
+    pred = draw(st.sampled_from(["P", "Q", "M", "N"]))
+    heads = draw(st.lists(names, min_size=1, max_size=3, unique=True))
+    tails = draw(st.lists(names, min_size=1, max_size=2, unique=True))
+    interval = (0, 1)
+    if kind == "empty heads":
+        heads = []
+    elif kind == "empty tails":
+        tails = []
+    elif kind == "duplicate head":
+        heads = heads + [draw(st.sampled_from(heads))]
+    elif kind == "duplicate tail":
+        tails = tails + [draw(st.sampled_from(tails))]
+    elif kind == "reversed interval":
+        interval = (draw(st.integers(1, 9)), 0)
+    else:
+        # a declared predicate with any other tail count: a multi-tail event
+        # against a single-tail predicate, or the other way round
+        pred = draw(st.sampled_from(g.predicates.names))
+        declared = g.tail_arity[g.predicates.id_of(pred)]
+        count = draw(st.sampled_from([n for n in (1, 2, 3) if n != declared]))
+        tails = draw(st.lists(names, min_size=count, max_size=count, unique=True))
+    return pred, heads, tails, interval
+
+
+@given(shaped_events_strategy, st.data())
+def test_a_rejected_event_leaves_the_graph_as_it_was(raw_events, data):
+    g = TemporalHypergraph()
+    for i, (pred, heads, tails) in enumerate(raw_events):
+        g.add_event(pred, heads, tails, (i, i + 1))
+    before = graph_state(g)
+    pred, heads, tails, interval = data.draw(rejected_events(g))
+    with pytest.raises(GraphError):
+        g.add_event(pred, heads, tails, interval)
+    assert graph_state(g) == before
