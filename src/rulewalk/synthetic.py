@@ -26,7 +26,8 @@ NOISE_PREDICATES = ("noise0", "noise1", "noise2", "noise3")
 
 #: the largest span `gen` accepts: the planted-interval search shuffles all
 #: (span+1)(span+2)/2 intervals of the grid per atom, about half a million
-#: intervals and 180 MB at this bound, and the grid grows with its square
+#: intervals and 150 MB of peak memory at this bound, and the grid grows
+#: with its square
 MAX_SPAN = 1000
 
 
@@ -53,6 +54,12 @@ def synth_generate(spec: SynthSpec) -> tuple[list[TemporalHypergraph], list[str]
     rule = spec.planted_rule
     if not rule.body:
         raise GenerationError("planted rule needs a non-empty body")
+    reserved = sorted({atom.predicate for atom in rule.body}.intersection(NOISE_PREDICATES))
+    if reserved:
+        raise GenerationError(
+            f"planted rule's body uses {', '.join(reserved)}: "
+            f"{', '.join(NOISE_PREDICATES)} are reserved for noise events"
+        )
     if all(
         rule.time_net.cells[i][j] == allen.FULL_SET
         for i in range(rule.time_net.n)
@@ -64,7 +71,7 @@ def synth_generate(spec: SynthSpec) -> tuple[list[TemporalHypergraph], list[str]
     if not consistent:
         raise GenerationError("planted rule's constraint network is unsatisfiable")
 
-    grid = _interval_grid(spec.span)
+    grid = _interval_grid(rule, spec.span)
     graphs = []
     labels = []
     for i in range(spec.num_pos):
@@ -83,20 +90,56 @@ def _entity_name(var: int) -> str:
 
 
 class _Grid(NamedTuple):
-    """Every interval with endpoints in [0, span], in (start, end) order."""
+    """The planted-interval search space of one corpus.
+
+    Every interval with endpoints in [0, span], in (start, end) order, and
+    the rule's admissibility tables: `admits[i][j][r]` says whether base
+    relation r from atom i's interval to atom j's is allowed.
+    """
 
     intervals: list[Interval]
     starts: np.ndarray
     ends: np.ndarray
+    admits: list[list[np.ndarray]]
 
 
-def _interval_grid(span: int) -> _Grid:
+def _interval_grid(rule: TemporalRule, span: int) -> _Grid:
     intervals = [Interval(s, e) for s in range(span + 1) for e in range(s, span + 1)]
     return _Grid(
         intervals,
         np.array([iv.start for iv in intervals]),
         np.array([iv.end for iv in intervals]),
+        [
+            [np.array([(cell >> r) & 1 for r in range(13)], dtype=bool) for cell in row]
+            for row in rule.time_net.cells
+        ],
     )
+
+
+def _shuffled_range(n: int, rng: random.Random) -> list[int]:
+    """`list(range(n))` in the order `rng.shuffle` leaves it, from the same draws.
+
+    `random.shuffle` swaps position i with `rng._randbelow(i + 1)` for i
+    from n-1 down to 1, and `_randbelow(m)` redraws `getrandbits(k)`, with
+    k = m.bit_length(), until the draw is below m.  This loop makes the same
+    draws and swaps without `_randbelow`'s Python call per index: it runs
+    over blocks of i that share one k.  So the order and the generator's
+    final state equal those of `rng.shuffle` (tests/test_synthetic.py checks
+    both).
+    """
+    order = list(range(n))
+    getrandbits = rng.getrandbits
+    top = n - 1
+    while top > 0:
+        k = (top + 1).bit_length()
+        bottom = (1 << (k - 1)) - 1  # the smallest i with (i + 1).bit_length() == k
+        for i in range(top, bottom - 1, -1):
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            order[i], order[j] = order[j], order[i]
+        top = bottom - 1
+    return order
 
 
 def _sample_satisfying_intervals(rule: TemporalRule, grid: _Grid, rng) -> list[Interval]:
@@ -104,25 +147,18 @@ def _sample_satisfying_intervals(rule: TemporalRule, grid: _Grid, rng) -> list[I
 
     Backtracking over a shuffled order of the grid per atom: each atom takes
     the first interval consistent (by classification) with everything
-    placed so far, undoing earlier picks when a branch runs dry.  On
-    entering an atom's depth, one boolean mask over the grid marks the
+    placed so far, undoing earlier picks when a branch runs dry.  The orders
+    come from `_shuffled_range`, which draws exactly what `rng.shuffle`
+    would, so the noise drawn afterwards from the same `rng` is unchanged.
+    On entering an atom's depth, one boolean mask over the grid marks the
     admissible candidates: for each earlier atom whose cell constrains this
     one, `allen.classify_grid` relates its placed interval to the whole grid
-    and the cell's 13-entry admissibility table turns the codes into a test.
+    and the cell's row of `grid.admits` turns the codes into a test.
     Walking the shuffled order filtered by the AND of those tests visits
     the same candidates, in the same order, as testing each one in turn.
     """
     cells = rule.time_net.cells
-    orders = []
-    for _ in rule.body:
-        order = list(range(len(grid.intervals)))
-        rng.shuffle(order)
-        orders.append(np.array(order))
-    # admits[i][j][r]: relation r from atom i's interval to atom j's is allowed
-    admits = [
-        [np.array([(cell >> r) & 1 for r in range(13)], dtype=bool) for cell in row]
-        for row in cells
-    ]
+    orders = [np.array(_shuffled_range(len(grid.intervals), rng)) for _ in rule.body]
     rows: dict[int, np.ndarray] = {}  # grid index -> classify_grid row
     placed: list[int] = []
 
@@ -138,7 +174,7 @@ def _sample_satisfying_intervals(rule: TemporalRule, grid: _Grid, rng) -> list[I
         admissible = np.ones(len(grid.intervals), dtype=bool)
         for i, k in enumerate(placed):
             if cells[i][j] != allen.FULL_SET:
-                admissible &= admits[i][j][relations_to_grid(k)]
+                admissible &= grid.admits[i][j][relations_to_grid(k)]
         order = orders[j]
         for candidate in order[admissible[order]].tolist():
             placed.append(candidate)

@@ -1,7 +1,7 @@
 """Interval algebra: classification, inverses, and the composition table."""
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rulewalk import allen
@@ -18,6 +18,7 @@ from rulewalk.allen import (
     rel_set,
 )
 from rulewalk.hypergraph import Interval
+from rulewalk.synthetic import MAX_SPAN
 
 from oracles import compose_table_bruteforce, interval_grid
 
@@ -114,6 +115,29 @@ def test_classify_grid_matches_classify_on_every_pair():
     for a in grid:
         row = classify_grid(a, starts, ends)
         assert row.tolist() == [classify(a, b) for b in grid]
+
+
+def test_classify_grid_of_no_intervals_is_an_empty_int8_row():
+    empty = np.array([], dtype=np.int64)
+    row = classify_grid(Interval(2, 5), empty, empty)
+    assert row.shape == (0,)
+    assert row.dtype == np.int8
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_classify_grid_matches_classify_up_to_the_span_bound(data):
+    endpoint = st.integers(0, MAX_SPAN)
+    a = Interval(*sorted(data.draw(st.tuples(endpoint, endpoint))))
+    # half the endpoints repeat one of a's, so equal endpoints, meeting
+    # intervals and points on a's ends turn up often
+    near = st.one_of(endpoint, st.sampled_from([a.start, a.end]))
+    grid = [Interval(*sorted(p))
+            for p in data.draw(st.lists(st.tuples(near, near), max_size=50))]
+    row = classify_grid(a, np.array([b.start for b in grid], dtype=np.int64),
+                        np.array([b.end for b in grid], dtype=np.int64))
+    assert row.dtype == np.int8
+    assert row.tolist() == [classify(a, b) for b in grid]
 
 
 def test_inverse_pairing_is_fixed():

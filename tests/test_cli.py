@@ -680,6 +680,30 @@ def test_gen_rule_file_with_two_rule_lines_exits_2(tmp_path, capsys):
     assert not corpus.exists()
 
 
+def test_gen_rule_whose_body_uses_a_noise_predicate_exits_2(tmp_path, capsys):
+    # noise events would share the planted predicate and could complete a
+    # planted grounding on a negative graph
+    rule = tmp_path / "noise.rule"
+    rule.write_text("w=0.0 Target() <- noise0(X0->X1) , B(X1->X2) | 0 {BEFORE} 1\n")
+    corpus = tmp_path / "corpus"
+    assert main(["gen", "--rule", str(rule), "--out", str(corpus)]) == 2
+    err = capsys.readouterr().err
+    assert "planted rule's body uses noise0" in err
+    assert "Traceback" not in err
+    assert not corpus.exists()
+
+
+def test_gen_rule_whose_head_is_a_noise_predicate_writes_its_corpus(tmp_path, capsys):
+    # the head names the graphs' label, which noise events never carry
+    rule = tmp_path / "label.rule"
+    rule.write_text("w=0.0 noise0() <- A(X0->X1) , B(X1->X2) | 0 {BEFORE} 1\n")
+    corpus = tmp_path / "corpus"
+    assert main(["gen", "--rule", str(rule), "--out", str(corpus),
+                 "--num-pos", "3", "--num-neg", "3"]) == 0
+    _, labels = load_corpus(str(corpus))
+    assert labels == ["noise0"] * 3 + ["not_noise0"] * 3
+
+
 def test_gen_span_above_the_bound_is_usage_error(tmp_path, capsys):
     # argparse rejects the span before the rule file is read or a grid built
     corpus = tmp_path / "corpus"
@@ -790,23 +814,31 @@ def _corpus_digest(corpus: Path) -> str:
     return h.hexdigest()
 
 
-@pytest.mark.parametrize("options, digest", [
-    (["--seed", "1"],
+CHAIN3 = ("w=0.0 Target() <- A(X0->X1) , B(X1->X2) , C(X2->X3)"
+          " | 0 {BEFORE} 1 ; 1 {MEETS} 2\n")
+# a two-head atom and a three-relation cell: at span 4 the grid holds points
+# and some placements of A leave B no interval, so the search backtracks
+NARY = "w=0.0 Target() <- A(X0,X1->X2) , B(X2->X3) | 0 {OVERLAPS,DURING,STARTS} 1\n"
+
+
+@pytest.mark.parametrize("rule_text, options, digest", [
+    (CHAIN3, ["--seed", "1"],
      "970b783c7b16bb42f49776e9edecdf036de3a68f01576babc919c34f5bd3cfa9"),
-    (["--seed", "17"],
+    (CHAIN3, ["--seed", "17"],
      "d902f6583a5cce59c6de6d27c7fc89dd7868fdb6f9b61326c30270bc316f942d"),
     # one assignment fits in 3 ticks, so most branches of the interval
     # search run dry and backtrack
-    (["--seed", "1", "--span", "3"],
+    (CHAIN3, ["--seed", "1", "--span", "3"],
      "b53b110268f2975c4ae621dc45bb4b78be0a2990abdeeb95c1bdfdde6cb60139"),
-], ids=["seed1", "seed17", "span3"])
-def test_gen_output_is_pinned(tmp_path, options, digest):
+    (NARY, ["--seed", "1", "--span", "4"],
+     "541a108e3385302ad9c47cd4c9df94305e2bd3ace92d53d23f7ccc5547c00590"),
+], ids=["seed1", "seed17", "span3", "nary-span4"])
+def test_gen_output_is_pinned(tmp_path, rule_text, options, digest):
     # byte-identity guard for the planted-interval search and the random
     # stream it shares with the noise; the digests are those of the release
     # this test came with
-    rule = tmp_path / "chain3.rule"
-    rule.write_text("w=0.0 Target() <- A(X0->X1) , B(X1->X2) , C(X2->X3)"
-                    " | 0 {BEFORE} 1 ; 1 {MEETS} 2\n")
+    rule = tmp_path / "planted.rule"
+    rule.write_text(rule_text)
     corpus = tmp_path / "corpus"
     assert main(["gen", "--rule", str(rule), "--out", str(corpus),
                  "--num-pos", "20", "--num-neg", "20", "--noise", "5",
