@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataio import DataFormatError, open_text
-from .rules import evaluate
+from .rules import Query, evaluate
 from .walk import reach_probability
 
 CLAMP_EPS = 1e-7
@@ -60,20 +60,30 @@ def loss(matrix: FeatureMatrix, params: ModelParams, l2: float = 0.0) -> float:
     """Mean negated cross-entropy plus l2 * ||theta||^2."""
     if l2 < 0:
         raise ValueError("l2 must be >= 0")
-    f = scores(matrix.features, params)
-    y = matrix.labels
-    ce = -(y * np.log(f) + (1.0 - y) * np.log(1.0 - f))
-    return float(np.mean(ce) + l2 * float(params.theta @ params.theta))
+    return _loss_at(matrix, scores(matrix.features, params), params.theta, l2)
 
 
 def gradient(
     matrix: FeatureMatrix, params: ModelParams, l2: float = 0.0
 ) -> tuple[np.ndarray, float]:
     """Analytic gradient (d/dtheta, d/dbias) of `loss`."""
-    f = scores(matrix.features, params)
+    return _gradient_at(matrix, scores(matrix.features, params), params.theta, l2)
+
+
+def _loss_at(matrix: FeatureMatrix, f: np.ndarray, theta: np.ndarray, l2: float) -> float:
+    """`loss` at parameters whose scores of the matrix's rows are `f`."""
+    y = matrix.labels
+    ce = -(y * np.log(f) + (1.0 - y) * np.log(1.0 - f))
+    return float(np.mean(ce) + l2 * float(theta @ theta))
+
+
+def _gradient_at(
+    matrix: FeatureMatrix, f: np.ndarray, theta: np.ndarray, l2: float
+) -> tuple[np.ndarray, float]:
+    """`gradient` at parameters whose scores of the matrix's rows are `f`."""
     residual = f - matrix.labels
     n = matrix.features.shape[0]
-    grad_theta = matrix.features.T @ residual / n + 2.0 * l2 * params.theta
+    grad_theta = matrix.features.T @ residual / n + 2.0 * l2 * theta
     grad_bias = float(np.mean(residual))
     return grad_theta, grad_bias
 
@@ -86,18 +96,27 @@ def train(
     epochs: int = 500,
     l2: float = 1e-4,
 ) -> TrainResult:
-    """Full-batch gradient descent from zero; deterministic given inputs."""
+    """Full-batch gradient descent from zero; deterministic given inputs.
+
+    Each epoch steps along `gradient`, then records `loss` at the new
+    parameters.  Both read the same scores, so each epoch computes them
+    once and the next epoch's gradient reuses them.
+    """
     if lr <= 0:
         raise ValueError("lr must be > 0")
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
+    if l2 < 0:
+        raise ValueError("l2 must be >= 0")
     params = ModelParams(np.zeros(matrix.features.shape[1]), 0.0)
+    f = scores(matrix.features, params)
     losses = []
     for epoch in range(epochs):
-        grad_theta, grad_bias = gradient(matrix, params, l2)
+        grad_theta, grad_bias = _gradient_at(matrix, f, params.theta, l2)
         params.theta = params.theta - lr * grad_theta
         params.bias = params.bias - lr * grad_bias
-        current = loss(matrix, params, l2)
+        f = scores(matrix.features, params)
+        current = _loss_at(matrix, f, params.theta, l2)
         if not np.isfinite(current):
             raise FloatingPointError(
                 f"non-finite loss {current} at epoch {epoch} (lr={lr}, l2={l2})"
@@ -109,31 +128,44 @@ def train(
 def build_features(rules, graphs, queries, labels, scorer: str = "binary") -> FeatureMatrix:
     """Feature matrix: one row per query, one column per rule.
 
-    Binary features are rule-match indicators.  The reach scorer weights a
-    match by the walk reach score of the query's target (capped at 1),
-    computed once per (query, rule body length); queries without a target
-    fall back to the binary value.
+    A binary feature is 1 when the rule grounds the query.  Event queries
+    that share a graph and a head tuple share one grounding search per
+    rule: `evaluate` on the rule's head at those heads returns every tail
+    the rule predicts, and each query looks its own tails up.  A query
+    without tails (a classification query) gets its own `evaluate` call.
+    The reach scorer weights an event query's match by the walk reach
+    score of its first tail (capped at 1), read from one
+    `reach_probability` expansion per (graph, heads, rule body length).
     """
     if scorer not in ("binary", "reach"):
         raise ValueError(f"unknown feature scorer {scorer!r}")
-    reach: dict[tuple, float] = {}
-    rows = []
-    for query in queries:
-        graph = graphs[query.graph_index]
-        row = []
-        for rule in rules:
-            matched = evaluate(rule, graph, query)
-            value = 1.0 if matched else 0.0
-            if matched and scorer == "reach" and query.heads and query.tails:
-                key = (query, len(rule.body))
-                if key not in reach:
-                    reach[key] = min(1.0, reach_probability(
-                        graph, set(query.heads), query.tails[0], len(rule.body)
-                    ))
-                value = reach[key]
-            row.append(value)
-        rows.append(row)
-    features = np.array(rows, dtype=float) if rows else np.zeros((0, len(rules)))
+    features = np.zeros((len(queries), len(rules)))
+    by_heads: dict[tuple[int, tuple[int, ...]], list[int]] = {}
+    for row, query in enumerate(queries):
+        if query.tails:
+            by_heads.setdefault((query.graph_index, query.heads), []).append(row)
+        else:
+            graph = graphs[query.graph_index]
+            for col, rule in enumerate(rules):
+                if evaluate(rule, graph, query):
+                    features[row, col] = 1.0
+    reach: dict[tuple, dict[int, float]] = {}
+    for (index, heads), rows in by_heads.items():
+        graph = graphs[index]
+        for col, rule in enumerate(rules):
+            predicted = evaluate(rule, graph, Query(rule.head.predicate, heads,
+                                                    graph_index=index))
+            for row in rows:
+                tails = queries[row].tails
+                if tails not in predicted:
+                    continue
+                value = 1.0
+                if scorer == "reach" and heads:
+                    key = (index, heads, len(rule.body))
+                    if key not in reach:
+                        reach[key] = reach_probability(graph, set(heads), len(rule.body))
+                    value = min(1.0, reach[key].get(tails[0], 0.0))
+                features[row, col] = value
     return FeatureMatrix(features, np.array(labels, dtype=float))
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import KW_ONLY, dataclass, field
-from itertools import permutations
+from itertools import permutations, product
 from typing import Iterator, NamedTuple
 
 from . import allen
@@ -253,31 +253,59 @@ def _canonical_variables(query_heads, query_tails, atom_entities) -> dict[int, i
 # -- grounding and evaluation ----------------------------------------------
 
 
-def evaluate(rule: TemporalRule, graph: TemporalHypergraph, query: Query) -> bool:
-    """True iff some grounding of the rule body matches graph and query."""
-    return next(iter_groundings(rule, graph, query), None) is not None
+def evaluate(
+    rule: TemporalRule, graph: TemporalHypergraph, query: Query
+) -> set[tuple[int, ...]]:
+    """The tail tuples that the rule's groundings from the query bind.
+
+    A query that names its tails, or a rule whose head has no tail
+    variables, fixes the one tuple that can match: the search stops at its
+    first grounding, and the result is `{query.tails}` or empty.
+    Otherwise one exhaustive search from the query's heads collects each
+    tail tuple a grounding binds, in every order, since a query's tails
+    may bind the head atom's tail variables in any order: `t` is in the
+    result iff `Query(p, query.heads, t)` has a grounding.  An empty set
+    means no match, so the result also reads as a bool.
+    """
+    if query.tails or not rule.head.tail_vars:
+        first = next(iter_groundings(rule, graph, query), None)
+        return set() if first is None else {first[1]}
+    matched: set[tuple[int, ...]] = set()
+    for _, tails in iter_groundings(rule, graph, query):
+        matched.update(permutations(tails))
+    return matched
 
 
 def iter_groundings(
     rule: TemporalRule, graph: TemporalHypergraph, query: Query
-) -> Iterator[tuple[int, ...]]:
-    """All groundings in deterministic backtracking order.
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every (grounding, tails) pair in deterministic backtracking order.
 
     A grounding is the tuple of event ids matched by the body atoms, in
-    body order.  The query's entities are bound to the head atom's
+    body order.  The query's heads are bound to the head atom's head
     variables; body atoms are matched in order by exhaustive backtracking
     over events in ascending id order, with every pairwise interval
     relation required to lie in the rule's constraint network.  Each atom
     visits only the events of its shape that contain its already-bound
-    entities.  Each candidate event and each head or tail bijection tried
-    costs one step, so the bound holds at any arity; raises
+    entities.
+
+    A query that names its tails binds them too, before the body, so they
+    filter the search, and each grounding comes with `query.tails`.  A
+    query that names no tails leaves the tail variables to the body: each
+    grounding comes with the tuple of the entities its tail variables
+    bound, in variable order, once for every graph entity a variable no
+    body atom binds could take.
+
+    Each candidate event, each head or tail bijection tried and each tail
+    tuple read off costs one step, so the bound holds at any arity; raises
     GroundingBudgetError once the search has taken more than
     GROUNDING_BUDGET steps, so an unfinished search is never read as "no
     match".
     """
-    if len(query.heads) != len(rule.head.head_vars):
+    head_vars, tail_vars = rule.head.head_vars, rule.head.tail_vars
+    if len(query.heads) != len(head_vars):
         return
-    if len(query.tails) != len(rule.head.tail_vars):
+    if query.tails and len(query.tails) != len(tail_vars):
         return
     if not graph.has_entities(query.heads + query.tails):
         return
@@ -296,9 +324,21 @@ def iter_groundings(
                 f"{GROUNDING_BUDGET:,} candidate events and bindings"
             )
 
-    for head_bind in _set_bindings(rule.head.head_vars, query.heads, {}, spend):
-        for bind in _set_bindings(rule.head.tail_vars, query.tails, head_bind, spend):
-            yield from _match_body(rule, graph, candidates, bind, [], spend)
+    if query.tails or not tail_vars:
+        for head_bind in _set_bindings(head_vars, query.heads, {}, spend):
+            for bind in _set_bindings(tail_vars, query.tails, head_bind, spend):
+                for grounding, _ in _match_body(rule, graph, candidates, bind, [], spend):
+                    yield grounding, query.tails
+        return
+    # tail variables that neither the heads nor any body atom binds
+    bound_vars = set(head_vars).union(*(atom.variables() for atom in rule.body))
+    free = [v for v in dict.fromkeys(tail_vars) if v not in bound_vars]
+    for head_bind in _set_bindings(head_vars, query.heads, {}, spend):
+        for grounding, bind in _match_body(rule, graph, candidates, head_bind, [], spend):
+            for values in product(range(len(graph.entities)), repeat=len(free)):
+                spend()
+                bound = {**bind, **dict(zip(free, values))}
+                yield grounding, tuple(bound[v] for v in tail_vars)
 
 
 def _candidate_events(
@@ -365,10 +405,11 @@ def _set_bindings(
 
 def _match_body(
     rule, graph, candidates, binding, chosen, spend
-) -> Iterator[tuple[int, ...]]:
+) -> Iterator[tuple[tuple[int, ...], dict[int, int]]]:
+    """Each grounding that extends `chosen`, with the binding it completes."""
     pos = len(chosen)
     if pos == len(rule.body):
-        yield tuple(chosen)
+        yield tuple(chosen), binding
         return
     atom = rule.body[pos]
     net = rule.time_net.cells
@@ -409,7 +450,7 @@ def coverage_filter(rule: TemporalRule, graph: TemporalHypergraph, rho: float) -
     if graph_span is None:
         return False
     required = rho * (graph_span.end - graph_span.start)
-    for grounding in iter_groundings(rule, graph, Query(rule.head.predicate)):
+    for grounding, _ in iter_groundings(rule, graph, Query(rule.head.predicate)):
         lo, hi = coverage_span(grounding, graph)
         if hi - lo >= required:
             return True

@@ -129,21 +129,23 @@ def step(graph: TemporalHypergraph, state: WalkState, rng: random.Random):
 
 
 def reach_probability(
-    graph: TemporalHypergraph, starts: set[int], target: int, horizon: int
-) -> float:
-    """Analytic reach score of `target` within `horizon` breadth steps.
+    graph: TemporalHypergraph, starts: set[int], horizon: int
+) -> dict[int, float]:
+    """Analytic reach score of every entity reached within `horizon` breadth steps.
 
     Breadth-order expansion: at each step every currently enabled edge
     fires once, contributing its weight to its tail; a node's mass is
-    frozen at its first arrival.  The returned value sums the weights of
-    all edges into `target` and is a score, not a probability (converging
-    paths can push it above 1).
+    frozen at its first arrival.  An entity's value sums the weights of
+    all edges into it, in firing order, and is a score, not a probability
+    (converging paths can push it above 1).  An entity no edge reaches is
+    absent, which reads as a score of 0.  One expansion scores every tail
+    reached from `starts`.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     mass = {s: 1.0 for s in starts}
     traversed: set[int] = set()
-    score = 0.0
+    scores: dict[int, float] = {}
     for _ in range(horizon):
         enabled = graph.enabled_edges(mass.keys(), traversed)
         if not enabled:
@@ -155,12 +157,11 @@ def reach_probability(
             traversed.add(e)
             tail = event.tails[0]
             arrivals[tail] = arrivals.get(tail, 0.0) + w
-            if tail == target:
-                score += w
+            scores[tail] = scores.get(tail, 0.0) + w
         for tail, m in arrivals.items():
             if tail not in mass:
                 mass[tail] = m
-    return score
+    return scores
 
 
 def sample_walks(

@@ -275,3 +275,29 @@ def finite_difference_gradient(matrix, params, l2: float, h: float = 1e-5):
     down = learner.ModelParams(theta.copy(), params.bias - h)
     grad_bias = (learner.loss(matrix, up, l2) - learner.loss(matrix, down, l2)) / (2 * h)
     return grad_theta, grad_bias
+
+
+def reach_score_per_target(graph, starts, target, horizon: int) -> float:
+    """The breadth-order reach score of one target, summing only the edges into it.
+
+    The same expansion as `walk.reach_probability`, with each edge weight
+    recomputed from the arrival masses, and one running sum for `target`
+    in the order the edges fire.
+    """
+    mass = {s: 1.0 for s in starts}
+    traversed: set[int] = set()
+    score = 0.0
+    for _ in range(horizon):
+        enabled = graph.enabled_edges(mass.keys(), traversed)
+        arrivals: dict[int, float] = {}
+        for e in enabled:
+            event = graph.events[e]
+            w = min(mass[h] / graph.out_degree(h) for h in event.heads)
+            traversed.add(e)
+            tail = event.tails[0]
+            arrivals[tail] = arrivals.get(tail, 0.0) + w
+            if tail == target:
+                score += w
+        for tail, m in arrivals.items():
+            mass.setdefault(tail, m)
+    return score

@@ -217,7 +217,7 @@ def test_criterion_5_rule_matching_oracle_equivalence():
         query = Query("Goal")
         from rulewalk.rules import evaluate
 
-        if evaluate(rule, g, query) != grounding_exists_bruteforce(rule, g, query):
+        if bool(evaluate(rule, g, query)) != grounding_exists_bruteforce(rule, g, query):
             mismatches += 1
     assert mismatches == 0
     report(5, "rule-matching-oracle-equivalence")

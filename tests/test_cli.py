@@ -933,6 +933,15 @@ def test_target_mode_outputs_are_pinned(tmp_path, capsys):
     assert hashlib.sha256(model.read_bytes()).hexdigest() == (
         "33eba1f1e82b7befbc647f642e523d3bc48b8f0d194c0473a303ad7ccccfde3f"
     )
+    # eval ranks every test positive of p0 by features grounded per query head
+    for features, digest in [
+        ("reach", "782814ae90412d91b65269ae55e829376a4c8c8193cc5a53d563b9310c65ba6c"),
+        ("binary", "782814ae90412d91b65269ae55e829376a4c8c8193cc5a53d563b9310c65ba6c"),
+    ]:
+        metrics = tmp_path / f"eval-{features}.json"
+        assert main(["eval", *task, "--features", features, "--rules", str(rules),
+                     "--model", str(model), "--out", str(metrics)]) == 0
+        assert hashlib.sha256(metrics.read_bytes()).hexdigest() == digest
 
 
 def _two_head_graph(path):

@@ -284,7 +284,7 @@ def test_synth_positive_and_negative_verified_by_oracle():
     for graph, label in zip(graphs, labels):
         truth = grounding_exists_bruteforce(rule, graph, query)
         assert truth == (label == "Target")
-        assert evaluate(rule, graph, query) == truth
+        assert bool(evaluate(rule, graph, query)) == truth
 
 
 def test_synth_deterministic_per_seed():

@@ -7,9 +7,19 @@ import pytest
 
 from rulewalk import learner
 from rulewalk.dataio import DataFormatError
-from rulewalk.learner import FeatureMatrix, ModelParams, loss, gradient, scores, train
+from rulewalk.hypergraph import TemporalHypergraph
+from rulewalk.learner import (
+    FeatureMatrix,
+    ModelParams,
+    build_features,
+    gradient,
+    loss,
+    scores,
+    train,
+)
+from rulewalk.rules import GroundingBudgetError, Query, evaluate, parse_rule
 
-from oracles import finite_difference_gradient
+from oracles import finite_difference_gradient, reach_score_per_target
 
 
 def toy_matrix():
@@ -123,6 +133,8 @@ def test_train_validates_hyperparameters():
         train(matrix, lr=0.1, epochs=0)
     with pytest.raises(ValueError):
         train(matrix, lr=0.0)
+    with pytest.raises(ValueError):
+        train(matrix, l2=-1e-4)
 
 
 def test_train_is_deterministic():
@@ -131,6 +143,32 @@ def test_train_is_deterministic():
     b = train(matrix, lr=0.3, epochs=50)
     assert a.losses == b.losses
     assert np.array_equal(a.params.theta, b.params.theta)
+
+
+def _gradient_then_loss(matrix, lr, epochs, l2):
+    """The fit as a plain loop: `gradient`, a step, then `loss` at the new parameters."""
+    params = ModelParams(np.zeros(matrix.features.shape[1]), 0.0)
+    losses = []
+    for _ in range(epochs):
+        grad_theta, grad_bias = gradient(matrix, params, l2)
+        params.theta = params.theta - lr * grad_theta
+        params.bias = params.bias - lr * grad_bias
+        losses.append(loss(matrix, params, l2))
+    return params, losses
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_train_matches_a_gradient_then_loss_loop_bit_for_bit(seed):
+    # a 320x9 matrix of mostly zeros and reach-like values in (0, 1]
+    rng = np.random.default_rng(seed)
+    features = np.where(rng.random((320, 9)) < 0.2, rng.random((320, 9)), 0.0)
+    labels = (rng.random(320) < 0.25).astype(float)
+    matrix = FeatureMatrix(features, labels)
+    result = train(matrix, lr=0.1, epochs=500, l2=1e-4)
+    params, losses = _gradient_then_loss(matrix, 0.1, 500, 1e-4)
+    assert result.losses == losses
+    assert result.params.theta.tobytes() == params.theta.tobytes()
+    assert result.params.bias == params.bias
 
 
 def test_row_permutation_reaches_same_optimum():
@@ -163,3 +201,98 @@ def test_model_file_round_trip(tmp_path):
     other = TemporalRule(head, (Atom("R", (0,), (1,)),), IANetwork([0]))
     with pytest.raises(DataFormatError, match="no weight for rule 'L\\(\\) <- R\\(X0->X1\\)'"):
         learner.load_model(path, rules + [other])
+
+
+# -- feature rows ------------------------------------------------------------
+
+EVENT_RULES = [
+    "w=0.0 p0(X0->X1) <- p1(X0->X1)",
+    "w=0.0 p0(X0->X1) <- p1(X0->X2) , p2(X2->X1) | 0 {BEFORE,MEETS,OVERLAPS} 1",
+    "w=0.0 p0(X0->X1) <- p2(X0->X1) , p1(X0->X1)",
+    "w=0.0 p0(X0,X2->X1) <- p1(X0->X1) , p2(X2->X1)",
+]
+
+
+def _event_graph(seed):
+    # 60 single-tail events over 8 entities, every fifth with a second head
+    rng = random.Random(seed)
+    g = TemporalHypergraph()
+    for i in range(60):
+        head, tail = rng.sample(range(8), 2)
+        heads = [f"e{head}"]
+        if i % 5 == 0:
+            heads.append(f"e{rng.choice([e for e in range(8) if e not in (head, tail)])}")
+        start = rng.randrange(40)
+        g.add_event(f"p{i % 3}", heads, [f"e{tail}"], (start, start + rng.randrange(6)))
+    return g
+
+
+def _feature_per_query(rules, graphs, queries, scorer):
+    """One `evaluate` and one per-target reach score per query and rule."""
+    rows = []
+    for query in queries:
+        graph = graphs[query.graph_index]
+        row = []
+        for rule in rules:
+            value = 1.0 if evaluate(rule, graph, query) else 0.0
+            if value and scorer == "reach" and query.heads and query.tails:
+                value = min(1.0, reach_score_per_target(
+                    graph, set(query.heads), query.tails[0], len(rule.body)))
+            row.append(value)
+        rows.append(row)
+    return np.array(rows, dtype=float)
+
+
+@pytest.mark.parametrize("scorer", ["binary", "reach"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_build_features_per_head_equals_the_feature_per_query(scorer, seed):
+    # every event of the graph as a query, plus each head tuple against every
+    # tail it lacks, across two graphs
+    graphs = [_event_graph(seed), _event_graph(seed + 100)]
+    rules = [parse_rule(line) for line in EVENT_RULES]
+    queries = []
+    for index, g in enumerate(graphs):
+        for event in g.events:
+            for tail in range(len(g.entities)):
+                queries.append(Query("p0", event.heads, (tail,), graph_index=index,
+                                     event_id=event.event_id))
+    matrix = build_features(rules, graphs, queries, [0.0] * len(queries), scorer)
+    expected = _feature_per_query(rules, graphs, queries, scorer)
+    assert matrix.features.tobytes() == expected.tobytes()
+    assert 0 < np.count_nonzero(matrix.features) < matrix.features.size / 2
+
+
+def test_the_grounding_budget_bounds_one_search_per_rule_and_query_head(monkeypatch):
+    # ten p1 events from head a; each query names one of their tails
+    g = TemporalHypergraph()
+    for i in range(10):
+        g.add_event("p1", ["a"], [f"b{i}"], (i, i + 1))
+    rule = parse_rule(EVENT_RULES[0])
+    a = g.entities.id_of("a")
+    queries = [Query("p0", (a,), (g.entities.id_of(f"b{i}"),)) for i in range(10)]
+
+    def least_budget(run):
+        for budget in range(1, 100):
+            monkeypatch.setattr("rulewalk.rules.GROUNDING_BUDGET", budget)
+            try:
+                run()
+            except GroundingBudgetError:
+                continue
+            return budget
+        raise AssertionError("no budget below 100 was enough")
+
+    def build():
+        return build_features([rule], [g], queries, [1.0] * 10)
+
+    # the search from a binds a (1 step), then per event tries it, binds its
+    # head and its tail, and reads the tail off: 1 + 10 * 4 steps; a query
+    # that names b9 tries every event too, but stops at its match: 1 + 1 + 10 * 3
+    per_head = least_budget(build)
+    assert per_head == 41
+    assert max(least_budget(lambda q=q: evaluate(rule, g, q)) for q in queries) == 32
+    monkeypatch.setattr("rulewalk.rules.GROUNDING_BUDGET", per_head - 1)
+    with pytest.raises(GroundingBudgetError) as info:
+        build()
+    assert f"grounding search for rule {rule.signature} tried more than 40 " in str(info.value)
+    monkeypatch.setattr("rulewalk.rules.GROUNDING_BUDGET", per_head)
+    assert build().features.tolist() == [[1.0]] * 10

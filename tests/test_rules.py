@@ -1,5 +1,6 @@
 """Rule construction, matching vs the brute-force oracle, text round-trip."""
 import random
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -27,8 +28,13 @@ from rulewalk.rules import (
     trace_to_rule,
     write_rules,
 )
+from rulewalk.walk import reach_probability
 
-from oracles import grounding_exists_bruteforce, trace_network_per_event
+from oracles import (
+    grounding_exists_bruteforce,
+    reach_score_per_target,
+    trace_network_per_event,
+)
 
 R = Relation
 
@@ -282,9 +288,10 @@ def test_coverage_span():
     g.add_event("A", ["a"], ["b"], (3, 5))
     g.add_event("B", ["b"], ["c"], (6, 9))
     g.add_event("C", ["c"], ["d"], (1, 10))
-    grounding = next(iter_groundings(
+    grounding, tails = next(iter_groundings(
         _simple_rule([("A", 0, 1), ("B", 1, 2)]), g, Query("L")
     ))
+    assert tails == ()
     assert coverage_span(grounding, g) == (3, 9)
 
 
@@ -349,7 +356,7 @@ def test_evaluate_agrees_with_bruteforce_oracle():
                     net.set_pair(i, j, rel_set(*chosen))
         rule = TemporalRule(head, tuple(body), net)
         query = Query("Goal")
-        if evaluate(rule, g, query) != grounding_exists_bruteforce(rule, g, query):
+        if bool(evaluate(rule, g, query)) != grounding_exists_bruteforce(rule, g, query):
             mismatches += 1
     assert mismatches == 0
 
@@ -397,7 +404,7 @@ def test_evaluate_with_bound_query_entities_agrees_with_bruteforce_oracle():
         if len(known) < n_heads:
             continue
         query = Query("Goal", tuple(rng.sample(known, n_heads)), (rng.choice(known),))
-        got = evaluate(rule, g, query)
+        got = bool(evaluate(rule, g, query))
         assert got == grounding_exists_bruteforce(rule, g, query), (trial, rule.signature)
         verdicts.append(got)
     assert len(verdicts) > 100
@@ -429,10 +436,98 @@ def test_an_atom_bound_only_at_its_tail_agrees_with_bruteforce_oracle(line, boun
         if bound_query:
             known = range(len(g.entities))
             query = Query("Goal", (rng.choice(known),), (rng.choice(known),))
-        got = evaluate(rule, g, query)
+        got = bool(evaluate(rule, g, query))
         assert got == grounding_exists_bruteforce(rule, g, query), trial
         verdicts.append(got)
     assert 10 <= sum(verdicts) <= len(verdicts) - 10
+
+
+# -- per-head grounding --------------------------------------------------------
+
+#: head atoms of the per-head oracle, each with the body variables it may share
+PER_HEAD_SHAPES = {
+    "one head, one tail": Atom("Goal", (0,), (1,)),
+    "n-ary heads": Atom("Goal", (0, 1), (2,)),
+    "multi-entity tails": Atom("Goal", (0,), (1, 2)),
+    "a head variable reused as a tail variable": Atom("Goal", (0,), (0, 1)),
+    # no body atom names X9: the query's tail may be any entity of the graph
+    "a tail variable no body atom binds": Atom("Goal", (0,), (1, 9)),
+}
+
+
+@st.composite
+def criterion_5_graphs(draw, multi_tail=True):
+    """A graph as criterion 5 draws them: 2-4 entities, P/Q/R events with one
+    or two heads and one tail, and with `multi_tail` some two-tail M events."""
+    g = TemporalHypergraph()
+    entities = [f"e{i}" for i in range(draw(st.integers(2, 4)))]
+    predicates = ["P", "Q", "R"] + (["M"] if multi_tail else [])
+    for _ in range(draw(st.integers(1, 9))):
+        pred = draw(st.sampled_from(predicates))
+        heads = draw(st.lists(st.sampled_from(entities), min_size=1, max_size=2, unique=True))
+        tails = draw(st.lists(st.sampled_from(entities), min_size=1 + (pred == "M"),
+                              max_size=1 + (pred == "M"), unique=True))
+        start = draw(st.integers(0, 8))
+        g.add_event(pred, heads, tails, (start, start + draw(st.integers(0, 4))))
+    return g
+
+
+@st.composite
+def per_head_cases(draw):
+    """A criterion-5 graph and a rule whose body draws its variables from X0-X4."""
+    g = draw(criterion_5_graphs())
+    head = PER_HEAD_SHAPES[draw(st.sampled_from(sorted(PER_HEAD_SHAPES)))]
+    variables = st.integers(0, 4)
+    body = []
+    for _ in range(draw(st.integers(1, 3))):
+        pred = draw(st.sampled_from(["P", "Q", "R", "M"]))
+        atom_heads = draw(st.lists(variables, min_size=1, max_size=2, unique=True))
+        atom_tails = draw(st.lists(variables, min_size=1 + (pred == "M"),
+                                   max_size=1 + (pred == "M"), unique=True))
+        body.append(Atom(pred, tuple(atom_heads), tuple(atom_tails)))
+    net = IANetwork(list(range(len(body))))
+    for i in range(len(body)):
+        for j in range(i + 1, len(body)):
+            if draw(st.booleans()):
+                chosen = draw(st.lists(st.sampled_from(list(Relation)), min_size=2,
+                                       max_size=8, unique=True))
+                net.set_pair(i, j, rel_set(*chosen))
+    return g, TemporalRule(head, tuple(body), net)
+
+
+@settings(max_examples=150, deadline=None)
+@given(per_head_cases())
+def test_one_search_per_head_predicts_the_tails_that_ground(case):
+    # for every head tuple and entity tuple e: e is predicted from the heads
+    # alone iff the query naming e grounds iff the brute-force oracle finds a
+    # grounding; an unknown head entity predicts nothing
+    g, rule = case
+    n = len(g.entities)
+    n_heads, n_tails = len(rule.head.head_vars), len(rule.head.tail_vars)
+    every_tail = set(product(range(n), repeat=n_tails))
+    unknown = (n,) + tuple(range(n_heads - 1))
+    for heads in [*permutations(range(n), n_heads), unknown]:
+        predicted = evaluate(rule, g, Query("Goal", heads))
+        assert predicted <= every_tail
+        if heads == unknown:
+            assert not predicted
+        for e in every_tail:
+            query = Query("Goal", heads, e)
+            named = evaluate(rule, g, query)
+            assert named in (set(), {e})
+            assert (e in predicted) == bool(named) == grounding_exists_bruteforce(
+                rule, g, query), (heads, e, rule.signature)
+
+
+@settings(max_examples=150, deadline=None)
+@given(criterion_5_graphs(multi_tail=False), st.integers(1, 3))
+def test_one_expansion_per_head_gives_every_target_its_reach_score(g, horizon):
+    n = len(g.entities)
+    for heads in [*permutations(range(n), 1), *permutations(range(n), 2)]:
+        scores = reach_probability(g, set(heads), horizon)
+        assert set(scores) <= set(range(n))
+        for e in range(n):
+            assert scores.get(e, 0.0) == reach_score_per_target(g, set(heads), e, horizon)
 
 
 def test_format_round_trip():

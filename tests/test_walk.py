@@ -212,29 +212,33 @@ def test_multi_start_paths_merge_via_join_edge():
 
 
 def test_reach_probability_examples():
+    # one expansion scores every reached tail, keyed by entity id
     g = TemporalHypergraph()
     g.add_event("P", ["a"], ["b"], (0, 1))
     a, b = g.entities.id_of("a"), g.entities.id_of("b")
-    assert reach_probability(g, {a}, b, 1) == 1.0
+    assert reach_probability(g, {a}, 1) == {b: 1.0}
 
     g2 = TemporalHypergraph()
     g2.add_event("P", ["a"], ["b"], (0, 1))
     g2.add_event("P", ["a"], ["c"], (0, 1))
-    a2, b2 = g2.entities.id_of("a"), g2.entities.id_of("b")
-    assert reach_probability(g2, {a2}, b2, 1) == 0.5
+    a2, b2, c2 = (g2.entities.id_of(n) for n in "abc")
+    assert reach_probability(g2, {a2}, 1) == {b2: 0.5, c2: 0.5}
 
     g3 = two_head_graph()
     ids = {g3.entities.id_of("a"), g3.entities.id_of("b")}
-    assert reach_probability(g3, ids, g3.entities.id_of("z"), 1) == 0.25
+    scores = reach_probability(g3, ids, 1)
+    assert scores[g3.entities.id_of("z")] == 0.25
+    assert {g3.entities.names[e]: s for e, s in scores.items()} == {
+        "z": 0.25, "x1": 0.5, "x2": 0.25, "x3": 0.25, "x4": 0.25}
 
 
 def test_reach_probability_respects_horizon():
     g = chain_graph()
-    a, c = g.entities.id_of("a"), g.entities.id_of("c")
-    assert reach_probability(g, {a}, c, 1) == 0.0
-    assert reach_probability(g, {a}, c, 2) == 1.0
+    a, b, c = (g.entities.id_of(n) for n in "abc")
+    assert c not in reach_probability(g, {a}, 1)
+    assert reach_probability(g, {a}, 2) == {b: 1.0, c: 1.0}
     with pytest.raises(ValueError):
-        reach_probability(g, {a}, c, 0)
+        reach_probability(g, {a}, 0)
 
 
 def test_sample_walks_finds_unique_path():
