@@ -151,20 +151,16 @@ def split_queries(
 
 
 def candidate_pool(query: Query, test_set: QuerySet) -> list[Query]:
-    """The true query plus the negatives it is ranked against.
+    """The true query plus the negatives with its head and tail arity.
 
-    Classification pools take every negative graph; event pools keep the
-    filtered setting of negatives with the query's head/tail arity.
+    A classification query names no entity, and neither does any negative
+    graph's query, so its pool holds every negative.
     """
-    if test_set.mode == CLASSIFICATION:
-        negatives = list(test_set.negatives)
-    else:
-        negatives = [
-            n
-            for n in test_set.negatives
-            if len(n.heads) == len(query.heads) and len(n.tails) == len(query.tails)
-        ]
-    return [query] + negatives
+    return [query] + [
+        n
+        for n in test_set.negatives
+        if len(n.heads) == len(query.heads) and len(n.tails) == len(query.tails)
+    ]
 
 
 def pool_queries(test_set: QuerySet) -> list[Query]:

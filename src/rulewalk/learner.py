@@ -128,13 +128,14 @@ def train(
 def build_features(rules, graphs, queries, labels, scorer: str = "binary") -> FeatureMatrix:
     """Feature matrix: one row per query, one column per rule.
 
-    A binary feature is 1 when the rule grounds the query.  Event queries
-    that share a graph and a head tuple share one grounding search per
-    rule: `evaluate` on the rule's head at those heads returns every tail
-    the rule predicts, and each query looks its own tails up.  A query
-    without tails (a classification query) gets its own `evaluate` call.
-    The reach scorer weights an event query's match by the walk reach
-    score of its first tail (capped at 1), read from one
+    A binary feature is 1 when the rule grounds the query.  Queries that
+    share a graph and a head tuple share one grounding search per rule:
+    `evaluate` on the rule's head at those heads returns every tail tuple
+    the rule predicts, and each query looks its own tails up.  A
+    classification query names no entity, so its heads and tails are both
+    `()`, and the search from them predicts `()` when the rule grounds the
+    graph.  The reach scorer weights an event query's match by the walk
+    reach score of its first tail (capped at 1), read from one
     `reach_probability` expansion per (graph, heads, rule body length).
     """
     if scorer not in ("binary", "reach"):
@@ -142,19 +143,13 @@ def build_features(rules, graphs, queries, labels, scorer: str = "binary") -> Fe
     features = np.zeros((len(queries), len(rules)))
     by_heads: dict[tuple[int, tuple[int, ...]], list[int]] = {}
     for row, query in enumerate(queries):
-        if query.tails:
-            by_heads.setdefault((query.graph_index, query.heads), []).append(row)
-        else:
-            graph = graphs[query.graph_index]
-            for col, rule in enumerate(rules):
-                if evaluate(rule, graph, query):
-                    features[row, col] = 1.0
+        by_heads.setdefault((query.graph_index, query.heads), []).append(row)
     reach: dict[tuple, dict[int, float]] = {}
     for (index, heads), rows in by_heads.items():
         graph = graphs[index]
+        grounding = Query(queries[rows[0]].predicate, heads, graph_index=index)
         for col, rule in enumerate(rules):
-            predicted = evaluate(rule, graph, Query(rule.head.predicate, heads,
-                                                    graph_index=index))
+            predicted = evaluate(rule, graph, grounding)
             for row in rows:
                 tails = queries[row].tails
                 if tails not in predicted:
@@ -184,7 +179,10 @@ def save_model(path, params: ModelParams, rules) -> None:
 
 
 def load_model(path, rules) -> ModelParams:
-    """A `save_model` file's parameters for `rules`, in rule order, or DataFormatError."""
+    """A `save_model` file's parameters for `rules`, in rule order, or DataFormatError.
+
+    The file must weight each of `rules` once and no other rule.
+    """
     with open_text(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
     if not lines or not lines[0].startswith("bias "):
@@ -195,11 +193,20 @@ def load_model(path, rules) -> ModelParams:
         sig, _, w = ln.rpartition("\t")
         if not sig:
             raise DataFormatError(f"{path}: malformed model line {ln!r}")
+        if sig in weights:
+            raise DataFormatError(f"{path}: more than one weight for rule {sig!r}")
         weights[sig] = _finite(w, path, ln)
     for rule in rules:
         if rule.signature not in weights:
             raise DataFormatError(
                 f"{path}: no weight for rule {rule.signature!r}; "
+                "the model was trained on other rules"
+            )
+    asked = {rule.signature for rule in rules}
+    for sig in weights:
+        if sig not in asked:
+            raise DataFormatError(
+                f"{path}: a weight for rule {sig!r}, which is not among the rules; "
                 "the model was trained on other rules"
             )
     return ModelParams(np.array([weights[r.signature] for r in rules]), bias)

@@ -50,9 +50,11 @@ class Query:
 
     Event queries carry head/tail entity ids of their own graph
     (`graph_index`); classification queries carry a bare label (no
-    entities) and refer to a whole graph.  The predicate stays a name,
-    since rules carry predicates by name from graph to graph.  `event_id`
-    distinguishes otherwise identical event queries inside ranking pools.
+    entities) and refer to a whole graph.  A grounding search binds only
+    the heads; the tails are looked up in the tail tuples it collects.  The
+    predicate stays a name, since rules carry predicates by name from graph
+    to graph.  `event_id` distinguishes otherwise identical event queries
+    inside ranking pools.
     """
 
     predicate: str
@@ -256,23 +258,24 @@ def _canonical_variables(query_heads, query_tails, atom_entities) -> dict[int, i
 def evaluate(
     rule: TemporalRule, graph: TemporalHypergraph, query: Query
 ) -> set[tuple[int, ...]]:
-    """The tail tuples that the rule's groundings from the query bind.
+    """The tail tuples that the rule's groundings from the query's heads bind.
 
-    A query that names its tails, or a rule whose head has no tail
-    variables, fixes the one tuple that can match: the search stops at its
-    first grounding, and the result is `{query.tails}` or empty.
-    Otherwise one exhaustive search from the query's heads collects each
-    tail tuple a grounding binds, in every order, since a query's tails
-    may bind the head atom's tail variables in any order: `t` is in the
-    result iff `Query(p, query.heads, t)` has a grounding.  An empty set
-    means no match, so the result also reads as a bool.
+    One search from the query's heads collects each tail tuple a grounding
+    binds, in every order, since a query's tails may bind the head atom's
+    tail variables in any order: `t` is in the result iff
+    `Query(p, query.heads, t)` has a grounding.  A head without tail
+    variables can only predict `()`, so that search stops at its first
+    grounding.  A query that names its tails gets `{query.tails}` if they
+    are in that set and an empty set otherwise.  An empty set means no
+    match, so the result also reads as a bool.
     """
-    if query.tails or not rule.head.tail_vars:
-        first = next(iter_groundings(rule, graph, query), None)
-        return set() if first is None else {first[1]}
     matched: set[tuple[int, ...]] = set()
     for _, tails in iter_groundings(rule, graph, query):
         matched.update(permutations(tails))
+        if not rule.head.tail_vars:
+            break
+    if query.tails:
+        return {query.tails} if query.tails in matched else set()
     return matched
 
 
@@ -287,27 +290,18 @@ def iter_groundings(
     over events in ascending id order, with every pairwise interval
     relation required to lie in the rule's constraint network.  Each atom
     visits only the events of its shape that contain its already-bound
-    entities.
+    entities.  The query's tails are not read: each grounding comes with
+    the tuple of the entities its tail variables bound, in variable order,
+    once for every graph entity a variable no body atom binds could take.
 
-    A query that names its tails binds them too, before the body, so they
-    filter the search, and each grounding comes with `query.tails`.  A
-    query that names no tails leaves the tail variables to the body: each
-    grounding comes with the tuple of the entities its tail variables
-    bound, in variable order, once for every graph entity a variable no
-    body atom binds could take.
-
-    Each candidate event, each head or tail bijection tried and each tail
-    tuple read off costs one step, so the bound holds at any arity; raises
-    GroundingBudgetError once the search has taken more than
-    GROUNDING_BUDGET steps, so an unfinished search is never read as "no
-    match".
+    Each candidate event, each binding of the heads or of an atom's
+    variables tried and each grounding read off costs one step, so the
+    bound holds at any arity; raises GroundingBudgetError once the search
+    has taken more than GROUNDING_BUDGET steps, so an unfinished search is
+    never read as "no match".
     """
     head_vars, tail_vars = rule.head.head_vars, rule.head.tail_vars
-    if len(query.heads) != len(head_vars):
-        return
-    if query.tails and len(query.tails) != len(tail_vars):
-        return
-    if not graph.has_entities(query.heads + query.tails):
+    if len(query.heads) != len(head_vars) or not graph.has_entities(query.heads):
         return
 
     candidates = _candidate_events(rule, graph)
@@ -324,15 +318,11 @@ def iter_groundings(
                 f"{GROUNDING_BUDGET:,} candidate events and bindings"
             )
 
-    if query.tails or not tail_vars:
-        for head_bind in _set_bindings(head_vars, query.heads, {}, spend):
-            for bind in _set_bindings(tail_vars, query.tails, head_bind, spend):
-                for grounding, _ in _match_body(rule, graph, candidates, bind, [], spend):
-                    yield grounding, query.tails
-        return
     # tail variables that neither the heads nor any body atom binds
-    bound_vars = set(head_vars).union(*(atom.variables() for atom in rule.body))
-    free = [v for v in dict.fromkeys(tail_vars) if v not in bound_vars]
+    free = [
+        v for v in dict.fromkeys(tail_vars)
+        if v not in head_vars and not any(v in atom.variables() for atom in rule.body)
+    ]
     for head_bind in _set_bindings(head_vars, query.heads, {}, spend):
         for grounding, bind in _match_body(rule, graph, candidates, head_bind, [], spend):
             for values in product(range(len(graph.entities)), repeat=len(free)):

@@ -540,6 +540,31 @@ def test_eval_with_model_missing_a_rule_exits_2(tmp_path, rule_file, capsys):
     assert "Traceback" not in err
 
 
+def test_eval_with_a_model_of_other_rules_exits_2(tmp_path, rule_file, capsys):
+    # weights for a rule the rules file lacks, or two weights for one rule,
+    # would rank with another model than the one trained
+    corpus, rules, model, _ = run_pipeline(tmp_path, rule_file)
+    rule_lines = Path(rules).read_text().splitlines(keepends=True)
+    assert sum(l.startswith("w=") for l in rule_lines) >= 2
+    one_rule = tmp_path / "one-rule.txt"
+    one_rule.write_text("".join(rule_lines[:2]))
+    bias, first, second, *rest = Path(model).read_text().splitlines()
+    repeated = tmp_path / "repeated.txt"
+    repeated.write_text("\n".join([bias, first, second, *rest,
+                                   first.split("\t")[0] + "\t5.0"]) + "\n")
+    out = tmp_path / "out.json"
+    for rules_file, model_file, signature in [(one_rule, model, second.split("\t")[0]),
+                                              (rules, repeated, first.split("\t")[0])]:
+        capsys.readouterr()
+        assert main(["eval", "--data", corpus, "--target-label", "Target",
+                     "--rules", str(rules_file), "--model", str(model_file),
+                     "--seed", "7", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"rulewalk: error: {model_file}: " in err and repr(signature) in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
 def test_eval_with_a_non_finite_model_number_exits_2(tmp_path, rule_file, capsys):
     # a NaN bias or an infinite weight (0 * inf is NaN) would make every score NaN
     corpus, rules, model, _ = run_pipeline(tmp_path, rule_file)

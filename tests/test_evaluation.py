@@ -244,6 +244,9 @@ def test_candidate_pool_filters_event_arity():
     qs = QuerySet(positives, negatives, "link_prediction")
     pool = candidate_pool(positives[0], qs)
     assert pool == [positives[0], negatives[1]]
+    # a classification query names no entity, so its pool holds every negative
+    graphs = QuerySet([Query("L", graph_index=0)], [Query("L", graph_index=i) for i in (1, 2, 3)])
+    assert candidate_pool(graphs.positives[0], graphs) == graphs.positives + graphs.negatives
 
 
 def test_split_proportional_and_seeded():

@@ -1,6 +1,9 @@
 """Scorer, loss, analytic gradient vs finite differences, training."""
+import functools
+import hashlib
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -19,7 +22,11 @@ from rulewalk.learner import (
 )
 from rulewalk.rules import GroundingBudgetError, Query, evaluate, parse_rule
 
-from oracles import finite_difference_gradient, reach_score_per_target
+from oracles import (
+    finite_difference_gradient,
+    grounding_exists_bruteforce,
+    reach_score_per_target,
+)
 
 
 def toy_matrix():
@@ -201,6 +208,16 @@ def test_model_file_round_trip(tmp_path):
     other = TemporalRule(head, (Atom("R", (0,), (1,)),), IANetwork([0]))
     with pytest.raises(DataFormatError, match="no weight for rule 'L\\(\\) <- R\\(X0->X1\\)'"):
         learner.load_model(path, rules + [other])
+    # a weight for a rule not asked for, or a second weight for one rule,
+    # means the file holds another model than the one the rules were fit in
+    with pytest.raises(DataFormatError,
+                       match=rf"^{re.escape(str(path))}: .*'L\(\) <- Q\(X0->X1\)'"):
+        learner.load_model(path, rules[:1])
+    repeated = tmp_path / "repeated.txt"
+    repeated.write_text(path.read_text() + "L() <- P(X0->X1)\t5.0\n")
+    with pytest.raises(DataFormatError,
+                       match=rf"^{re.escape(str(repeated))}: .*'L\(\) <- P\(X0->X1\)'"):
+        learner.load_model(repeated, rules)
 
 
 # -- feature rows ------------------------------------------------------------
@@ -227,14 +244,50 @@ def _event_graph(seed):
     return g
 
 
-def _feature_per_query(rules, graphs, queries, scorer):
-    """One `evaluate` and one per-target reach score per query and rule."""
+CLASS_RULE = "w=0.0 p0() <- p1(X0,X1->X2) , p2(X2->X0) | 0 {BEFORE,MEETS} 1"
+
+
+def _feature_task(seed):
+    """The rules, four event graphs, and their queries: in the first two
+    graphs, every event's heads against every tail; then one classification
+    query per graph."""
+    rules = [parse_rule(line) for line in EVENT_RULES + [CLASS_RULE]]
+    graphs = [_event_graph(seed), _event_graph(seed + 100),
+              _event_graph(seed + 1), _event_graph(seed + 2)]
+    queries = []
+    for index, g in enumerate(graphs[:2]):
+        for event in g.events:
+            for tail in range(len(g.entities)):
+                queries.append(Query("p0", event.heads, (tail,), graph_index=index,
+                                     event_id=event.event_id))
+    queries += [Query("p0", graph_index=index) for index in range(len(graphs))]
+    return rules, graphs, queries
+
+
+@functools.cache
+def _verdicts_per_query(seed):
+    """The brute-force verdict per query and rule, shared by both scorers."""
+    rules, graphs, queries = _feature_task(seed)
+    verdicts = {}
+    for query in queries:
+        for col, rule in enumerate(rules):
+            key = (query.graph_index, query.heads, query.tails, col)
+            if key not in verdicts:
+                verdicts[key] = grounding_exists_bruteforce(
+                    rule, graphs[query.graph_index], query)
+    return verdicts
+
+
+def _feature_per_query(seed, scorer):
+    """The brute-force verdict and one per-target reach score per query and rule."""
+    rules, graphs, queries = _feature_task(seed)
+    verdicts = _verdicts_per_query(seed)
     rows = []
     for query in queries:
         graph = graphs[query.graph_index]
         row = []
-        for rule in rules:
-            value = 1.0 if evaluate(rule, graph, query) else 0.0
+        for col, rule in enumerate(rules):
+            value = 1.0 if verdicts[query.graph_index, query.heads, query.tails, col] else 0.0
             if value and scorer == "reach" and query.heads and query.tails:
                 value = min(1.0, reach_score_per_target(
                     graph, set(query.heads), query.tails[0], len(rule.body)))
@@ -243,23 +296,32 @@ def _feature_per_query(rules, graphs, queries, scorer):
     return np.array(rows, dtype=float)
 
 
+def _features(seed, scorer):
+    rules, graphs, queries = _feature_task(seed)
+    return build_features(rules, graphs, queries, [0.0] * len(queries), scorer).features
+
+
 @pytest.mark.parametrize("scorer", ["binary", "reach"])
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_build_features_per_head_equals_the_feature_per_query(scorer, seed):
-    # every event of the graph as a query, plus each head tuple against every
-    # tail it lacks, across two graphs
-    graphs = [_event_graph(seed), _event_graph(seed + 100)]
-    rules = [parse_rule(line) for line in EVENT_RULES]
-    queries = []
-    for index, g in enumerate(graphs):
-        for event in g.events:
-            for tail in range(len(g.entities)):
-                queries.append(Query("p0", event.heads, (tail,), graph_index=index,
-                                     event_id=event.event_id))
-    matrix = build_features(rules, graphs, queries, [0.0] * len(queries), scorer)
-    expected = _feature_per_query(rules, graphs, queries, scorer)
-    assert matrix.features.tobytes() == expected.tobytes()
-    assert 0 < np.count_nonzero(matrix.features) < matrix.features.size / 2
+    # event queries on two graphs, each head tuple against every tail it
+    # lacks, and a classification query on each of four graphs
+    features = _features(seed, scorer)
+    expected = _feature_per_query(seed, scorer)
+    assert features.tobytes() == expected.tobytes()
+    assert 0 < np.count_nonzero(features) < features.size / 2
+    # the classification rule matches some graphs and misses others
+    assert set(features[-4:, -1].tolist()) == {0.0, 1.0}
+
+
+@pytest.mark.parametrize("scorer, digest", [
+    ("binary", "992a84fdba421c194dd98860e8268e9692a6b152a7b42e289002a1680c4ac957"),
+    ("reach", "5f6d714c34914f524f0eefeb53e4b5efc18f89572c6a24b7cc35cfbd0d78e777"),
+])
+def test_build_features_on_the_event_graphs_is_pinned(scorer, digest):
+    # the reach scorer weights a match by its tail's reach score, so on these
+    # graphs the two matrices differ; the digests are those of the release
+    assert hashlib.sha256(_features(1, scorer).tobytes()).hexdigest() == digest
 
 
 def test_the_grounding_budget_bounds_one_search_per_rule_and_query_head(monkeypatch):
@@ -286,10 +348,10 @@ def test_the_grounding_budget_bounds_one_search_per_rule_and_query_head(monkeypa
 
     # the search from a binds a (1 step), then per event tries it, binds its
     # head and its tail, and reads the tail off: 1 + 10 * 4 steps; a query
-    # that names b9 tries every event too, but stops at its match: 1 + 1 + 10 * 3
+    # that names its tail runs the same search and looks the tail up
     per_head = least_budget(build)
     assert per_head == 41
-    assert max(least_budget(lambda q=q: evaluate(rule, g, q)) for q in queries) == 32
+    assert max(least_budget(lambda q=q: evaluate(rule, g, q)) for q in queries) == per_head
     monkeypatch.setattr("rulewalk.rules.GROUNDING_BUDGET", per_head - 1)
     with pytest.raises(GroundingBudgetError) as info:
         build()
