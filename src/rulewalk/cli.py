@@ -152,10 +152,25 @@ def _add_task_arguments(p) -> None:
 
 
 def main(argv=None) -> int:
+    try:
+        code = _run(argv)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # stdout's reader left early (`| head`), which is no error: every
+        # command prints only after it has written its files.  Pointing
+        # stdout at devnull keeps the exit-time flush from failing again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
+
+
+def _run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         return args.func(args)
+    except BrokenPipeError:
+        raise  # a closed stdout, which `main` handles
     except UsageError as exc:
         exc.parser.print_usage(sys.stderr)
         print(f"rulewalk: error: {exc}", file=sys.stderr)
@@ -310,10 +325,10 @@ def cmd_eval(args) -> int:
     ranks = evaluation.ranked_evaluation(scores, test_set)
     record = evaluation.metrics_record(ranks, test_set.mode, args.seed)
     text = evaluation.format_metrics(record)
-    print(text)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text.splitlines()[0] + "\n")
+    print(text)
     return 0
 
 

@@ -16,7 +16,7 @@ queued again, so the propagation reaches the same (unique) closure.
 Closed-input contract: `observe` is the only operation that closes a
 network.  It appends nodes with the observed relations of their intervals
 and closes through the closed prefix; `rules.trace_network` observes the
-events of each group of a trace in one batch, `rules.trace_to_rule` the
+events of each group of a trace in one batch, `rules.Lift.rule` the
 class atoms.  The closure of the same input cells is unique, so observing
 events one call at a time or all in one call gives the same cells.  Every
 cell then holds the relation of the graph's own intervals, which realise the

@@ -24,6 +24,12 @@ MODES = (MODE_RELATIONAL, MODE_TEMPORAL)
 class MiningParams(WalkParams):
     rho: float = 1.0  # classification mode: time-span coverage threshold
 
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        # checked here, since a pruned rule never reaches `coverage_filter`'s check
+        if not 0 < self.rho <= 1:
+            raise ValueError("rho must lie in (0, 1]")
+
 
 @dataclass
 class MiningDiagnostics:
@@ -44,47 +50,74 @@ def mine_rules(
     Walks are seeded per query from params.seed, so both modes produce
     identical relational rules for the same seed; the plain mode simply
     widens every temporal cell afterwards.  In classification mode a rule
-    must pass the time-span coverage filter on every positive graph.
+    must pass the time-span coverage filter on every positive graph.  A
+    lift with a body atom whose shape some positive graph lacks would fail
+    it, so its signature is counted as filtered before any network is
+    built for it.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mining mode {mode!r}")
     diag = diagnostics if diagnostics is not None else MiningDiagnostics()
+    positive_graphs = sorted({q.graph_index for q in query_set.positives})
+    shapes = None
+    if query_set.mode == CLASSIFICATION:
+        shapes = _shared_shapes([graphs[g] for g in positive_graphs])
 
     aggregated: dict[str, TemporalRule] = {}
+    pruned: set[str] = set()
     for qi, query in enumerate(query_set.positives):
         graph = graphs[query.graph_index]
         wparams = replace(params, seed=derive_seed(params.seed, "query", qi))
         # lifting a trace once stands for all its walks: union is idempotent
         for trace, walks in sample_walks(graph, query, wparams, diag.walk):
-            rule = trace_to_rule(graph, trace, query)
-            if rule is None:
+            lift = trace_to_rule(graph, trace, query)
+            if lift is None:
                 diag.disconnected += walks
                 continue
-            known = aggregated.get(rule.signature)
-            if known is None:
-                rule.support = walks
-                aggregated[rule.signature] = rule
-            else:
+            known = aggregated.get(lift.signature)
+            if known is not None:
                 known.support += walks
-                known.time_net = constraints.generalize(known.time_net, rule.time_net)
+                known.time_net = constraints.generalize(known.time_net, lift.network())
+            elif shapes is None or all(
+                (a.predicate, len(a.head_vars), len(a.tail_vars)) in shapes for a in lift.body
+            ):
+                rule = lift.rule()
+                rule.support = walks
+                aggregated[lift.signature] = rule
+            else:
+                pruned.add(lift.signature)
 
     rules = list(aggregated.values())
     if mode == MODE_RELATIONAL:
         for rule in rules:
             rule.time_net = constraints.IANetwork(rule.time_net.keys)
 
-    if query_set.mode == CLASSIFICATION:
-        rules = _apply_coverage(rules, graphs, query_set, params, diag)
+    if shapes is not None:
+        diag.coverage_filtered += len(pruned)
+        rules = _apply_coverage(rules, graphs, positive_graphs, params.rho, diag)
 
     rules.sort(key=lambda r: (-r.support, r.signature))
     return rules
 
 
-def _apply_coverage(rules, graphs, query_set, params, diag):
-    positive_graphs = sorted({q.graph_index for q in query_set.positives})
+def _shared_shapes(graphs) -> set[tuple[str, int, int]]:
+    """The (predicate name, head count, tail count) shapes of events in every graph.
+
+    A body atom of another shape has no candidate event in some graph, so
+    the rule has no grounding there and fails the coverage filter.
+    """
+    shared = None
+    for graph in graphs:
+        names = graph.predicates.names
+        shapes = {(names[p], heads, tails) for p, heads, tails in graph.shape_index}
+        shared = shapes if shared is None else shared & shapes
+    return shared
+
+
+def _apply_coverage(rules, graphs, positive_graphs, rho, diag):
     kept = []
     for rule in rules:
-        if all(coverage_filter(rule, graphs[g], params.rho) for g in positive_graphs):
+        if all(coverage_filter(rule, graphs[g], rho) for g in positive_graphs):
             kept.append(rule)
         else:
             diag.coverage_filtered += 1

@@ -4,8 +4,9 @@ A rule is a head atom, an ordered body of atoms over logical variables,
 and a constraint network over body positions.  Rules reference predicates
 by name so they can travel between graphs; variables are canonicalized at
 construction so that isomorphic traces produce byte-identical signatures.
-A walk trace carries no network: `trace_to_rule` builds it with
-`trace_network` from the graph's intervals when it lifts the trace.
+A walk trace carries no network: `trace_to_rule` lifts a trace to its
+atoms and signature, and the lift's `network()` builds the network with
+`trace_network` from the graph's intervals.
 
 Text format, one rule per line::
 
@@ -85,8 +86,11 @@ class TemporalRule:
     def __post_init__(self) -> None:
         if len(self.body) != self.time_net.n:
             raise RuleError("time_net node count must equal body length")
-        body = " , ".join(render_atom(a) for a in self.body)
-        self.signature = f"{render_atom(self.head)} <- {body}"
+        self.signature = render_signature(self.head, self.body)
+
+
+def render_signature(head: Atom, body: tuple[Atom, ...]) -> str:
+    return f"{render_atom(head)} <- {' , '.join(render_atom(a) for a in body)}"
 
 
 def render_atom(atom: Atom) -> str:
@@ -157,19 +161,42 @@ def trace_network(graph: TemporalHypergraph, trace: list[int]) -> IANetwork:
     )
 
 
-def trace_to_rule(
-    graph: TemporalHypergraph, trace: list[int], query: Query
-) -> TemporalRule | None:
-    """Lift a walk trace into a rule with canonical variables.
+class Lift(NamedTuple):
+    """A connected trace lifted to a rule's atoms; `rule()` adds its `network()`.
+
+    `body` holds one atom per trace event, then one per class event.
+    """
+
+    head: Atom
+    body: tuple[Atom, ...]
+    signature: str
+    graph: TemporalHypergraph
+    trace: list[int]
+    class_events: list[int]
+
+    def network(self) -> IANetwork:
+        """The trace's `trace_network` with the class atoms observed against
+        it, keyed by body indices."""
+        graph = self.graph
+        net = trace_network(graph, self.trace)
+        if self.class_events:
+            net = observe(net, self.class_events, lambda e: graph.events[e].interval)
+        return IANetwork(range(len(self.body)), net.cells)
+
+    def rule(self) -> TemporalRule:
+        return TemporalRule(self.head, self.body, self.network())
+
+
+def trace_to_rule(graph: TemporalHypergraph, trace: list[int], query: Query) -> Lift | None:
+    """Lift a walk trace into a rule's atoms with canonical variables.
 
     Entities become variables consistently (same entity, same variable);
     the query's entities become the head atom's variables.  A unary class
     atom is appended for every variable whose entity carries a class-label
-    event in the graph, at most one per variable.  The rule's network is
-    the trace's `trace_network`, with the class atoms observed against it,
-    keyed by body indices.  Returns None unless `chain_connected` holds for
-    the trace.  Raises RuleError for an empty trace and GraphError for a
-    query entity the graph lacks.
+    event in the graph, at most one per variable.  The signature is known
+    here; only the lift's `network()` builds a network.  Returns None
+    unless `chain_connected` holds for the trace.  Raises RuleError for an
+    empty trace and GraphError for a query entity the graph lacks.
     """
     if not trace:
         raise RuleError("cannot build a rule from an empty trace")
@@ -191,12 +218,7 @@ def trace_to_rule(
     body = tuple(
         Atom(names[ev.predicate], variables(ev.heads), variables(ev.tails)) for ev in events
     )
-
-    net = trace_network(graph, trace)
-    if class_events:
-        net = observe(net, class_events, lambda e: graph.events[e].interval)
-    net = IANetwork(range(len(body)), net.cells)
-    return TemporalRule(head, body, net)
+    return Lift(head, body, render_signature(head, body), graph, trace, class_events)
 
 
 def _class_events(graph: TemporalHypergraph, trace: list[int]) -> list[int]:

@@ -3,13 +3,17 @@ import filecmp
 import hashlib
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from rulewalk.cli import main
 from rulewalk.dataio import load_corpus, load_graph
-from rulewalk.rules import parse_rule
+from rulewalk.evaluation import build_event_queries, score_pools, split_queries
+from rulewalk.learner import load_model
+from rulewalk.rules import parse_rule, read_rules
 from rulewalk.synthetic import MAX_SPAN
 
 PLANTED = "w=0.0 Target() <- A(X0->X1) , B(X1->X2) | 0 {BEFORE} 1\n"
@@ -565,6 +569,33 @@ def test_eval_with_a_model_of_other_rules_exits_2(tmp_path, rule_file, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_a_closed_stdout_is_no_error_and_every_output_is_written(tmp_path, rule_file,
+                                                                 unbuffered):
+    # `eval --out F | head -1`: the reader is gone before eval prints.  With
+    # stdout buffered the failing write is the final flush; unbuffered, the
+    # print itself.
+    corpus, rules, model, metrics = run_pipeline(tmp_path, rule_file)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    piped = tmp_path / "metrics-piped.json"
+    for argv in (["eval", "--data", corpus, "--target-label", "Target", "--rules", rules,
+                  "--model", model, "--seed", "7", "--out", str(piped)],
+                 ["inspect", "--data", corpus], ["mine", "--help"]):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run([sys.executable, "-m", "rulewalk.cli", *argv],
+                                  stdout=write_end, stderr=subprocess.PIPE, env=env,
+                                  timeout=120)
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (0, b"")
+    assert piped.read_bytes() == Path(metrics).read_bytes()
+
+
 def test_eval_with_a_non_finite_model_number_exits_2(tmp_path, rule_file, capsys):
     # a NaN bias or an infinite weight (0 * inf is NaN) would make every score NaN
     corpus, rules, model, _ = run_pipeline(tmp_path, rule_file)
@@ -967,6 +998,26 @@ def test_target_mode_outputs_are_pinned(tmp_path, capsys):
         assert main(["eval", *task, "--features", features, "--rules", str(rules),
                      "--model", str(model), "--out", str(metrics)]) == 0
         assert hashlib.sha256(metrics.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("features, digest", [
+    ("reach", "9290c73650f6624d41ee418a205bf12af0283c877107a361806566d4e77310b0"),
+    ("binary", "372de7f09167837a53ff66af785aa249e46ce9612e4f04bf3aebab7fcd2a4cea"),
+], ids=["reach", "binary"])
+def test_pool_scores_of_each_scorer_are_pinned(tmp_path, features, digest):
+    # the metrics file above ranks 2 test positives, too few to tell the two
+    # scorers apart; every pool query's score does, and the two digests differ
+    graph_file, rules, model = (tmp_path / n for n in ("events.thg", "rules.txt", "model.txt"))
+    _small_event_graph(graph_file)
+    assert main(["train", "--data", str(graph_file), "--positive-predicates", "p0",
+                 "--seed", "3", "--walks", "40", "--max-steps", "3", "--features", "reach",
+                 "--out", str(rules), "--model-out", str(model)]) == 0
+    graph, _ = load_graph(str(graph_file))
+    _, test_set = split_queries(build_event_queries(graph, ["p0"]), 0.8, 3)
+    read = read_rules(str(rules))
+    scores = score_pools(read, [graph], test_set, load_model(str(model), read), features)
+    text = "".join(f"{query!r} {value.hex()}\n" for query, value in scores.items())
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def _two_head_graph(path):

@@ -2,9 +2,12 @@
 from dataclasses import asdict
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rulewalk import mining
 from rulewalk.allen import FULL_SET, Relation, rel_set
-from rulewalk.constraints import generalize
+from rulewalk.constraints import IANetwork, generalize
 from rulewalk.evaluation import (
     QuerySet,
     build_classification_queries,
@@ -35,6 +38,9 @@ def test_mining_params_are_walk_params_plus_rho():
         MiningParams(num_walks=0)
     with pytest.raises(ValueError):
         MiningParams(max_steps=0)
+    for rho in (0.0, 1.5, float("nan")):
+        with pytest.raises(ValueError):
+            MiningParams(rho=rho)
 
 
 def chain_graph(gap: str):
@@ -166,13 +172,15 @@ def test_link_prediction_mining_targets_query_tail():
     )
 
 
-def _lift_every_walk(graphs, qs, params):
+def _lift_every_walk(graphs, qs, params, mode=MODE_TEMPORAL):
     """mine_rules walk by walk: every kept walk of the memo-free replay is lifted anew.
 
     Each lifted rule's cells among its trace atoms must equal the replay's
-    network, which the replay builds without `rules.trace_network`.
-    Returns the ranked rules, the disconnected count and the number of
-    kept walks whose trace repeats an earlier one of the same query.
+    network, which the replay builds without `rules.trace_network`.  Every
+    signature is lifted and, in classification, coverage-filtered on every
+    positive graph, however certain its verdict.  Returns the ranked rules,
+    the disconnected count, the number of kept walks whose trace repeats an
+    earlier one of the same query, and the coverage-filtered count.
     """
     aggregated = {}
     disconnected = repeats = 0
@@ -187,7 +195,7 @@ def _lift_every_walk(graphs, qs, params):
             if not chain_connected(graph, trace, query):
                 disconnected += 1
                 continue
-            rule = trace_to_rule(graph, trace, query)
+            rule = trace_to_rule(graph, trace, query).rule()
             n = len(trace)
             assert [row[:n] for row in rule.time_net.cells[:n]] == net.cells
             known = aggregated.setdefault(rule.signature, rule)
@@ -197,12 +205,30 @@ def _lift_every_walk(graphs, qs, params):
                 known.support += 1
                 known.time_net = generalize(known.time_net, rule.time_net)
     rules = list(aggregated.values())
+    if mode == MODE_RELATIONAL:
+        for rule in rules:
+            rule.time_net = IANetwork(rule.time_net.keys)
+    filtered = 0
     if qs.mode == "classification":
         positive = sorted({q.graph_index for q in qs.positives})
-        rules = [r for r in rules
-                 if all(coverage_filter(r, graphs[g], params.rho) for g in positive)]
+        kept = [r for r in rules
+                if all(coverage_filter(r, graphs[g], params.rho) for g in positive)]
+        filtered = len(rules) - len(kept)
+        rules = kept
     rules.sort(key=lambda r: (-r.support, r.signature))
-    return rules, disconnected, repeats
+    return rules, disconnected, repeats, filtered
+
+
+def _assert_mines_like_every_walk(graphs, qs, params, mode=MODE_TEMPORAL):
+    """mine_rules equals `_lift_every_walk`; returns the oracle's counts."""
+    diag = MiningDiagnostics()
+    rules = mine_rules(graphs, qs, params, mode, diag)
+    expected, disconnected, repeats, filtered = _lift_every_walk(graphs, qs, params, mode)
+    assert [(r.signature, r.support, r.time_net.cells) for r in rules] == [
+        (r.signature, r.support, r.time_net.cells) for r in expected
+    ]
+    assert (diag.disconnected, diag.coverage_filtered) == (disconnected, filtered)
+    return len(rules), disconnected, repeats, filtered
 
 
 def test_lifting_each_distinct_trace_once_matches_lifting_every_walk():
@@ -229,13 +255,93 @@ def test_lifting_each_distinct_trace_once_matches_lifting_every_walk():
     ]
     seen_disconnected = 0
     for graphs, qs, params in cases:
-        diag = MiningDiagnostics()
-        rules = mine_rules(graphs, qs, params, MODE_TEMPORAL, diag)
-        expected, disconnected, repeats = _lift_every_walk(graphs, qs, params)
-        assert rules and repeats
-        assert [(r.signature, r.support, r.time_net.cells) for r in rules] == [
-            (r.signature, r.support, r.time_net.cells) for r in expected
-        ]
-        assert diag.disconnected == disconnected
+        kept, disconnected, repeats, _ = _assert_mines_like_every_walk(graphs, qs, params)
+        assert kept and repeats
         seen_disconnected += disconnected
     assert seen_disconnected
+
+
+def _positives_with_other_predicates():
+    """Three positive graphs whose predicate sets differ, and one negative.
+
+    Each positive holds A then B and a Bacon class event (a self-loop on one
+    entity), and events some other positive lacks: N1 in the first and
+    third, N2 and a two-head M in the second, an Egg class event in the third.
+    """
+    first = TemporalHypergraph()
+    first.add_event("Bacon", ["a"], ["a"], (0, 12))
+    first.add_event("A", ["a"], ["b"], (0, 2))
+    first.add_event("B", ["b"], ["c"], (4, 7))
+    first.add_event("N1", ["c"], ["d"], (8, 12))
+    second = TemporalHypergraph()
+    second.add_event("A", ["x"], ["y"], (1, 3))
+    second.add_event("N2", ["x"], ["z"], (0, 1))
+    second.add_event("B", ["y"], ["w"], (3, 9))
+    second.add_event("Bacon", ["x"], ["x"], (0, 9))
+    second.add_event("M", ["x", "y"], ["w"], (5, 10))
+    third = TemporalHypergraph()
+    third.add_event("A", ["p"], ["q"], (2, 4))
+    third.add_event("N1", ["p"], ["r"], (0, 3))
+    third.add_event("B", ["q"], ["s"], (6, 8))
+    third.add_event("Bacon", ["p"], ["p"], (0, 8))
+    third.add_event("Egg", ["s"], ["s"], (7, 8))
+    third.add_event("B", ["r"], ["p"], (1, 2))
+    negative = TemporalHypergraph()
+    negative.add_event("A", ["a"], ["b"], (5, 9))
+    negative.add_event("C", ["b"], ["c"], (0, 2))
+    return [first, second, negative, third], build_classification_queries(
+        ["L", "L", "other", "L"], "L")
+
+
+# at 2 steps a kept rule ends on a class atom appended to a walked trace,
+# at 3 steps every kept rule walks its class event
+@pytest.mark.parametrize("max_steps", [2, 3])
+@pytest.mark.parametrize("mode", [MODE_TEMPORAL, MODE_RELATIONAL])
+@pytest.mark.parametrize("rho", [0.3, 1.0])
+def test_classification_mining_matches_lifting_every_walk(monkeypatch, mode, rho, max_steps):
+    graphs, qs = _positives_with_other_predicates()
+    params = MiningParams(num_walks=40, max_steps=max_steps, seed=10, rho=rho,
+                          start_events=2)
+    searched = []
+    original = mining.coverage_filter
+
+    def spy(rule, graph, rho):
+        searched.append(rule.signature)
+        return original(rule, graph, rho)
+
+    monkeypatch.setattr(mining, "coverage_filter", spy)
+    kept, _, _, filtered = _assert_mines_like_every_walk(graphs, qs, params, mode)
+    failed = len(set(searched)) - kept
+    # some filtered rules were never searched; at rho 1 the searched ones fail
+    assert filtered > failed
+    assert kept if rho < 1 else failed
+
+
+def _small_graph(draw):
+    g = TemporalHypergraph()
+    for _ in range(draw(st.integers(2, 6))):
+        heads = draw(st.lists(st.sampled_from("abcd"), min_size=1, max_size=2, unique=True))
+        if len(heads) == 1 and draw(st.booleans()):
+            tails = heads  # a class event
+        else:
+            tails = [draw(st.sampled_from("abcde"))]
+        start = draw(st.integers(0, 8))
+        g.add_event(draw(st.sampled_from(["A", "B", "C", "D"])), heads, tails,
+                    (start, start + draw(st.integers(0, 4))))
+    return g
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_classification_mining_matches_lifting_every_walk_on_random_corpora(data):
+    draw = data.draw
+    positives = [_small_graph(draw) for _ in range(draw(st.integers(3, 4)))]
+    negative = _small_graph(draw)
+    qs = build_classification_queries(["L"] * len(positives) + ["other"], "L")
+    params = MiningParams(num_walks=draw(st.integers(1, 12)),
+                          max_steps=draw(st.integers(1, 3)),
+                          seed=draw(st.integers(0, 1000)),
+                          rho=draw(st.sampled_from([0.1, 0.5, 1.0])),
+                          start_events=draw(st.integers(1, 3)))
+    mode = draw(st.sampled_from([MODE_TEMPORAL, MODE_RELATIONAL]))
+    _assert_mines_like_every_walk(positives + [negative], qs, params, mode)

@@ -53,7 +53,7 @@ def cooked_query(g):
 
 def cooked_rule():
     g = cooking_graph()
-    return g, trace_to_rule(g, [0, 1], cooked_query(g))
+    return g, trace_to_rule(g, [0, 1], cooked_query(g)).rule()
 
 
 def test_trace_to_rule_cooked_example():
@@ -67,7 +67,7 @@ def test_single_edge_trace():
     g = TemporalHypergraph()
     g.add_event("Put", ["a"], ["b"], (1, 2))
     a, b = g.entities.id_of("a"), g.entities.id_of("b")
-    rule = trace_to_rule(g, [0], Query("Goal", (a,), (b,)))
+    rule = trace_to_rule(g, [0], Query("Goal", (a,), (b,))).rule()
     assert len(rule.body) == 1
     assert rule.time_net.n == 1
     assert rule.time_net.cells[0][0] == rel_set(R.EQUAL)
@@ -205,7 +205,7 @@ def test_class_atoms_appended_once_per_variable():
     g.add_event("Put", ["bacon"], ["pan"], (3, 5))
     g.add_event("Bacon", ["bacon"], ["bacon"], (0, 10))
     g.add_event("Bacon", ["bacon"], ["bacon"], (0, 11))  # second label ignored
-    rule = trace_to_rule(g, [0], cooked_query(g))
+    rule = trace_to_rule(g, [0], cooked_query(g)).rule()
     assert rule.signature == "Cooked(X0->X1) <- Put(X0->X1) , Bacon(X0->X0)"
     assert rule.time_net.n == 2
     # observed relation between Put and the class fact
