@@ -14,13 +14,11 @@ exhaustive enumeration of integer interval triples, and the test suite
 regenerates it the same way (tests/oracles.py `compose_table_bruteforce`)
 rather than trusting any transcription.
 
-`compose_sets` is a table lookup.  At import, each base relation r1 gets two
-union tables built from its row of the composition table: `_LO[r1][m]` is
-the union of the cells [r1][r2] over the bits r2 < 7 set in the 7-bit mask
-m, and `_HI[r1][m]` the same over the bits r2 >= 7 of the 6-bit mask m.  So
-compose_sets(1 << r1, s2) is `_LO[r1][s2 & 0x7F] | _HI[r1][s2 >> 7]`, and a
-larger s1 ORs that over its bits.  The 13 x (128 + 64) entries take about a
-millisecond to build; full 13 x 8192 tables would take tens.
+`compose_sets` reads that table: the composition of two relation sets is
+the union of the cells [r1][r2] over every r1 in the first set and r2 in
+the second.  Its one caller is the PC-1 sweep of `constraints.resolve_time`,
+and a traced seed-1 rep of `bench/run.py` makes a few hundred calls (216 on
+planted-chain3), so precomputed union tables would not pay for their code.
 """
 from __future__ import annotations
 
@@ -135,14 +133,11 @@ def _sign_codes(a, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
 
 def compose_sets(s1: RelationSet, s2: RelationSet) -> RelationSet:
     """Union of COMPOSITION_TABLE[r1][r2] over the cross product of the two sets."""
-    lo = s2 & 0x7F
-    hi = s2 >> 7
-    out = 0
-    while s1:
-        low = s1 & -s1
-        r1 = low.bit_length() - 1
-        out |= _LO[r1][lo] | _HI[r1][hi]
-        s1 ^= low
+    out = EMPTY_SET
+    for r1 in iter_members(s1):
+        row = COMPOSITION_TABLE[r1]
+        for r2 in iter_members(s2):
+            out |= row[r2]
     return out
 
 
@@ -179,22 +174,6 @@ COMPOSITION_TABLE: tuple[tuple[int, ...], ...] = (
     (1, 682, 4, 672, 16, 672, 20, 512, 336, 512, 7168, 2048, 2048),
     (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096),
 )
-
-
-def _union_tables(offset: int, width: int) -> tuple[tuple[int, ...], ...]:
-    """Per r1: union of COMPOSITION_TABLE[r1][offset + b] over the bits b of m."""
-    tables = []
-    for row in COMPOSITION_TABLE:
-        table = [0] * (1 << width)
-        for m in range(1, 1 << width):
-            low = m & -m
-            table[m] = table[m ^ low] | row[offset + low.bit_length() - 1]
-        tables.append(tuple(table))
-    return tuple(tables)
-
-
-_LO = _union_tables(0, 7)
-_HI = _union_tables(7, 6)
 
 
 def _sign_table() -> np.ndarray:

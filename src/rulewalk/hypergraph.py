@@ -35,6 +35,7 @@ import gc
 from collections import namedtuple
 from collections.abc import Set
 from contextlib import contextmanager
+from operator import index
 from typing import NamedTuple
 
 
@@ -121,7 +122,9 @@ class TemporalHypergraph:
 
         The predicate is interned first, then the heads and then the tails,
         each in the given order.  A new entity gets its empty `head_index`
-        slot when it is interned.  A GraphError leaves the graph unchanged.
+        slot when it is interned.  An interval given as a pair of ticks must
+        hold integers (numpy ints pass).  A GraphError leaves the graph
+        unchanged.
         """
         n_heads, n_tails = len(heads), len(tails)
         if not n_heads:
@@ -133,7 +136,11 @@ class TemporalHypergraph:
         if n_tails > 1 and len(set(tails)) != n_tails:
             raise GraphError(f"duplicate tail entity in {tails!r}")
         if not isinstance(interval, Interval):
-            interval = Interval(int(interval[0]), int(interval[1]))
+            try:
+                ticks = index(interval[0]), index(interval[1])
+            except TypeError:
+                raise GraphError(f"interval ticks must be integers: {interval!r}") from None
+            interval = Interval(*ticks)
 
         # lookups are inlined, as this runs once per event of every graph
         # built; only a new entity name costs a call

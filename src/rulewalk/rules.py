@@ -28,7 +28,7 @@ from itertools import permutations, product
 from typing import Iterator, NamedTuple
 
 from . import allen
-from .allen import FULL_SET
+from .allen import EMPTY_SET, FULL_SET
 from .constraints import IANetwork, merge_paths, observe
 from .dataio import NAME_TOKEN, DataFormatError, check_predicate, open_text
 from .hypergraph import GraphError, TemporalHypergraph
@@ -488,7 +488,11 @@ def format_rule(rule: TemporalRule) -> str:
 
 
 def parse_rule(line: str) -> TemporalRule:
-    """Inverse of `format_rule`; raises RuleError on malformed text."""
+    """Inverse of `format_rule`; raises RuleError on malformed text.
+
+    A temporal cell with an empty relation set, or a second cell on one
+    pair of atoms, is malformed: `format_rule` writes neither.
+    """
     text = line.strip()
     if not text.startswith("w="):
         raise RuleError(f"rule line must start with 'w=': {line!r}")
@@ -507,6 +511,7 @@ def parse_rule(line: str) -> TemporalRule:
 
     net = IANetwork(list(range(len(body))))
     if net_part.strip():
+        named = set()
         for cell in net_part.split(" ; "):
             m = re.match(r"^\s*(\d+)\s+(\{[^}]*\})\s+(\d+)\s*$", cell)
             if not m:
@@ -514,10 +519,17 @@ def parse_rule(line: str) -> TemporalRule:
             i, j = int(m.group(1)), int(m.group(3))
             if not (0 <= i < len(body) and 0 <= j < len(body) and i != j):
                 raise RuleError(f"temporal cell indices out of range in {cell!r}")
+            pair = (min(i, j), max(i, j))
+            if pair in named:
+                raise RuleError(f"second temporal cell on atoms {i} and {j} in {cell!r}")
+            named.add(pair)
             try:
-                net.set_pair(i, j, allen.parse_set(m.group(2)))
+                rels = allen.parse_set(m.group(2))
             except KeyError as exc:
                 raise RuleError(f"unknown relation in {cell!r}") from exc
+            if rels == EMPTY_SET:
+                raise RuleError(f"empty relation set in {cell!r}")
+            net.set_pair(i, j, rels)
 
     return TemporalRule(head, body, net)
 

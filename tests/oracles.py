@@ -2,15 +2,17 @@
 
 Nothing here reuses the code paths under test: composition is re-derived
 by endpoint enumeration, network consistency by interval assignment
-search, rule matching by full tuple enumeration, walks by a plain replay
-that recomputes everything at every step, and gradients by central finite
-differences.  `from_observed` builds the singleton network of concrete
-intervals, which is path-consistent because the intervals realise it.
-`trace_network_per_event` is the lift of a trace without batching: it
-observes each event against its group with its own closure.
+search, the path-consistency closure by a naive fixpoint over that
+re-derived table, rule matching by full tuple enumeration, walks by a
+plain replay that recomputes everything at every step, and gradients by
+central finite differences.  `from_observed` builds the singleton network
+of concrete intervals, which is path-consistent because the intervals
+realise it.  `trace_network_per_event` is the lift of a trace without
+batching: it observes each event against its group with its own closure.
 """
 from __future__ import annotations
 
+import functools
 import random
 from itertools import permutations, product
 
@@ -45,6 +47,39 @@ def compose_table_bruteforce(max_endpoint: int = 8) -> list[list[int]]:
             for c in grid:
                 row[rel[(b, c)]] |= 1 << rel[(a, c)]
     return table
+
+
+@functools.cache
+def _bruteforce_table() -> tuple[tuple[int, ...], ...]:
+    return tuple(map(tuple, compose_table_bruteforce()))
+
+
+def path_consistency_bruteforce(net) -> tuple[bool, list[list[int]]]:
+    """(consistent, cells) of the path-consistency closure of `net`.
+
+    Every ordered triple (i, j, k) tightens cell (i, k) by the composition
+    of (i, j) and (j, k), read from `compose_table_bruteforce`, until a
+    pass over all triples changes nothing.  Each cell and its converse are
+    tightened by their own triples, so nothing here computes a converse.
+    """
+    table = _bruteforce_table()
+    cells = [row[:] for row in net.cells]
+    n = len(cells)
+    changed = True
+    while changed:
+        changed = False
+        for i, j, k in product(range(n), repeat=3):
+            composed = 0
+            for r1 in range(13):
+                if cells[i][j] >> r1 & 1:
+                    for r2 in range(13):
+                        if cells[j][k] >> r2 & 1:
+                            composed |= table[r1][r2]
+            refined = cells[i][k] & composed
+            if refined != cells[i][k]:
+                cells[i][k] = refined
+                changed = True
+    return all(all(row) for row in cells), cells
 
 
 def from_observed(events) -> IANetwork:

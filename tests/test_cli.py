@@ -661,6 +661,29 @@ def test_malformed_rule_line_in_eval_rules_names_file_and_line(tmp_path, rule_fi
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("cells, message", [
+    ("0 {BEFORE} 1 ; 1 {BEFORE} 0", "second temporal cell on atoms 1 and 0"),
+    ("0 {} 1", "empty relation set in '0 {} 1'"),
+])
+def test_eval_rules_with_a_repeated_or_empty_temporal_cell_exits_2(
+        tmp_path, rule_file, capsys, cells, message):
+    # read as written, the last cell would win and an empty one match nothing
+    corpus = str(tmp_path / "corpus")
+    rules = tmp_path / "rules.txt"
+    rules.write_text("# support=3\nw=0.0 Target() <- A(X0->X1) , B(X1->X2) | " + cells + "\n")
+    metrics = tmp_path / "metrics.json"
+    assert main(["gen", "--rule", rule_file, "--out", corpus,
+                 "--num-pos", "4", "--num-neg", "4", "--noise", "2",
+                 "--seed", "3"]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--data", corpus, "--target-label", "Target",
+                 "--rules", str(rules), "--seed", "3", "--out", str(metrics)]) == 2
+    err = capsys.readouterr().err
+    assert f"{rules}:2: {message}" in err
+    assert "Traceback" not in err
+    assert not metrics.exists()
+
+
 def test_malformed_rule_line_in_gen_rule_names_file_and_line(tmp_path, capsys):
     rule = tmp_path / "bad.rule"
     rule.write_text("# planted rule\n\nw=0.0 Target() <- A(X0->X1) , B[X1]\n")

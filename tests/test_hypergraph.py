@@ -1,4 +1,5 @@
 """Event store, interning, indices, and B-graph queries."""
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -222,6 +223,20 @@ def test_a_reversed_interval_is_rejected_by_add_event_and_by_the_loader(tmp_path
     with pytest.raises(DataFormatError) as err:
         load_graph(path)
     assert str(err.value) == f"{path}:2: interval start 3 > end 1"
+
+
+def test_add_event_rejects_ticks_that_are_not_integers():
+    # int() would truncate (3.7, 5.9) to [3, 5] and parse ("4", "6")
+    g = TemporalHypergraph()
+    for ticks in ((3.7, 5.9), ("4", "6"), (1, 2.0), (None, 1)):
+        with pytest.raises(GraphError) as err:
+            g.add_event("P", ["a"], ["b"], ticks)
+        assert str(err.value) == f"interval ticks must be integers: {ticks!r}"
+    assert len(g) == 0 and len(g.entities) == 0 and len(g.predicates) == 0
+    # numpy integers are integers
+    g.add_event("P", ["a"], ["b"], (np.int64(3), np.int32(5)))
+    assert g.events[0].interval == Interval(3, 5)
+    assert type(g.events[0].interval.start) is int
 
 
 def test_interval_and_event_fields_cannot_be_assigned():

@@ -21,6 +21,7 @@ from rulewalk.learner import (
     train,
 )
 from rulewalk.rules import GroundingBudgetError, Query, evaluate, parse_rule
+from rulewalk.walk import reach_probability
 
 from oracles import (
     finite_difference_gradient,
@@ -322,6 +323,21 @@ def test_build_features_on_the_event_graphs_is_pinned(scorer, digest):
     # the reach scorer weights a match by its tail's reach score, so on these
     # graphs the two matrices differ; the digests are those of the release
     assert hashlib.sha256(_features(1, scorer).tobytes()).hexdigest() == digest
+
+
+def test_the_reach_feature_is_capped_at_exactly_1():
+    # a's one edge gives b a reach score of exactly 1; from the heads a and
+    # c, two edges converge on b for a score of 2: both rows read 1.0
+    g = TemporalHypergraph()
+    g.add_event("p1", ["a"], ["b"], (0, 1))
+    g.add_event("p2", ["c"], ["b"], (2, 3))
+    a, b, c = (g.entities.id_of(name) for name in "abc")
+    assert reach_probability(g, {a}, 1) == {b: 1.0}
+    assert reach_probability(g, {a, c}, 2) == {b: 2.0}
+    rules = [parse_rule(EVENT_RULES[0]), parse_rule(EVENT_RULES[3])]
+    queries = [Query("p0", (a,), (b,)), Query("p0", (a, c), (b,))]
+    matrix = build_features(rules, [g], queries, [1.0, 1.0], scorer="reach")
+    assert matrix.features.tolist() == [[1.0, 0.0], [0.0, 1.0]]
 
 
 def test_the_grounding_budget_bounds_one_search_per_rule_and_query_head(monkeypatch):

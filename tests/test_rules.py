@@ -628,3 +628,12 @@ def test_parse_rule_errors():
         parse_rule("w=1.0 H() <- P(X0->X1) | 0 {NOPE} 1")
     with pytest.raises(RuleError):
         parse_rule("w=1.0 H() <- P(X0,X1)")  # no arrow
+    # a second cell on one pair of atoms, in either direction, would
+    # silently overwrite the first; an empty set would match nothing
+    two_atoms = "w=1.0 H() <- P(X0->X1) , Q(X1->X2) | "
+    with pytest.raises(RuleError, match="second temporal cell on atoms 1 and 0"):
+        parse_rule(two_atoms + "0 {BEFORE} 1 ; 1 {BEFORE} 0")
+    with pytest.raises(RuleError, match="second temporal cell on atoms 0 and 1"):
+        parse_rule(two_atoms + "0 {BEFORE} 1 ; 0 {MEETS} 1")
+    with pytest.raises(RuleError, match="empty relation set in '0 {} 1'"):
+        parse_rule(two_atoms + "0 {} 1")
