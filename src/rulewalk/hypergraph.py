@@ -7,7 +7,8 @@ append-only; after loading it is treated as immutable and is safe to read
 from any number of threads.
 
 `Interval` and `Event` are immutable named tuples: each equals, and hashes
-as, the plain tuple of its fields.  An `Interval` checks `start <= end`
+as, the plain tuple of its fields.  An `Interval` checks that its ticks
+are integers (numpy ints pass, stored as `int`) and that `start <= end`,
 however it is built.  Being immutable, one `Interval` may be shared by many
 events: `dataio.load_graph` builds one per distinct raw time field, and
 `convert.temporal_kg_adapt` one per snapshot and per bridge span.
@@ -49,6 +50,10 @@ class Interval(namedtuple("Interval", "start end")):
     __slots__ = ()
 
     def __new__(cls, start: int, end: int) -> Interval:
+        try:
+            start, end = index(start), index(end)
+        except TypeError:
+            raise GraphError(f"interval ticks must be integers: {(start, end)!r}") from None
         if start > end:
             raise GraphError(f"interval start {start} > end {end}")
         return tuple.__new__(cls, (start, end))
@@ -122,9 +127,8 @@ class TemporalHypergraph:
 
         The predicate is interned first, then the heads and then the tails,
         each in the given order.  A new entity gets its empty `head_index`
-        slot when it is interned.  An interval given as a pair of ticks must
-        hold integers (numpy ints pass).  A GraphError leaves the graph
-        unchanged.
+        slot when it is interned.  An interval may be given as a pair of
+        ticks.  A GraphError leaves the graph unchanged.
         """
         n_heads, n_tails = len(heads), len(tails)
         if not n_heads:
@@ -137,10 +141,9 @@ class TemporalHypergraph:
             raise GraphError(f"duplicate tail entity in {tails!r}")
         if not isinstance(interval, Interval):
             try:
-                ticks = index(interval[0]), index(interval[1])
+                interval = Interval(*interval)
             except TypeError:
-                raise GraphError(f"interval ticks must be integers: {interval!r}") from None
-            interval = Interval(*ticks)
+                raise GraphError(f"interval must be a pair of ticks: {interval!r}") from None
 
         # lookups are inlined, as this runs once per event of every graph
         # built; only a new entity name costs a call

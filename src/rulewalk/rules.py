@@ -29,7 +29,7 @@ from typing import Iterator, NamedTuple
 
 from . import allen
 from .allen import EMPTY_SET, FULL_SET
-from .constraints import IANetwork, merge_paths, observe
+from .constraints import IANetwork, merge_paths, observe, resolve_time
 from .dataio import NAME_TOKEN, DataFormatError, check_predicate, open_text
 from .hypergraph import GraphError, TemporalHypergraph
 
@@ -104,23 +104,6 @@ def render_atom(atom: Atom) -> str:
 # -- trace to rule ---------------------------------------------------------
 
 
-def chain_connected(graph: TemporalHypergraph, trace: list[int], query: Query) -> bool:
-    """True when the trace forms a connected chain seeded by the query.
-
-    Every event after the first must share an entity with the query's
-    entities or with an earlier trace event; otherwise the rule built from
-    it would contain floating atoms.
-    """
-    seen = set(query.heads + query.tails)
-    for pos, eid in enumerate(trace):
-        event = graph.events[eid]
-        entities = set(event.heads) | set(event.tails)
-        if pos > 0 and entities.isdisjoint(seen):
-            return False
-        seen |= entities
-    return True
-
-
 def trace_network(graph: TemporalHypergraph, trace: list[int]) -> IANetwork:
     """The path-consistent network of a walk trace, keyed by its event ids.
 
@@ -190,23 +173,44 @@ class Lift(NamedTuple):
 def trace_to_rule(graph: TemporalHypergraph, trace: list[int], query: Query) -> Lift | None:
     """Lift a walk trace into a rule's atoms with canonical variables.
 
-    Entities become variables consistently (same entity, same variable);
-    the query's entities become the head atom's variables.  A unary class
-    atom is appended for every variable whose entity carries a class-label
-    event in the graph, at most one per variable.  The signature is known
-    here; only the lift's `network()` builds a network.  Returns None
-    unless `chain_connected` holds for the trace.  Raises RuleError for an
-    empty trace and GraphError for a query entity the graph lacks.
+    Entities become variables consistently; the query's entities become
+    the head atom's.  None unless each event after the first shares an
+    entity with the query or an earlier event: its atom would float.  Each
+    trace entity no walked class-label event `L(x -> x)` labels gets a class
+    atom for its first one in the graph, if any; class atoms follow the
+    trace's, in order of the entities' first appearance, heads before tails.
+    Raises RuleError for an empty trace, GraphError for an unknown query entity.
     """
     if not trace:
         raise RuleError("cannot build a rule from an empty trace")
     if not graph.has_entities(query.heads + query.tails):
         raise GraphError(f"query entities {query.heads + query.tails} are not all in the graph")
-    if not chain_connected(graph, trace, query):
-        return None
 
-    class_events = _class_events(graph, trace)
-    events = [graph.events[e] for e in trace + class_events]
+    query_entities = set(query.heads + query.tails)
+    order: dict[int, None] = {}  # the trace's entities, in order of first appearance
+    labelled = set()
+    events = []
+    for eid in trace:
+        ev = graph.events[eid]
+        entities = ev.heads + ev.tails
+        if events and query_entities.isdisjoint(entities) and order.keys().isdisjoint(entities):
+            return None
+        order.update(dict.fromkeys(entities))
+        if len(ev.heads) == 1 and ev.heads == ev.tails:
+            labelled.add(ev.heads[0])
+        events.append(ev)
+
+    class_events = []
+    for x in order:
+        if x in labelled:
+            continue
+        for eid in graph.head_index[x]:
+            ev = graph.events[eid]
+            if ev.heads == ev.tails == (x,):
+                class_events.append(eid)
+                events.append(ev)
+                break
+
     var_of = _canonical_variables(
         query.heads, query.tails, [(ev.heads, ev.tails) for ev in events])
 
@@ -219,32 +223,6 @@ def trace_to_rule(graph: TemporalHypergraph, trace: list[int], query: Query) -> 
         Atom(names[ev.predicate], variables(ev.heads), variables(ev.tails)) for ev in events
     )
     return Lift(head, body, render_signature(head, body), graph, trace, class_events)
-
-
-def _class_events(graph: TemporalHypergraph, trace: list[int]) -> list[int]:
-    """First class-label event per trace entity, skipping walked ones."""
-    covered: set[int] = set()
-    for eid in trace:
-        ev = graph.events[eid]
-        if ev.heads == ev.tails and len(ev.heads) == 1:
-            covered.add(ev.heads[0])
-    ordered_entities: list[int] = []
-    for eid in trace:
-        ev = graph.events[eid]
-        for x in ev.heads + ev.tails:
-            if x not in ordered_entities:
-                ordered_entities.append(x)
-    extra = []
-    for x in ordered_entities:
-        if x in covered:
-            continue
-        for eid in graph.head_index[x]:
-            ev = graph.events[eid]
-            if ev.heads == (x,) and ev.tails == (x,):
-                extra.append(eid)
-                covered.add(x)
-                break
-    return extra
 
 
 def _canonical_variables(query_heads, query_tails, atom_entities) -> dict[int, int]:
@@ -491,7 +469,8 @@ def parse_rule(line: str) -> TemporalRule:
     """Inverse of `format_rule`; raises RuleError on malformed text.
 
     A temporal cell with an empty relation set, or a second cell on one
-    pair of atoms, is malformed: `format_rule` writes neither.
+    pair of atoms, is malformed: `format_rule` writes neither.  So are cells
+    that `resolve_time` finds contradictory; the rule keeps them as written.
     """
     text = line.strip()
     if not text.startswith("w="):
@@ -530,7 +509,8 @@ def parse_rule(line: str) -> TemporalRule:
             if rels == EMPTY_SET:
                 raise RuleError(f"empty relation set in {cell!r}")
             net.set_pair(i, j, rels)
-
+    if not resolve_time(net)[0]:
+        raise RuleError(f"temporal cells contradict one another in {net_part.strip()!r}")
     return TemporalRule(head, body, net)
 
 

@@ -9,6 +9,8 @@ central finite differences.  `from_observed` builds the singleton network
 of concrete intervals, which is path-consistent because the intervals
 realise it.  `trace_network_per_event` is the lift of a trace without
 batching: it observes each event against its group with its own closure.
+`lift_links` restates a lift's connectivity test and class events from
+its own entity sets.
 """
 from __future__ import annotations
 
@@ -181,6 +183,38 @@ def trace_network_per_event(graph, trace) -> IANetwork:
         entities.update(*(ents for ents, _ in touched))
         groups.append((entities, observe(net, [eid], lambda e: graph.events[e].interval)))
     return merge_paths([net for _, net in groups], trace)
+
+
+def lift_links(graph, trace, query) -> list[int] | None:
+    """The class events `rules.trace_to_rule` appends to a trace, or None.
+
+    None when some event after the first shares no entity, head or tail,
+    with the query's entities or an earlier event's.  Otherwise: the
+    trace's entities in order of first appearance (each event's heads, then
+    its tails), less those a walked self-loop `L(x -> x)` labels; each of
+    them that has a self-loop in the graph gets its lowest-id one.
+    """
+    events = [graph.events[e] for e in trace]
+    seen = set(query.heads) | set(query.tails)
+    for pos, ev in enumerate(events):
+        entities = set(ev.heads) | set(ev.tails)
+        if pos and not entities & seen:
+            return None
+        seen |= entities
+    order = []
+    for ev in events:
+        for x in ev.heads + ev.tails:
+            if x not in order:
+                order.append(x)
+    walked = {ev.heads[0] for ev in events if len(ev.heads) == 1 and ev.heads == ev.tails}
+    links = []
+    for x in order:
+        if x in walked:
+            continue
+        labels = [ev.event_id for ev in graph.events if ev.heads == ev.tails == (x,)]
+        if labels:
+            links.append(min(labels))
+    return links
 
 
 def _observed_closure(graph, keys, observed):

@@ -684,6 +684,24 @@ def test_eval_rules_with_a_repeated_or_empty_temporal_cell_exits_2(
     assert not metrics.exists()
 
 
+def test_eval_rules_whose_cells_contradict_exits_2(tmp_path, rule_file, capsys):
+    # no grounding satisfies them, so every candidate would tie
+    corpus = str(tmp_path / "corpus")
+    rules = tmp_path / "rules.txt"
+    rules.write_text("# support=3\nw=0.0 Target() <- A(X0->X1) , B(X1->X2) , C(X2->X3)"
+                     " | 0 {BEFORE} 1 ; 1 {BEFORE} 2 ; 0 {AFTER} 2\n")
+    metrics = tmp_path / "metrics.json"
+    assert main(["gen", "--rule", rule_file, "--out", corpus,
+                 "--num-pos", "6", "--num-neg", "6", "--seed", "1"]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--data", corpus, "--target-label", "Target",
+                 "--rules", str(rules), "--seed", "1", "--out", str(metrics)]) == 2
+    err = capsys.readouterr().err
+    assert f"{rules}:2: temporal cells contradict one another" in err
+    assert "Traceback" not in err
+    assert not metrics.exists()
+
+
 def test_malformed_rule_line_in_gen_rule_names_file_and_line(tmp_path, capsys):
     rule = tmp_path / "bad.rule"
     rule.write_text("# planted rule\n\nw=0.0 Target() <- A(X0->X1) , B[X1]\n")

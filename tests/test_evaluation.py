@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rulewalk import learner, mining
+from rulewalk.allen import Relation, rel_set
 from rulewalk.cli import main
 from rulewalk.dataio import DataFormatError, load_corpus, load_graph
 from rulewalk.evaluation import (
@@ -318,9 +319,10 @@ def test_synth_rejects_vacuous_or_inconsistent_rules():
     free = parse_rule("w=0.0 T() <- A(X0->X1) , B(X1->X2)")
     with pytest.raises(GenerationError):
         synth_generate(SynthSpec(free, num_pos=1, num_neg=1, seed=0))
-    impossible = parse_rule(
-        "w=0.0 T() <- A(X0->X1) , B(X1->X2) , C(X2->X3)"
-        " | 0 {BEFORE} 1 ; 1 {BEFORE} 2 ; 0 {AFTER} 2"
-    )
+    # parse_rule refuses these cells, so they are set in process: synth_generate
+    # must refuse them by itself
+    impossible = parse_rule("w=0.0 T() <- A(X0->X1) , B(X1->X2) , C(X2->X3)")
+    for i, j, rel in ((0, 1, Relation.BEFORE), (1, 2, Relation.BEFORE), (0, 2, Relation.AFTER)):
+        impossible.time_net.set_pair(i, j, rel_set(rel))
     with pytest.raises(GenerationError):
         synth_generate(SynthSpec(impossible, num_pos=1, num_neg=1, seed=0))

@@ -239,6 +239,36 @@ def test_add_event_rejects_ticks_that_are_not_integers():
     assert type(g.events[0].interval.start) is int
 
 
+def test_interval_rejects_ticks_that_are_not_integers_however_built():
+    builds = [
+        lambda: Interval(3.7, 5.9),
+        lambda: Interval("4", "6"),
+        lambda: Interval(start=1, end=2.0),
+        lambda: Interval._make((3.7, 5.9)),
+        lambda: Interval(1, 2)._replace(end=2.5),
+    ]
+    for build in builds:
+        with pytest.raises(GraphError, match="interval ticks must be integers"):
+            build()
+    for interval in (Interval(np.int64(3), np.int32(5)), Interval._make(np.array([3, 5]))):
+        assert interval == (3, 5)
+        assert type(interval.start) is int and type(interval.end) is int
+    # an event added with an Interval built directly holds integer ticks too
+    g = TemporalHypergraph()
+    with pytest.raises(GraphError, match="interval ticks must be integers"):
+        g.add_event("P", ["a"], ["b"], Interval(3.7, 5.9))
+    assert len(g) == 0
+
+
+def test_add_event_rejects_an_interval_that_is_not_a_pair():
+    g = TemporalHypergraph()
+    for ticks in ((3,), (1, 2, 3), ()):
+        with pytest.raises(GraphError) as err:
+            g.add_event("P", ["a"], ["b"], ticks)
+        assert str(err.value) == f"interval must be a pair of ticks: {ticks!r}"
+    assert len(g) == 0 and len(g.entities) == 0 and len(g.predicates) == 0
+
+
 def test_interval_and_event_fields_cannot_be_assigned():
     g = small_graph()
     event, interval = g.events[0], g.events[0].interval

@@ -21,7 +21,7 @@ from rulewalk.mining import (
     MiningParams,
     mine_rules,
 )
-from rulewalk.rules import Query, chain_connected, coverage_filter, evaluate, trace_to_rule
+from rulewalk.rules import Query, coverage_filter, evaluate, trace_to_rule
 from rulewalk.walk import WalkParams, derive_seed
 
 from oracles import replay_walks
@@ -192,10 +192,11 @@ def _lift_every_walk(graphs, qs, params, mode=MODE_TEMPORAL):
         walks, _ = replay_walks(graph, query, wparams)
         repeats += len(walks) - len({tuple(trace) for trace, _ in walks})
         for trace, net in walks:
-            if not chain_connected(graph, trace, query):
+            lift = trace_to_rule(graph, trace, query)
+            if lift is None:
                 disconnected += 1
                 continue
-            rule = trace_to_rule(graph, trace, query).rule()
+            rule = lift.rule()
             n = len(trace)
             assert [row[:n] for row in rule.time_net.cells[:n]] == net.cells
             known = aggregated.setdefault(rule.signature, rule)

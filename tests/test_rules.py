@@ -16,7 +16,6 @@ from rulewalk.rules import (
     Query,
     RuleError,
     TemporalRule,
-    chain_connected,
     coverage_filter,
     coverage_span,
     evaluate,
@@ -32,6 +31,7 @@ from rulewalk.walk import reach_probability
 
 from oracles import (
     grounding_exists_bruteforce,
+    lift_links,
     reach_score_per_target,
     trace_network_per_event,
 )
@@ -193,11 +193,10 @@ def test_disconnected_trace_rejected():
     g = TemporalHypergraph()
     g.add_event("P", ["a"], ["b"], (0, 1))
     g.add_event("Q", ["c"], ["d"], (2, 3))
-    assert not chain_connected(g, [0, 1], Query("L"))
     assert trace_to_rule(g, [0, 1], Query("L")) is None
     # the query's entities can seed the chain
     a, c, d = (g.entities.id_of(n) for n in ("a", "c", "d"))
-    assert chain_connected(g, [0, 1], Query("L", (a, c), (d,)))
+    assert trace_to_rule(g, [0, 1], Query("L", (a, c), (d,))) is not None
 
 
 def test_class_atoms_appended_once_per_variable():
@@ -210,6 +209,52 @@ def test_class_atoms_appended_once_per_variable():
     assert rule.time_net.n == 2
     # observed relation between Put and the class fact
     assert rule.time_net.cells[1][0] == rel_set(R.CONTAINS)
+
+
+@st.composite
+def lift_cases(draw):
+    """A small graph of binary, two-head and class-label self-loop events, any
+    trace of distinct event ids, and a query of 0-2 heads and 0-1 tails."""
+    g = TemporalHypergraph()
+    entities = [f"e{i}" for i in range(draw(st.integers(2, 5)))]
+
+    def add(predicate, heads, tails):
+        start = draw(st.integers(0, 8))
+        g.add_event(predicate, heads, tails, (start, start + draw(st.integers(0, 4))))
+
+    # labels first, so that most entities carry one, and some two
+    for x in entities:
+        for _ in range(draw(st.integers(0, 2))):
+            add(draw(st.sampled_from(["K", "L"])), [x], [x])
+    labels = len(g.events)
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["binary", "two-head", "label"]))
+        if kind == "label":
+            x = draw(st.sampled_from(entities))
+            add("L", [x], [x])
+            continue
+        heads = draw(st.lists(st.sampled_from(entities), min_size=1 + (kind == "two-head"),
+                              max_size=1 + (kind == "two-head"), unique=True))
+        add("J" if kind == "two-head" else draw(st.sampled_from(["P", "Q"])),
+            heads, [draw(st.sampled_from(entities))])
+    # a shuffle, so that a trace often names entities against their id order;
+    # it walks the labels of the second loop only
+    trace = draw(st.permutations(range(labels, len(g.events))))[:draw(st.integers(1, 4))]
+    ids = range(len(g.entities))
+    heads = draw(st.lists(st.sampled_from(ids), max_size=2, unique=True))
+    tails = draw(st.lists(st.sampled_from(ids), max_size=1))
+    return g, trace, Query("T", tuple(heads), tuple(tails))
+
+
+@settings(max_examples=300, deadline=None)
+@given(lift_cases())
+def test_trace_to_rule_links_as_the_oracle_says(case):
+    g, trace, query = case
+    lift = trace_to_rule(g, trace, query)
+    expected = lift_links(g, trace, query)
+    assert (lift is None) == (expected is None)
+    if lift is not None:
+        assert lift.class_events == expected
 
 
 def test_evaluate_rejects_wrong_temporal_order():
@@ -637,3 +682,11 @@ def test_parse_rule_errors():
         parse_rule(two_atoms + "0 {BEFORE} 1 ; 0 {MEETS} 1")
     with pytest.raises(RuleError, match="empty relation set in '0 {} 1'"):
         parse_rule(two_atoms + "0 {} 1")
+    # cells that contradict one another match nothing either: path
+    # consistency empties a cell
+    cycle = "0 {BEFORE} 1 ; 1 {BEFORE} 2 ; 0 {AFTER} 2"
+    with pytest.raises(RuleError, match="temporal cells contradict one another"):
+        parse_rule("w=0.0 Target() <- A(X0->X1) , B(X1->X2) , C(X2->X3) | " + cycle)
+    # a consistent rule keeps its cells as written, not their closure
+    chain = "w=0.0 Target() <- A(X0->X1) , B(X1->X2) , C(X2->X3) | 0 {BEFORE} 1 ; 1 {BEFORE} 2"
+    assert format_rule(parse_rule(chain)) == chain
