@@ -173,8 +173,9 @@ def load_graph(
                 intervals[time_text] = interval
             if len(tails) > 1 and not split_multi_tail:
                 raise DataFormatError(
-                    f"{path}:{lineno}: multi-tail event (pass split_multi_tail "
-                    f"to expand into single-tail edges)"
+                    f"{path}:{lineno}: multi-tail event (pass --split-multi-tail, "
+                    f"or split_multi_tail=True to load_graph, to expand into "
+                    f"single-tail edges)"
                 )
             if pred not in predicates:
                 check_predicate(pred, f"{path}:{lineno}")

@@ -19,15 +19,15 @@ import numpy as np
 from . import allen
 from .constraints import resolve_time
 from .hypergraph import Interval, TemporalHypergraph
-from .rules import Query, TemporalRule, evaluate
+from .rules import Query, TemporalRule, evaluate, render_atom
 from .walk import derive_seed
 
 NOISE_PREDICATES = ("noise0", "noise1", "noise2", "noise3")
 
-#: the largest span `gen` accepts: the planted-interval search shuffles all
-#: (span+1)(span+2)/2 intervals of the grid per atom, about half a million
-#: intervals and 150 MB of peak memory at this bound, and the grid grows
-#: with its square
+#: the largest span `gen` accepts: the grid's two endpoint arrays, and each
+#: admissibility mask and relation row of the planted-interval search, hold
+#: one entry per interval, (span+1)(span+2)/2 of them, about half a million
+#: at this bound; memory grows with the square of the span
 MAX_SPAN = 1000
 
 
@@ -54,6 +54,13 @@ def synth_generate(spec: SynthSpec) -> tuple[list[TemporalHypergraph], list[str]
     rule = spec.planted_rule
     if not rule.body:
         raise GenerationError("planted rule needs a non-empty body")
+    if rule.head.variables():
+        # a corpus query is a bare graph label, and a grounding search binds
+        # the head's variables to the query's entities
+        raise GenerationError(
+            f"planted rule's head {render_atom(rule.head)} names variables, "
+            "but a graph's label binds no entity, so the rule could match no graph"
+        )
     reserved = sorted({atom.predicate for atom in rule.body}.intersection(NOISE_PREDICATES))
     if reserved:
         raise GenerationError(
@@ -92,23 +99,25 @@ def _entity_name(var: int) -> str:
 class _Grid(NamedTuple):
     """The planted-interval search space of one corpus.
 
-    Every interval with endpoints in [0, span], in (start, end) order, and
-    the rule's admissibility tables: `admits[i][j][r]` says whether base
-    relation r from atom i's interval to atom j's is allowed.
+    Every interval with endpoints in [0, span], in (start, end) order, as
+    two arrays: interval k is [starts[k], ends[k]].  And the rule's
+    admissibility tables: `admits[i][j][r]` says whether base relation r
+    from atom i's interval to atom j's is allowed.
     """
 
-    intervals: list[Interval]
     starts: np.ndarray
     ends: np.ndarray
     admits: list[list[np.ndarray]]
 
+    def interval(self, k: int) -> Interval:
+        return Interval(int(self.starts[k]), int(self.ends[k]))
+
 
 def _interval_grid(rule: TemporalRule, span: int) -> _Grid:
-    intervals = [Interval(s, e) for s in range(span + 1) for e in range(s, span + 1)]
+    starts, ends = np.triu_indices(span + 1)
     return _Grid(
-        intervals,
-        np.array([iv.start for iv in intervals]),
-        np.array([iv.end for iv in intervals]),
+        starts,
+        ends,
         [
             [np.array([(cell >> r) & 1 for r in range(13)], dtype=bool) for cell in row]
             for row in rule.time_net.cells
@@ -116,68 +125,36 @@ def _interval_grid(rule: TemporalRule, span: int) -> _Grid:
     )
 
 
-def _shuffled_range(n: int, rng: random.Random) -> list[int]:
-    """`list(range(n))` in the order `rng.shuffle` leaves it, from the same draws.
-
-    `random.shuffle` swaps position i with `rng._randbelow(i + 1)` for i
-    from n-1 down to 1, and `_randbelow(m)` redraws `getrandbits(k)`, with
-    k = m.bit_length(), until the draw is below m.  This loop makes the same
-    draws and swaps without `_randbelow`'s Python call per index: it runs
-    over blocks of i that share one k.  So the order and the generator's
-    final state equal those of `rng.shuffle` (tests/test_synthetic.py checks
-    both).
-    """
-    order = list(range(n))
-    getrandbits = rng.getrandbits
-    top = n - 1
-    while top > 0:
-        k = (top + 1).bit_length()
-        bottom = (1 << (k - 1)) - 1  # the smallest i with (i + 1).bit_length() == k
-        for i in range(top, bottom - 1, -1):
-            j = getrandbits(k)
-            while j > i:
-                j = getrandbits(k)
-            order[i], order[j] = order[j], order[i]
-        top = bottom - 1
-    return order
-
-
 def _sample_satisfying_intervals(rule: TemporalRule, grid: _Grid, rng) -> list[Interval]:
     """One interval per body atom, satisfying every pairwise constraint.
 
-    Backtracking over a shuffled order of the grid per atom: each atom takes
-    the first interval consistent (by classification) with everything
-    placed so far, undoing earlier picks when a branch runs dry.  The orders
-    come from `_shuffled_range`, which draws exactly what `rng.shuffle`
-    would, so the noise drawn afterwards from the same `rng` is unchanged.
-    On entering an atom's depth, one boolean mask over the grid marks the
-    admissible candidates: for each earlier atom whose cell constrains this
-    one, `allen.classify_grid` relates its placed interval to the whole grid
-    and the cell's row of `grid.admits` turns the codes into a test.
-    Walking the shuffled order filtered by the AND of those tests visits
-    the same candidates, in the same order, as testing each one in turn.
+    Backtracking, atom by atom: on entering an atom's depth, one boolean
+    mask over the grid marks the admissible candidates.  For each earlier
+    atom whose cell constrains this one, `allen.classify_grid` relates its
+    placed interval to the whole grid, and the cell's row of `grid.admits`
+    turns the codes into a test.  The atom then draws the admissible
+    candidates from `rng` one at a time, without replacement, until one
+    leaves the later atoms a placement; a depth that runs dry undoes the
+    pick above it.  So the search is exhaustive: it fails only when no
+    assignment of grid intervals satisfies the rule.
     """
     cells = rule.time_net.cells
-    orders = [np.array(_shuffled_range(len(grid.intervals), rng)) for _ in rule.body]
-    rows: dict[int, np.ndarray] = {}  # grid index -> classify_grid row
-    placed: list[int] = []
-
-    def relations_to_grid(k: int) -> np.ndarray:
-        if k not in rows:
-            rows[k] = allen.classify_grid(grid.intervals[k], grid.starts, grid.ends)
-        return rows[k]
+    placed: list[Interval] = []
 
     def extend() -> bool:
         j = len(placed)
         if j == len(rule.body):
             return True
-        admissible = np.ones(len(grid.intervals), dtype=bool)
-        for i, k in enumerate(placed):
+        admissible = np.ones(len(grid.starts), dtype=bool)
+        for i, interval in enumerate(placed):
             if cells[i][j] != allen.FULL_SET:
-                admissible &= grid.admits[i][j][relations_to_grid(k)]
-        order = orders[j]
-        for candidate in order[admissible[order]].tolist():
-            placed.append(candidate)
+                relations = allen.classify_grid(interval, grid.starts, grid.ends)
+                admissible &= grid.admits[i][j][relations]
+        candidates = np.flatnonzero(admissible).tolist()
+        while candidates:
+            pick = rng.randrange(len(candidates))
+            candidates[pick], candidates[-1] = candidates[-1], candidates[pick]
+            placed.append(grid.interval(candidates.pop()))
             if extend():
                 return True
             placed.pop()
@@ -186,9 +163,9 @@ def _sample_satisfying_intervals(rule: TemporalRule, grid: _Grid, rng) -> list[I
     if not extend():
         raise GenerationError(
             f"the planted constraints admit no interval assignment within "
-            f"a span of {grid.intervals[-1].end} ticks"
+            f"a span of {grid.ends[-1]} ticks"
         )
-    return [grid.intervals[k] for k in placed]
+    return placed
 
 
 def _add_planted_events(graph, rule, intervals) -> None:
@@ -240,7 +217,7 @@ def _negative_graph(spec: SynthSpec, grid: _Grid, rng) -> TemporalHypergraph:
     query = Query(spec.label)
     for _ in range(200):
         graph = TemporalHypergraph()
-        intervals = [rng.choice(grid.intervals) for _ in rule.body]
+        intervals = [grid.interval(rng.randrange(len(grid.starts))) for _ in rule.body]
         _add_planted_events(graph, rule, intervals)
         _add_noise(graph, spec, rng, 0, spec.span)
         if not evaluate(rule, graph, query):

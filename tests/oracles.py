@@ -10,7 +10,8 @@ of concrete intervals, which is path-consistent because the intervals
 realise it.  `trace_network_per_event` is the lift of a trace without
 batching: it observes each event against its group with its own closure.
 `lift_links` restates a lift's connectivity test and class events from
-its own entity sets.
+its own entity sets.  `satisfying_intervals_exist_bruteforce` decides
+whether a planted rule fits a span by trying every tuple of intervals.
 """
 from __future__ import annotations
 
@@ -326,6 +327,22 @@ def _consistent_assignment_exists(rule, combo, head_entities, tail_entities) -> 
         return False
 
     return assign(0, {})
+
+
+def satisfying_intervals_exist_bruteforce(rule, span: int) -> bool:
+    """Whether some tuple of intervals with endpoints in [0, span], one per
+    body atom, relates every ordered pair of atoms inside the rule's cell."""
+    cells = rule.time_net.cells
+    n = len(rule.body)
+    for combo in product(interval_grid(span), repeat=n):
+        if all(
+            cells[i][j] & (1 << classify(combo[i], combo[j]))
+            for i in range(n)
+            for j in range(n)
+            if i != j
+        ):
+            return True
+    return False
 
 
 def finite_difference_gradient(matrix, params, l2: float, h: float = 1e-5):

@@ -801,6 +801,39 @@ def test_gen_rule_whose_head_is_a_noise_predicate_writes_its_corpus(tmp_path, ca
     assert labels == ["noise0"] * 3 + ["not_noise0"] * 3
 
 
+def test_gen_rule_whose_head_names_variables_exits_2(tmp_path, capsys):
+    # a corpus query is a bare graph label, so it binds no head entity and
+    # no grounding of such a rule could match a graph
+    rule = tmp_path / "head.rule"
+    rule.write_text("w=0.0 Target(X0->X1) <- A(X0->X1) , B(X1->X2) | 0 {BEFORE} 1\n")
+    corpus = tmp_path / "corpus"
+    assert main(["gen", "--rule", str(rule), "--out", str(corpus)]) == 2
+    err = capsys.readouterr().err
+    assert err == ("rulewalk: error: planted rule's head Target(X0->X1) names variables, "
+                   "but a graph's label binds no entity, so the rule could match no graph\n")
+    assert not list(tmp_path.rglob("*.thg"))
+
+
+def test_a_multi_tail_corpus_needs_the_split_flag(tmp_path, capsys):
+    rule = tmp_path / "multi.rule"
+    rule.write_text("w=0.0 Target() <- A(X0->X1,X2) , B(X1->X3) | 0 {BEFORE} 1\n")
+    corpus, mined = tmp_path / "corpus", tmp_path / "mined.txt"
+    assert main(["gen", "--rule", str(rule), "--out", str(corpus),
+                 "--num-pos", "4", "--num-neg", "4", "--seed", "1"]) == 0
+    mine = ["mine", "--data", str(corpus), "--target-label", "Target",
+            "--walks", "20", "--out", str(mined)]
+    capsys.readouterr()
+    assert main(mine) == 2
+    err = capsys.readouterr().err
+    # the message names the option a command-line user can pass
+    assert err.startswith(f"rulewalk: error: {corpus / 'g0000.thg'}:")
+    assert "multi-tail event (pass --split-multi-tail," in err
+    assert "Traceback" not in err
+    assert not mined.exists()
+    assert main([*mine, "--split-multi-tail"]) == 0
+    assert mined.exists()
+
+
 def test_gen_span_above_the_bound_is_usage_error(tmp_path, capsys):
     # argparse rejects the span before the rule file is read or a grid built
     corpus = tmp_path / "corpus"
@@ -896,11 +929,11 @@ def test_mine_output_is_pinned_at_three_steps(tmp_path, capsys):
                  "--start-events", "2", "--seed", "5", "--out", str(mined)]) == 0
     out = capsys.readouterr().out
     assert out.splitlines()[-1] == (
-        "walks=300 kept=300 dead_ends=0 inconsistent=0 disconnected=51 "
-        "coverage_filtered=103"
+        "walks=300 kept=300 dead_ends=0 inconsistent=0 disconnected=93 "
+        "coverage_filtered=87"
     )
     assert hashlib.sha256(mined.read_bytes()).hexdigest() == (
-        "ba75e4326fc05b54da4b1151394f1b004c892cce862783a657f83ebadcd62832"
+        "4c39a3cfd5ac878292437eaa64704e7c038a29ac1714053b1a7c867f636dfc8d"
     )
 
 
@@ -920,15 +953,15 @@ NARY = "w=0.0 Target() <- A(X0,X1->X2) , B(X2->X3) | 0 {OVERLAPS,DURING,STARTS} 
 
 @pytest.mark.parametrize("rule_text, options, digest", [
     (CHAIN3, ["--seed", "1"],
-     "970b783c7b16bb42f49776e9edecdf036de3a68f01576babc919c34f5bd3cfa9"),
+     "537df565051898c62cee2d555bee99a47649dc994834e8d94339e7ec46b4589b"),
     (CHAIN3, ["--seed", "17"],
-     "d902f6583a5cce59c6de6d27c7fc89dd7868fdb6f9b61326c30270bc316f942d"),
+     "e3a0773a1b6133544d17a3d15a577a8a0453fd9616f55b6976d2ab8643e27487"),
     # one assignment fits in 3 ticks, so most branches of the interval
     # search run dry and backtrack
     (CHAIN3, ["--seed", "1", "--span", "3"],
-     "b53b110268f2975c4ae621dc45bb4b78be0a2990abdeeb95c1bdfdde6cb60139"),
+     "23bdc3fee2811f8f7c4231c3613d15b679bfb7e4d5183f2fe1f2250e4be8ae8e"),
     (NARY, ["--seed", "1", "--span", "4"],
-     "541a108e3385302ad9c47cd4c9df94305e2bd3ace92d53d23f7ccc5547c00590"),
+     "55eb04d20ef3afd0d24da5dedf04a5f8878042b0ce0687629f8c82b126df42c5"),
 ], ids=["seed1", "seed17", "span3", "nary-span4"])
 def test_gen_output_is_pinned(tmp_path, rule_text, options, digest):
     # byte-identity guard for the planted-interval search and the random

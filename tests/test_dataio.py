@@ -245,7 +245,8 @@ def test_load_rebuilds_the_graph_add_event_built(tmp_path_factory, raw_events,
     ("Bad | x | y | 1 z", False, "invalid literal for int() with base 10: 'z'"),
     ("Bad | x | y | 2 1", False, "interval start 2 > end 1"),
     ("Bad | x | y,z | 1 2", False,
-     "multi-tail event (pass split_multi_tail to expand into single-tail edges)"),
+     "multi-tail event (pass --split-multi-tail, or split_multi_tail=True to "
+     "load_graph, to expand into single-tail edges)"),
     ("Bad | x,x | y | 1 2", False, "duplicate head entity in ['x', 'x']"),
     ("Bad | x, x | y,z | 1 2", True, "duplicate head entity in ['x', 'x']"),
     ("Bad | x | y,y | 1 2", True, "duplicate tail entity in ['y', 'y']"),
