@@ -125,6 +125,21 @@ def _interval_grid(rule: TemporalRule, span: int) -> _Grid:
     )
 
 
+def _lazy_shuffle(items: list, rng):
+    """Yield `items` in a random order, drawing from `rng` only when asked.
+
+    These are `random.shuffle`'s swaps, run from the end: the k-th item
+    yielded is the k-th from the end of `rng.shuffle(items)` on the same
+    state, and reading every item leaves `rng` as the shuffle would.
+    """
+    for i in range(len(items) - 1, 0, -1):
+        j = rng.randrange(i + 1)
+        items[i], items[j] = items[j], items[i]
+        yield items[i]
+    if items:
+        yield items[0]
+
+
 def _sample_satisfying_intervals(rule: TemporalRule, grid: _Grid, rng) -> list[Interval]:
     """One interval per body atom, satisfying every pairwise constraint.
 
@@ -133,7 +148,7 @@ def _sample_satisfying_intervals(rule: TemporalRule, grid: _Grid, rng) -> list[I
     atom whose cell constrains this one, `allen.classify_grid` relates its
     placed interval to the whole grid, and the cell's row of `grid.admits`
     turns the codes into a test.  The atom then draws the admissible
-    candidates from `rng` one at a time, without replacement, until one
+    candidates from `rng` one at a time (`_lazy_shuffle`) until one
     leaves the later atoms a placement; a depth that runs dry undoes the
     pick above it.  So the search is exhaustive: it fails only when no
     assignment of grid intervals satisfies the rule.
@@ -150,11 +165,8 @@ def _sample_satisfying_intervals(rule: TemporalRule, grid: _Grid, rng) -> list[I
             if cells[i][j] != allen.FULL_SET:
                 relations = allen.classify_grid(interval, grid.starts, grid.ends)
                 admissible &= grid.admits[i][j][relations]
-        candidates = np.flatnonzero(admissible).tolist()
-        while candidates:
-            pick = rng.randrange(len(candidates))
-            candidates[pick], candidates[-1] = candidates[-1], candidates[pick]
-            placed.append(grid.interval(candidates.pop()))
+        for k in _lazy_shuffle(np.flatnonzero(admissible).tolist(), rng):
+            placed.append(grid.interval(k))
             if extend():
                 return True
             placed.pop()

@@ -1,5 +1,7 @@
-"""Planted-corpus generation: the planted-interval search against its oracle."""
+"""Planted-corpus generation: the planted-interval search and its lazy shuffle."""
 import random
+
+import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,7 +9,12 @@ from hypothesis import strategies as st
 from rulewalk.allen import FULL_SET, classify
 from rulewalk.constraints import IANetwork
 from rulewalk.rules import Atom, TemporalRule
-from rulewalk.synthetic import GenerationError, _interval_grid, _sample_satisfying_intervals
+from rulewalk.synthetic import (
+    GenerationError,
+    _interval_grid,
+    _lazy_shuffle,
+    _sample_satisfying_intervals,
+)
 
 from oracles import satisfying_intervals_exist_bruteforce
 
@@ -50,3 +57,32 @@ def test_planted_interval_search_agrees_with_the_bruteforce_oracle(rule, span, s
         for j, b in enumerate(intervals):
             if i != j:
                 assert cells[i][j] & (1 << classify(a, b))
+
+
+def shuffled_by_random(n, rng):
+    """The oracle: the standard library's own shuffle of `range(n)`."""
+    order = list(range(n))
+    rng.shuffle(order)
+    return order
+
+
+def assert_same_draws(n, seed):
+    expected, actual = random.Random(seed), random.Random(seed)
+    drawn = list(_lazy_shuffle(list(range(n)), actual))
+    assert drawn[::-1] == shuffled_by_random(n, expected)
+    # the same draws leave the same state, so later draws are unchanged too
+    assert actual.getstate() == expected.getstate()
+
+
+# every size up to 70 crosses several bit-count blocks; 255-257 straddle a
+# block edge; 496 is the grid of the default span of 30
+@pytest.mark.parametrize("n", [*range(71), 255, 256, 257, 496, 1000])
+def test_shuffled_range_matches_random_shuffle(n):
+    for seed in (0, 1, 17):
+        assert_same_draws(n, seed)
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 600), st.integers(0, 2**64 - 1))
+def test_shuffled_range_matches_random_shuffle_for_any_seed(n, seed):
+    assert_same_draws(n, seed)
