@@ -6,26 +6,24 @@ rule body atoms).  `resolve_time` is Mackworth's (1977) PC-1 over Allen's
 third node j, intersecting the cell with the composition of (i, j) and
 (j, k), until a sweep changes nothing; an empty cell means the network is
 inconsistent.  A PC-2 worklist would revisit fewer triangles, but the miner
-closes only small networks: a traced seed-1 rep of `bench/run.py` makes 71
-closures and 216 compositions on planted-chain3, so the plain sweep is the
+closes only small networks: a traced seed-1 rep of `bench/run.py` makes 209
+closures and 225 compositions on planted-chain3, so the plain sweep is the
 whole solver.
 
 Closed-input contract: `observe` is the only operation that closes a
-network.  It appends nodes with the observed relations of their intervals
-and closes the whole result; `rules.trace_network` observes the
-events of each group of a trace in one batch, `rules.Lift.rule` the
-class atoms.  The closure of the same input cells is unique, so observing
-events one call at a time or all in one call gives the same cells.  Every
-cell then holds the relation of the graph's own intervals, which realise the
-network (Allen 1983), so the closure never empties a cell; `observe` raises
-if it ever does.  The other operations take closed networks and only copy or OR
-their cells, since the result is closed as it stands.  Composition
-distributes over union, so each cell of a cellwise union of two closed
-networks lies inside the composition of the union's legs (Mackworth 1977):
-`generalize`, which widens a rule network to admit another grounding, is
-that union.  `merge_paths` joins networks that share no node with FULL_SET
-cells between them, and composing a non-empty set with FULL_SET gives
-FULL_SET, so no cross cell tightens anything.
+network.  It appends one node with the observed relations of its interval
+and closes the whole result; `rules.trace_network` observes each trace
+event against its group, `rules.Lift.network` each class atom against
+every node.  Every cell then holds the relation of the graph's own
+intervals, which realise the network (Allen 1983), so the closure never
+empties a cell; `observe` raises if it ever does.  The other operations
+take closed networks and only copy or OR their cells, since the result is
+closed as it stands.  Composition distributes over union, so each cell of
+a cellwise union of two closed networks lies inside the composition of the
+union's legs (Mackworth 1977): `generalize`, which widens a rule network to
+admit another grounding, is that union.  `merge_paths` joins networks that
+share no node with FULL_SET cells between them, and composing a non-empty
+set with FULL_SET gives FULL_SET, so no cross cell tightens anything.
 """
 from __future__ import annotations
 
@@ -152,34 +150,23 @@ def merge_paths(nets: Sequence[IANetwork], keys: Sequence[Hashable]) -> IANetwor
     return IANetwork(keys, cells)
 
 
-def observe(
-    net: IANetwork, new_keys: Sequence[Hashable], interval_of: Callable
-) -> IANetwork:
-    """A closed `net` extended by `new_keys`, each observed against every earlier node.
+def observe(net: IANetwork, key: Hashable, interval_of: Callable) -> IANetwork:
+    """A closed `net` extended by node `key`, observed against every earlier node.
 
-    The cell between a new node and any earlier node (old or new) is the
-    singleton relation of their intervals, `interval_of(key)`; the whole
-    result is then closed by `resolve_time`'s PC-1 sweeps, old triangles
-    included.  Those are few: a lift closes a handful of nodes, about 35
-    times per seed-1 `mine` of planted-chain3.  Raises KeyMismatchError when
-    a key is named twice, and ValueError if the closure empties a cell,
-    which observed relations of real intervals never do.
+    The cell between `key` and each earlier node is the singleton relation
+    of their intervals, as `interval_of` gives them; the whole result is
+    then closed by `resolve_time`'s PC-1 sweeps, old triangles included.
+    Those are few: a lift observes a handful of nodes.  Raises
+    KeyMismatchError when `key` is already a node, and ValueError if the
+    closure empties a cell, which observed relations of real intervals
+    never do.
     """
-    keys = net.keys + list(new_keys)
+    keys = net.keys + [key]
     _check_distinct(keys)
-    old, n = net.n, len(keys)
-    cells = [row + [0] * (n - old) for row in net.cells]
-    intervals = [interval_of(k) for k in keys]
-    classify = allen.classify
-    for j in range(old, n):
-        b = intervals[j]
-        row = [0] * n
-        row[j] = _EQUAL
-        for i in range(j):
-            rel = classify(intervals[i], b)
-            cells[i][j] = 1 << rel
-            row[i] = _CONVERSE[rel]
-        cells.append(row)
+    b = interval_of(key)
+    rels = [allen.classify(interval_of(k), b) for k in net.keys]
+    cells = [row + [1 << rel] for row, rel in zip(net.cells, rels)]
+    cells.append([_CONVERSE[rel] for rel in rels] + [_EQUAL])
     consistent, closed = resolve_time(IANetwork(keys, cells))
     if not consistent:
         raise ValueError(f"observed network over {keys!r} is inconsistent")

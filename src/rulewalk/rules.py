@@ -111,37 +111,25 @@ def trace_network(graph: TemporalHypergraph, trace: list[int]) -> IANetwork:
     holds no event until an event names its start, and that event carries
     the start itself.  So the sub-walks that hold events are the groups of
     trace events joined by shared entities, built in trace order, whatever
-    the start set.  Each group keeps its closed network and the events it
-    has not observed yet, and observes them in one `observe` call: just
-    before an event joins it to other groups with `merge_paths`, or when
-    the trace ends.  The closure of the same cells is unique, so the cells
-    are those of observing each event against its group in turn.  The
-    groups are then laid out in trace order, and cells between groups that
-    never met stay FULL_SET.
+    the start set.  Each event joins the groups it touches with
+    `merge_paths` and is observed against the joined group with one
+    `observe`.  The groups are then laid out in trace order, and cells
+    between groups that never met stay FULL_SET.
     """
     def interval_of(eid: int):
         return graph.events[eid].interval
 
-    groups: list[tuple[set[int], IANetwork, list[int]]] = []  # (entities, closed, unobserved)
+    groups: list[tuple[set[int], IANetwork]] = []  # (entities, closed network)
     for eid in trace:
         event = graph.events[eid]
         entities = set(event.heads).union(event.tails)
         touched = [g for g in groups if not entities.isdisjoint(g[0])]
-        if len(touched) == 1:
-            touched[0][0].update(entities)
-            touched[0][2].append(eid)
-            continue
-        if touched:
-            groups = [g for g in groups if entities.isdisjoint(g[0])]
-            nets = [observe(net, unobserved, interval_of) for _, net, unobserved in touched]
-            net = merge_paths(nets, [k for n in nets for k in n.keys])
-            entities.update(*(ents for ents, _, _ in touched))
-        else:
-            net = IANetwork([])
-        groups.append((entities, net, [eid]))
-    return merge_paths(
-        [observe(net, unobserved, interval_of) for _, net, unobserved in groups], trace
-    )
+        groups = [g for g in groups if entities.isdisjoint(g[0])]
+        entities.update(*(ents for ents, _ in touched))
+        nets = [net for _, net in touched]
+        net = merge_paths(nets, [k for n in nets for k in n.keys])
+        groups.append((entities, observe(net, eid, interval_of)))
+    return merge_paths([net for _, net in groups], trace)
 
 
 class Lift(NamedTuple):
@@ -162,8 +150,8 @@ class Lift(NamedTuple):
         it, keyed by body indices."""
         graph = self.graph
         net = trace_network(graph, self.trace)
-        if self.class_events:
-            net = observe(net, self.class_events, lambda e: graph.events[e].interval)
+        for eid in self.class_events:
+            net = observe(net, eid, lambda e: graph.events[e].interval)
         return IANetwork(range(len(self.body)), net.cells)
 
     def rule(self) -> TemporalRule:
@@ -471,6 +459,8 @@ def parse_rule(line: str) -> TemporalRule:
     A temporal cell with an empty relation set, or a second cell on one
     pair of atoms, is malformed: `format_rule` writes neither.  So are cells
     that `resolve_time` finds contradictory; the rule keeps them as written.
+    So is a variable named twice in one head or tail set of an atom, head
+    atom included; `L(X0->X0)`, which names it once in each, is a rule.
     """
     text = line.strip()
     if not text.startswith("w="):
@@ -528,6 +518,8 @@ def _parse_atom(text: str) -> Atom:
 
 
 def _parse_vars(csv: str, context: str) -> tuple[int, ...]:
+    """One head or tail set; an event holds distinct entities in each, so a
+    variable named twice in one set could match no event."""
     csv = csv.strip()
     if not csv:
         raise RuleError(f"empty variable list in atom {context!r}")
@@ -536,7 +528,10 @@ def _parse_vars(csv: str, context: str) -> tuple[int, ...]:
         token = token.strip()
         if not token.startswith("X") or not token[1:].isdigit():
             raise RuleError(f"bad variable {token!r} in atom {context!r}")
-        out.append(int(token[1:]))
+        var = int(token[1:])
+        if var in out:
+            raise RuleError(f"variable X{var} named twice in one set of atom {context!r}")
+        out.append(var)
     return tuple(out)
 
 

@@ -7,11 +7,12 @@ re-derived table, rule matching by full tuple enumeration, walks by a
 plain replay that recomputes everything at every step, and gradients by
 central finite differences.  `from_observed` builds the singleton network
 of concrete intervals, which is path-consistent because the intervals
-realise it.  `trace_network_per_event` is the lift of a trace without
-batching: it observes each event against its group with its own closure.
-`lift_links` restates a lift's connectivity test and class events from
-its own entity sets.  `satisfying_intervals_exist_bruteforce` decides
-whether a planted rule fits a span by trying every tuple of intervals.
+realise it.  `lift_network_bruteforce` restates which pairs of events a
+lift observes, from the events' own entity sets, and closes them with the
+naive fixpoint.  `lift_links` restates a lift's connectivity test and
+class events from its own entity sets.
+`satisfying_intervals_exist_bruteforce` decides whether a planted rule fits
+a span by trying every tuple of intervals.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ import numpy as np
 
 from rulewalk import learner
 from rulewalk.allen import classify
-from rulewalk.constraints import IANetwork, merge_paths, observe, resolve_time
+from rulewalk.constraints import IANetwork, resolve_time
 from rulewalk.hypergraph import Interval
 from rulewalk.walk import WalkDiagnostics
 
@@ -164,26 +165,37 @@ def replay_walks(graph, query, params):
     return kept, diag
 
 
-def trace_network_per_event(graph, trace) -> IANetwork:
-    """`rules.trace_network`, with one `observe` call per event.
+def lift_network_bruteforce(graph, trace, class_events=()) -> IANetwork:
+    """The network `rules.Lift.network` builds, keyed by event ids, trace first.
 
-    Each event joins the groups it touches with `merge_paths` and is
-    observed against the joined group at once; the groups are laid out in
-    trace order at the end.
+    A pair of trace events is observed when the earlier one is linked to
+    the later one through shared entities, head or tail, of the events up
+    to the later one.  Each class event is observed against every other
+    node.  Every observed pair gets the singleton relation of its
+    intervals, every other cell stays FULL, and the result is closed by
+    `path_consistency_bruteforce`.
     """
-    groups: list[tuple[set[int], IANetwork]] = []  # (entities, closed network)
-    for eid in trace:
-        event = graph.events[eid]
-        entities = set(event.heads).union(event.tails)
-        touched = [g for g in groups if not entities.isdisjoint(g[0])]
-        groups = [g for g in groups if entities.isdisjoint(g[0])]
-        if len(touched) > 1:
-            net = merge_paths([n for _, n in touched], [k for _, n in touched for k in n.keys])
-        else:
-            net = touched[0][1] if touched else IANetwork([])
-        entities.update(*(ents for ents, _ in touched))
-        groups.append((entities, observe(net, [eid], lambda e: graph.events[e].interval)))
-    return merge_paths([net for _, net in groups], trace)
+    keys = list(trace) + list(class_events)
+    entities = [set(graph.events[e].heads) | set(graph.events[e].tails) for e in trace]
+    observed = set()
+    for b in range(len(trace)):
+        linked = {b}
+        grown = True
+        while grown:
+            grown = False
+            for a in range(b):
+                if a not in linked and any(entities[a] & entities[c] for c in linked):
+                    linked.add(a)
+                    grown = True
+        observed |= {(a, b) for a in linked if a != b}
+    observed |= {(a, b) for b in range(len(trace), len(keys)) for a in range(b)}
+    net = IANetwork(keys)
+    for a, b in observed:
+        rel = classify(graph.events[keys[a]].interval, graph.events[keys[b]].interval)
+        net.set_pair(a, b, 1 << rel)
+    consistent, cells = path_consistency_bruteforce(net)
+    assert consistent
+    return IANetwork(keys, cells)
 
 
 def lift_links(graph, trace, query) -> list[int] | None:

@@ -702,6 +702,29 @@ def test_eval_rules_whose_cells_contradict_exits_2(tmp_path, rule_file, capsys):
     assert not metrics.exists()
 
 
+@pytest.mark.parametrize("line", [
+    "w=0.0 Target() <- A(X0->X1) , B(X1,X1->X2)",
+    "w=0.0 Target() <- A(X0->X1,X1) , B(X1->X2)",
+])
+def test_eval_rules_that_name_a_variable_twice_in_one_set_exit_2(
+        tmp_path, rule_file, capsys, line):
+    # events hold distinct heads and tails, so the rule could match no
+    # event and every candidate would tie
+    corpus = str(tmp_path / "corpus")
+    rules = tmp_path / "rules.txt"
+    rules.write_text("# support=3\n" + line + "\n")
+    metrics = tmp_path / "metrics.json"
+    assert main(["gen", "--rule", rule_file, "--out", corpus,
+                 "--num-pos", "4", "--num-neg", "4", "--seed", "3"]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--data", corpus, "--target-label", "Target",
+                 "--rules", str(rules), "--seed", "3", "--out", str(metrics)]) == 2
+    err = capsys.readouterr().err
+    assert f"{rules}:2: variable X1 named twice in one set of atom" in err
+    assert "Traceback" not in err
+    assert not metrics.exists()
+
+
 def test_malformed_rule_line_in_gen_rule_names_file_and_line(tmp_path, capsys):
     rule = tmp_path / "bad.rule"
     rule.write_text("# planted rule\n\nw=0.0 Target() <- A(X0->X1) , B[X1]\n")

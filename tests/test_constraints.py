@@ -136,9 +136,9 @@ def test_merge_paths_rejects_keys_that_name_a_node_twice():
 def test_observe_rejects_a_key_named_twice():
     interval_of = {"a": Interval(0, 1), "b": Interval(2, 3)}.__getitem__
     with pytest.raises(KeyMismatchError, match="'a' is named twice"):
-        observe(IANetwork([]), ["a", "a"], interval_of)
+        observe(IANetwork(["a"]), "a", interval_of)
     with pytest.raises(KeyMismatchError, match="'b' is named twice"):
-        observe(IANetwork(["b"]), ["a", "b"], interval_of)
+        observe(IANetwork(["b", "a"]), "b", interval_of)
 
 
 def test_observe_raises_when_the_closure_empties_a_cell():
@@ -148,7 +148,7 @@ def test_observe_raises_when_the_closure_empties_a_cell():
     net.set_pair(0, 1, rel_set(R.BEFORE))
     intervals = {"a": Interval(5, 6), "b": Interval(0, 1), "c": Interval(2, 3)}
     with pytest.raises(ValueError, match="inconsistent"):
-        observe(net, ["c"], intervals.__getitem__)
+        observe(net, "c", intervals.__getitem__)
 
 
 def test_generalize_unions_cells():
@@ -303,14 +303,12 @@ def test_generalize_is_identity_once_the_observation_is_contained(data):
 @settings(max_examples=200)
 @given(st.data())
 def test_observe_on_a_closed_observed_network_is_the_full_closure(data):
-    old = data.draw(st.integers(0, 4), label="old nodes")
-    new = data.draw(st.integers(0, 3), label="new nodes")
-    intervals = data.draw(st.lists(intervals_small, min_size=old + new, max_size=old + new))
+    old = data.draw(st.integers(0, 5), label="old nodes")
+    intervals = data.draw(st.lists(intervals_small, min_size=old + 1, max_size=old + 1))
     events = [(10 + k, iv) for k, iv in enumerate(intervals)]
     consistent, closed = resolve_time(from_observed(events[:old]))
     assert consistent
-    interval_of = dict(events).__getitem__
-    observed = observe(closed, [k for k, _ in events[old:]], interval_of)
+    observed = observe(closed, events[old][0], dict(events).__getitem__)
     assert observed == resolve_time(from_observed(events))[1]
 
 
@@ -318,42 +316,16 @@ def test_observe_on_a_closed_observed_network_is_the_full_closure(data):
 @given(st.data())
 def test_observe_on_a_widened_closed_network_matches_the_from_scratch_closure(data):
     # walk paths are joined with FULL cross cells, so the closed input need
-    # not be fully observed; the new nodes' cells are still observed ones
-    old = data.draw(st.integers(0, 4), label="old nodes")
-    new = data.draw(st.integers(1, 3), label="new nodes")
-    intervals = data.draw(st.lists(intervals_small, min_size=old + new, max_size=old + new))
-    keys, new_keys = list(range(old)), list(range(old, old + new))
+    # not be fully observed; the new node's cells are still observed ones
+    old = data.draw(st.integers(0, 5), label="old nodes")
+    intervals = data.draw(st.lists(intervals_small, min_size=old + 1, max_size=old + 1))
+    keys = list(range(old))
     closed = _draw_closed(data, keys, intervals[:old])
     interval_of = intervals.__getitem__
-    full = IANetwork(keys + new_keys)
+    full = IANetwork(keys + [old])
     for i in range(old):
         full.cells[i][:old] = closed.cells[i]
-    for j in range(old, full.n):
-        for i in range(j):
-            full.set_pair(i, j, 1 << allen.classify(interval_of(i), interval_of(j)))
+        full.set_pair(i, old, 1 << allen.classify(interval_of(i), interval_of(old)))
     expected_ok, expected = resolve_time(full)
     assert expected_ok
-    assert observe(closed, new_keys, interval_of) == expected
-
-
-@settings(max_examples=200)
-@given(st.data())
-def test_observing_keys_in_one_batch_equals_observing_them_one_at_a_time(data):
-    # the closed input is one network, or several joined by merge_paths with
-    # FULL_SET cross cells, as a trace's groups are when they meet
-    sizes = data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=3), label="sizes")
-    new = data.draw(st.integers(0, 4), label="new nodes")
-    total = sum(sizes) + new
-    intervals = data.draw(st.lists(intervals_small, min_size=total, max_size=total))
-    nets, start = [], 0
-    for size in sizes:
-        keys = list(range(start, start + size))
-        nets.append(_draw_closed(data, keys, intervals[start:start + size]))
-        start += size
-    net = merge_paths(nets, data.draw(st.permutations(list(range(start))), label="old keys"))
-    new_keys = list(range(start, total))
-    interval_of = intervals.__getitem__
-    one_at_a_time = net
-    for key in new_keys:
-        one_at_a_time = observe(one_at_a_time, [key], interval_of)
-    assert observe(net, new_keys, interval_of) == one_at_a_time
+    assert observe(closed, old, interval_of) == expected

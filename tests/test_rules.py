@@ -32,8 +32,8 @@ from rulewalk.walk import reach_probability
 from oracles import (
     grounding_exists_bruteforce,
     lift_links,
+    lift_network_bruteforce,
     reach_score_per_target,
-    trace_network_per_event,
 )
 
 R = Relation
@@ -124,7 +124,7 @@ def test_trace_network_relates_groups_only_through_an_event_that_joins_them():
 
 def test_trace_network_observes_each_group_before_it_meets_another():
     # C, D and A, B form two groups of two events each; J joins them, and E
-    # follows J, so each group holds unobserved events when they meet
+    # follows J, so E is observed against all five
     g = TemporalHypergraph()
     g.add_event("C", ["b"], ["y"], (9, 10))
     g.add_event("A", ["a"], ["x"], (10, 11))
@@ -134,7 +134,7 @@ def test_trace_network_observes_each_group_before_it_meets_another():
     g.add_event("E", ["c"], ["w"], (8, 9))
     trace = [0, 1, 2, 3, 4, 5]
     net = trace_network(g, trace)
-    assert net == trace_network_per_event(g, trace)
+    assert net == lift_network_bruteforce(g, trace)
     # closure derives D BEFORE B through J; C and A, both after J, were
     # never observed together, so C MEETS A is not derived
     assert net.cells[2][3] == rel_set(R.BEFORE)
@@ -167,9 +167,30 @@ def multi_head_traces(draw):
 def test_trace_network_matches_the_per_event_lift(case):
     g, trace = case
     net = trace_network(g, trace)
-    expected = trace_network_per_event(g, trace)
+    expected = lift_network_bruteforce(g, trace)
     assert net.keys == expected.keys == trace
     assert net.cells == expected.cells
+
+
+@st.composite
+def labelled_multi_head_traces(draw):
+    """A `multi_head_traces` case whose entities carry 0-2 class labels each."""
+    g, trace = draw(multi_head_traces())
+    for name in list(g.entities.names):
+        for _ in range(draw(st.integers(0, 2))):
+            start = draw(st.integers(0, 8))
+            g.add_event("L", [name], [name], (start, start + draw(st.integers(0, 4))))
+    return g, trace
+
+
+@settings(max_examples=200, deadline=None)
+@given(labelled_multi_head_traces())
+def test_lift_network_observes_each_class_event_against_every_node(case):
+    g, trace = case
+    # a query that names every entity keeps each group's events connected
+    lift = trace_to_rule(g, trace, Query("T", tuple(range(len(g.entities)))))
+    expected = lift_network_bruteforce(g, trace, lift.class_events)
+    assert lift.network().cells == expected.cells
 
 
 def test_empty_trace_rejected():
@@ -687,6 +708,14 @@ def test_parse_rule_errors():
     cycle = "0 {BEFORE} 1 ; 1 {BEFORE} 2 ; 0 {AFTER} 2"
     with pytest.raises(RuleError, match="temporal cells contradict one another"):
         parse_rule("w=0.0 Target() <- A(X0->X1) , B(X1->X2) , C(X2->X3) | " + cycle)
+    # an event holds distinct entities in its head set and in its tail set,
+    # so a variable named twice in one set, head atom included, matches nothing
+    for line in ("w=0.0 T() <- B(X1,X1->X2)", "w=0.0 A(X0->X1,X1) <- B(X0->X1)",
+                 "w=0.0 T(X0,X0->X1) <- B(X0->X1)", "w=0.0 T() <- B(X1->X2,X02)"):
+        with pytest.raises(RuleError, match="named twice in one set of atom"):
+            parse_rule(line)
+    # a variable may name an entity in both sets, as a class label does
+    assert parse_rule("w=0.0 L(X0->X0) <- K(X0->X0)").head == Atom("L", (0,), (0,))
     # a consistent rule keeps its cells as written, not their closure
     chain = "w=0.0 Target() <- A(X0->X1) , B(X1->X2) , C(X2->X3) | 0 {BEFORE} 1 ; 1 {BEFORE} 2"
     assert format_rule(parse_rule(chain)) == chain
