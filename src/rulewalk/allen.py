@@ -17,8 +17,8 @@ rather than trusting any transcription.
 `compose_sets` reads that table: the composition of two relation sets is
 the union of the cells [r1][r2] over every r1 in the first set and r2 in
 the second.  Its one caller is the PC-1 sweep of `constraints.resolve_time`,
-and a traced seed-1 rep of `bench/run.py` makes a few hundred calls (216 on
-planted-chain3), so precomputed union tables would not pay for their code.
+which the miner runs only on small networks: a few hundred calls per
+benchmark rep, so precomputed union tables would not pay for their code.
 """
 from __future__ import annotations
 

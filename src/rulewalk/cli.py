@@ -359,17 +359,16 @@ def cmd_inspect(args) -> int:
     total_events = 0
     for graph in graphs:
         total_events += len(graph)
-        shapes: dict[int, list] = {}
+        shapes: dict[str, list] = {}
         for event in graph.events:
             shapes.setdefault(event.predicate, []).append((event.heads, event.tails))
-        for pred_id, occurrences in shapes.items():
+        for pred, occurrences in shapes.items():
             if all(h == t and len(h) == 1 for h, t in occurrences):
                 kind = "unary"
             elif max(len(h) for h, _ in occurrences) > 1:
                 kind = "n-ary"
             else:
                 kind = "binary"
-            pred = graph.predicates.names[pred_id]
             kinds[kind][pred] = kinds[kind].get(pred, 0) + len(occurrences)
 
     print(f"graphs: {len(graphs)}")

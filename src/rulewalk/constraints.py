@@ -6,9 +6,8 @@ rule body atoms).  `resolve_time` is Mackworth's (1977) PC-1 over Allen's
 third node j, intersecting the cell with the composition of (i, j) and
 (j, k), until a sweep changes nothing; an empty cell means the network is
 inconsistent.  A PC-2 worklist would revisit fewer triangles, but the miner
-closes only small networks: a traced seed-1 rep of `bench/run.py` makes 209
-closures and 225 compositions on planted-chain3, so the plain sweep is the
-whole solver.
+closes only small networks, a few hundred per benchmark rep, whose sweeps
+compose little, so the plain sweep is the whole solver.
 
 Closed-input contract: `observe` is the only operation that closes a
 network.  It appends one node with the observed relations of its interval

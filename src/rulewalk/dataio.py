@@ -62,6 +62,8 @@ def open_text(path):
 
 
 def check_name(name: str, where: str) -> None:
+    if not isinstance(name, str):
+        raise DataFormatError(f"{where}: name {name!r} is not a str")
     if not name:
         raise DataFormatError(f"{where}: empty name")
     for ch in RESERVED:
@@ -87,11 +89,11 @@ def check_predicate(name: str, where: str) -> None:
 def save_graph(graph: TemporalHypergraph, path, label: str | None = None) -> None:
     """Write one graph file; raises DataFormatError on a name `load_graph` would reject.
 
-    Every interned name comes from an event, so checking the symbol tables
-    checks each name of every event, once.
+    Every predicate and interned entity name comes from an event, so checking
+    them checks each name of every event, once.
     """
-    predicates, entities = graph.predicates.names, graph.entities.names
-    for name in predicates:
+    entities = graph.entities.names
+    for name in graph.predicates:
         check_predicate(name, path)
     for name in entities:
         check_name(name, path)
@@ -100,7 +102,7 @@ def save_graph(graph: TemporalHypergraph, path, label: str | None = None) -> Non
         lines.append(f"#label {label}")
     for event in graph.events:
         lines.append(
-            f"{predicates[event.predicate]} | "
+            f"{event.predicate} | "
             f"{','.join([entities[h] for h in event.heads])} | "
             f"{','.join([entities[t] for t in event.tails])} | "
             f"{event.interval.start} {event.interval.end}"
@@ -121,7 +123,6 @@ def load_graph(
     """
     graph = TemporalHypergraph()
     label: str | None = None
-    predicates: set[str] = set()  # already checked; cheaper to ask than graph.predicates
     entities, checked = graph.entities.names, 0  # entities[:checked] are checked
     intervals: dict[str, Interval] = {}  # raw time field -> its interval
     with gc_paused(), open_text(path) as fh:
@@ -177,9 +178,8 @@ def load_graph(
                     f"or split_multi_tail=True to load_graph, to expand into "
                     f"single-tail edges)"
                 )
-            if pred not in predicates:
+            if pred not in graph.predicates:
                 check_predicate(pred, f"{path}:{lineno}")
-                predicates.add(pred)
             try:
                 if len(tails) == 1:
                     graph.add_event(pred, heads, tails, interval)

@@ -73,19 +73,16 @@ def build_event_queries(
     for name in positive_predicates:
         if name not in graph.predicates:
             raise DataFormatError(f"predicate {name!r} not present in the graph")
-    positive_ids = {graph.predicates.id_of(name) for name in positive_predicates}
-    predicate_names = graph.predicates.names
     positives: list[Query] = []
     others: list[Query] = []
     for event in graph.events:
-        if event.predicate in positive_ids:
+        if event.predicate in positive_predicates:
             bucket = positives
         elif negatives:
             bucket = others
         else:
             continue
-        bucket.append(Query(predicate_names[event.predicate], event.heads, event.tails,
-                            event_id=event.event_id))
+        bucket.append(Query(event.predicate, event.heads, event.tails, event_id=event.event_id))
     if negatives and not others:
         raise DataFormatError(
             f"every event's predicate is positive ({', '.join(sorted(positive_predicates))}); "

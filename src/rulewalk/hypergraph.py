@@ -1,10 +1,13 @@
-"""In-memory temporal hypergraph with interned symbols and B-walk indices.
+"""In-memory temporal hypergraph with interned entities and B-walk indices.
 
 Events are directed hyperedges: a non-empty head entity set, a non-empty
-tail entity set, and a closed integer time interval.  Entities and
-predicates are interned to dense integer ids on first sight.  The graph is
-append-only; after loading it is treated as immutable and is safe to read
-from any number of threads.
+tail entity set, and a closed integer time interval.  Entities are
+interned to dense integer ids on first sight, which the walks and
+`head_index` need.  Predicates stay names, as rules and queries carry
+them from graph to graph: `predicates` maps each name to the tail count
+its events declare, in first-seen order, and the events of one predicate
+share one `str` object.  The graph is append-only; after loading it is
+treated as immutable and is safe to read from any number of threads.
 
 `Interval` and `Event` are immutable named tuples: each equals, and hashes
 as, the plain tuple of its fields.  An `Interval` checks that its ticks
@@ -16,15 +19,14 @@ events: `dataio.load_graph` builds one per distinct raw time field, and
 `add_event` is the one way an event enters a graph; the loaders, the
 converters and the generator all call it.  It checks the whole event before
 it changes anything, so a rejected event leaves the graph as it was.  It
-interns the event's names and maintains every index, each event list in
-ascending event-id order:
+interns the event's entity names and maintains every index, each event list
+in ascending event-id order:
 
 - `head_index`: entity id -> events with the entity in their head set;
   it gets an empty slot when the entity is interned, so every interned
   entity has one, even if it heads no event;
-- `shape_index`: (predicate id, head count, tail count) -> events of that
-  shape, the candidate lists of rule grounding;
-- `tail_arity`: predicate id -> the tail count every event of it has;
+- `shape_index`: (predicate name, head count, tail count) -> events of
+  that shape, the candidate lists of rule grounding;
 - a count of multi-tail events, so `is_b_graph` is O(1).
 
 `gc_paused` pauses the cyclic garbage collector; `dataio.load_graph` and
@@ -33,6 +35,7 @@ ascending event-id order:
 from __future__ import annotations
 
 import gc
+import sys
 from collections import namedtuple
 from collections.abc import Set
 from contextlib import contextmanager
@@ -66,7 +69,7 @@ class Interval(namedtuple("Interval", "start end")):
 
 class Event(NamedTuple):
     event_id: int
-    predicate: int
+    predicate: str
     heads: tuple[int, ...]   # sorted entity ids, no duplicates
     tails: tuple[int, ...]   # sorted entity ids, no duplicates
     interval: Interval
@@ -78,7 +81,7 @@ _new_tuple = tuple.__new__
 
 
 class SymbolTable:
-    """Bijective name <-> dense id table; `TemporalHypergraph.add_event` fills it."""
+    """Bijective entity name <-> dense id table; `TemporalHypergraph.add_event` fills it."""
 
     def __init__(self) -> None:
         self._ids: dict[str, int] = {}
@@ -107,11 +110,10 @@ class TemporalHypergraph:
 
     def __init__(self) -> None:
         self.entities = SymbolTable()
-        self.predicates = SymbolTable()
-        self.tail_arity: list[int] = []
+        self.predicates: dict[str, int] = {}  # name -> declared tail count
         self.events: list[Event] = []
         self.head_index: dict[int, list[int]] = {}
-        self.shape_index: dict[tuple[int, int, int], list[int]] = {}
+        self.shape_index: dict[tuple[str, int, int], list[int]] = {}
         self._multi_tail_events = 0
 
     # -- construction -----------------------------------------------------
@@ -125,10 +127,11 @@ class TemporalHypergraph:
     ) -> int:
         """Append one event, interning any new names; returns its id.
 
-        The predicate is interned first, then the heads and then the tails,
-        each in the given order.  A new entity gets its empty `head_index`
-        slot when it is interned.  An interval may be given as a pair of
-        ticks.  A GraphError leaves the graph unchanged.
+        A new predicate declares its tail count; the heads are interned
+        first and then the tails, each in the given order.  A new entity
+        gets its empty `head_index` slot when it is interned.  An interval
+        may be given as a pair of ticks.  A GraphError leaves the graph
+        unchanged.
         """
         n_heads, n_tails = len(heads), len(tails)
         if not n_heads:
@@ -145,19 +148,21 @@ class TemporalHypergraph:
             except TypeError:
                 raise GraphError(f"interval must be a pair of ticks: {interval!r}") from None
 
+        # one str object per predicate name, shared by its events;
+        # `sys.intern` takes nothing but an exact str
+        try:
+            predicate = sys.intern(predicate)
+        except TypeError:
+            if not isinstance(predicate, str):
+                raise GraphError(f"predicate must be a str: {predicate!r}") from None
+            predicate = sys.intern(str(predicate))  # a str subclass
+        declared = self.predicates.setdefault(predicate, n_tails)
+        if declared != n_tails:
+            raise GraphError(
+                f"predicate {predicate!r} declared with {declared} tails, event has {n_tails}"
+            )
         # lookups are inlined, as this runs once per event of every graph
         # built; only a new entity name costs a call
-        predicates = self.predicates
-        pred_id = predicates._ids.get(predicate)
-        if pred_id is None:
-            pred_id = predicates._ids[predicate] = len(predicates._names)
-            predicates._names.append(predicate)
-            self.tail_arity.append(n_tails)
-        elif self.tail_arity[pred_id] != n_tails:
-            raise GraphError(
-                f"predicate {predicate!r} declared with {self.tail_arity[pred_id]} tails, "
-                f"event has {n_tails}"
-            )
         entity_ids = self.entities._ids
         head_index = self.head_index
         event_id = len(self.events)
@@ -193,9 +198,9 @@ class TemporalHypergraph:
             tail_ids = tuple(ids)
             self._multi_tail_events += 1
         self.events.append(
-            _new_tuple(Event, (event_id, pred_id, head_ids, tail_ids, interval))
+            _new_tuple(Event, (event_id, predicate, head_ids, tail_ids, interval))
         )
-        self.shape_index.setdefault((pred_id, n_heads, n_tails), []).append(event_id)
+        self.shape_index.setdefault((predicate, n_heads, n_tails), []).append(event_id)
         return event_id
 
     def _intern_entity(self, name: str) -> int:
@@ -251,7 +256,7 @@ class TemporalHypergraph:
         e = self.events[event_id]
         names = self.entities.names
         return (
-            self.predicates.names[e.predicate],
+            e.predicate,
             tuple(names[h] for h in e.heads),
             tuple(names[t] for t in e.tails),
         )

@@ -60,8 +60,11 @@ def mine_rules(
     diag = diagnostics if diagnostics is not None else MiningDiagnostics()
     positive_graphs = sorted({q.graph_index for q in query_set.positives})
     shapes = None
-    if query_set.mode == CLASSIFICATION:
-        shapes = _shared_shapes([graphs[g] for g in positive_graphs])
+    if query_set.mode == CLASSIFICATION and positive_graphs:
+        # the shapes of events in every positive graph: a body atom of
+        # another shape has no candidate event in some graph, so the rule
+        # has no grounding there and fails the coverage filter
+        shapes = set.intersection(*(set(graphs[g].shape_index) for g in positive_graphs))
 
     aggregated: dict[str, TemporalRule] = {}
     pruned: set[str] = set()
@@ -78,9 +81,7 @@ def mine_rules(
             if known is not None:
                 known.support += walks
                 known.time_net = constraints.generalize(known.time_net, lift.network())
-            elif shapes is None or all(
-                (a.predicate, len(a.head_vars), len(a.tail_vars)) in shapes for a in lift.body
-            ):
+            elif shapes is None or all(a.shape in shapes for a in lift.body):
                 rule = lift.rule()
                 rule.support = walks
                 aggregated[lift.signature] = rule
@@ -98,20 +99,6 @@ def mine_rules(
 
     rules.sort(key=lambda r: (-r.support, r.signature))
     return rules
-
-
-def _shared_shapes(graphs) -> set[tuple[str, int, int]]:
-    """The (predicate name, head count, tail count) shapes of events in every graph.
-
-    A body atom of another shape has no candidate event in some graph, so
-    the rule has no grounding there and fails the coverage filter.
-    """
-    shared = None
-    for graph in graphs:
-        names = graph.predicates.names
-        shapes = {(names[p], heads, tails) for p, heads, tails in graph.shape_index}
-        shared = shapes if shared is None else shared & shapes
-    return shared
 
 
 def _apply_coverage(rules, graphs, positive_graphs, rho, diag):

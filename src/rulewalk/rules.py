@@ -73,6 +73,11 @@ class Atom(NamedTuple):
     def variables(self) -> set[int]:
         return set(self.head_vars) | set(self.tail_vars)
 
+    @property
+    def shape(self) -> tuple[str, int, int]:
+        """The `shape_index` key of the events the atom can match."""
+        return (self.predicate, len(self.head_vars), len(self.tail_vars))
+
 
 @dataclass
 class TemporalRule:
@@ -206,10 +211,7 @@ def trace_to_rule(graph: TemporalHypergraph, trace: list[int], query: Query) -> 
         return tuple(sorted([var_of[x] for x in entities]))
 
     head = Atom(query.predicate, variables(query.heads), variables(query.tails))
-    names = graph.predicates.names
-    body = tuple(
-        Atom(names[ev.predicate], variables(ev.heads), variables(ev.tails)) for ev in events
-    )
+    body = tuple(Atom(ev.predicate, variables(ev.heads), variables(ev.tails)) for ev in events)
     return Lift(head, body, render_signature(head, body), graph, trace, class_events)
 
 
@@ -292,8 +294,8 @@ def iter_groundings(
     if len(query.heads) != len(head_vars) or not graph.has_entities(query.heads):
         return
 
-    candidates = _candidate_events(rule, graph)
-    if any(not events for _, events in candidates):
+    candidates = [graph.shape_index.get(atom.shape) for atom in rule.body]
+    if not all(candidates):
         return
 
     left = [GROUNDING_BUDGET]
@@ -319,22 +321,7 @@ def iter_groundings(
                 yield grounding, tuple(bound[v] for v in tail_vars)
 
 
-def _candidate_events(
-    rule: TemporalRule, graph: TemporalHypergraph
-) -> list[tuple[tuple[int, int, int], list[int]]]:
-    """Per body atom: its shape key and the graph's events of that shape."""
-    out = []
-    for atom in rule.body:
-        if atom.predicate in graph.predicates:
-            pid = graph.predicates.id_of(atom.predicate)
-        else:
-            pid = -1
-        shape = (pid, len(atom.head_vars), len(atom.tail_vars))
-        out.append((shape, graph.shape_index.get(shape, [])))
-    return out
-
-
-def _narrowed(graph, atom, shape, events, binding) -> list[int]:
+def _narrowed(graph, atom, events, binding) -> list[int]:
     """Candidate events of one body atom under the current binding.
 
     A head variable that is already bound confines the atom to the events
@@ -353,6 +340,7 @@ def _narrowed(graph, atom, shape, events, binding) -> list[int]:
     if best is events:
         return events
     all_events = graph.events
+    shape = atom.shape
     return [
         e
         for e in best
@@ -391,8 +379,7 @@ def _match_body(
         return
     atom = rule.body[pos]
     net = rule.time_net.cells
-    shape, events = candidates[pos]
-    for eid in _narrowed(graph, atom, shape, events, binding):
+    for eid in _narrowed(graph, atom, candidates[pos], binding):
         event = graph.events[eid]
         spend()
         ok_temporal = True

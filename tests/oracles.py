@@ -282,14 +282,10 @@ def grounding_exists_bruteforce(rule, graph, query) -> bool:
 
     candidates = []
     for atom in rule.body:
-        if atom.predicate in graph.predicates:
-            pid = graph.predicates.id_of(atom.predicate)
-        else:
-            return False
         matching = [
             e
             for e in graph.events
-            if e.predicate == pid
+            if e.predicate == atom.predicate
             and len(e.heads) == len(atom.head_vars)
             and len(e.tails) == len(atom.tail_vars)
         ]

@@ -368,7 +368,7 @@ def test_criterion_9_temporal_kg_adapter():
     bridges = {
         (g.event_names(e.event_id)[1][0], g.event_names(e.event_id)[2][0])
         for e in g.events
-        if g.predicates.names[e.predicate] == "IsSameEnt"
+        if e.predicate == "IsSameEnt"
     }
     assert bridges == {
         ("alice@1", "alice@2"),
@@ -384,10 +384,7 @@ def test_criterion_9_temporal_kg_adapter():
     crossing = [
         trace
         for trace, _ in results
-        if any(
-            g.predicates.names[g.events[eid].predicate] == "IsSameEnt"
-            for eid in trace
-        )
+        if any(g.events[eid].predicate == "IsSameEnt" for eid in trace)
     ]
     assert crossing
     report(9, "temporal-kg-adapter")

@@ -76,7 +76,7 @@ def test_temporal_kg_adapt_structure():
     names = [g.event_names(i) for i in range(len(g))]
     # per-snapshot instances with degenerate intervals
     assert ("likes", ("alice@1",), ("bob@1",)) in names
-    triple_events = [e for e in g.events if g.predicates.names[e.predicate] != "IsSameEnt"]
+    triple_events = [e for e in g.events if e.predicate != "IsSameEnt"]
     assert all(e.interval.start == e.interval.end for e in triple_events)
 
 
@@ -85,7 +85,7 @@ def test_temporal_kg_adapt_same_entity_bridges():
     bridges = [
         (g.event_names(e.event_id), (e.interval.start, e.interval.end))
         for e in g.events
-        if g.predicates.names[e.predicate] == "IsSameEnt"
+        if e.predicate == "IsSameEnt"
     ]
     expected = {
         (("IsSameEnt", ("alice@1",), ("alice@2",)), (1, 2)),
@@ -98,9 +98,7 @@ def test_temporal_kg_adapt_same_entity_bridges():
 
 def test_entity_absent_from_consecutive_snapshot_gets_no_bridge():
     g = temporal_kg_adapt([(1, [("e", "p", "f")]), (2, [("x", "p", "y")])])
-    assert all(
-        g.predicates.names[e.predicate] != "IsSameEnt" for e in g.events
-    )
+    assert all(e.predicate != "IsSameEnt" for e in g.events)
 
 
 def test_unordered_snapshots_rejected():

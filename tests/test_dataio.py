@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from rulewalk.dataio import (
     DataFormatError,
+    check_name,
+    check_predicate,
     load_corpus,
     load_graph,
     load_snapshots,
@@ -119,6 +121,22 @@ def test_reserved_characters_rejected_on_save(tmp_path):
     assert not path.exists()
 
 
+def test_a_name_that_is_not_a_str_is_a_data_error(tmp_path):
+    for name in (3, None, b"a"):
+        for check in (check_name, check_predicate):
+            with pytest.raises(DataFormatError) as err:
+                check(name, "here")
+            assert str(err.value) == f"here: name {name!r} is not a str"
+    # add_event interns any hashable entity name; save_graph refuses to write one
+    g = TemporalHypergraph()
+    g.add_event("P", ["a"], [7], (0, 1))
+    path = tmp_path / "g.thg"
+    with pytest.raises(DataFormatError) as err:
+        save_graph(g, path)
+    assert str(err.value) == f"{path}: name 7 is not a str"
+    assert not path.exists()
+
+
 def test_corpus_round_trip(tmp_path):
     graphs = []
     labels = []
@@ -174,8 +192,8 @@ def graph_state(graph):
             for e in graph.events
         ],
         "entities": list(graph.entities.names),
-        "predicates": list(graph.predicates.names),
-        "arities": list(graph.tail_arity),
+        # a list, since dict equality ignores the first-seen order
+        "predicates": list(graph.predicates.items()),
         "head_index": sorted(graph.head_index.items()),
         "shape_index": sorted(graph.shape_index.items()),
         "is_b_graph": graph.is_b_graph(),

@@ -93,7 +93,7 @@ def test_build_event_queries_matches_the_event_names_construction(raw_events, da
     for i, (pred, heads, tails) in enumerate(raw_events):
         tails = tails if pred == "p2" else tails[:1]  # p2 has two tails
         g.add_event(pred, heads, tails, (i, i + 2))
-    present = list(g.predicates.names)
+    present = list(g.predicates)
     positive = set(data.draw(st.lists(st.sampled_from(present), min_size=1)))
     positives, negatives = event_queries_by_names(g, positive)
     only = build_event_queries(g, positive, negatives=False)

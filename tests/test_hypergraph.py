@@ -101,6 +101,29 @@ def test_predicate_tail_arity_stays_declared():
         g.add_event("Mix", ["a"], ["y", "z"], (0, 1))
 
 
+def test_add_event_rejects_a_predicate_that_is_not_a_str():
+    g = TemporalHypergraph()
+    g.add_event("P", ["a"], ["b"], (0, 1))
+    before = graph_state(g)
+    for predicate in (3, None, b"P", ("P",)):
+        with pytest.raises(GraphError) as err:
+            g.add_event(predicate, ["a"], ["b"], (0, 1))
+        assert str(err.value) == f"predicate must be a str: {predicate!r}"
+        assert graph_state(g) == before
+    # a str subclass is a str, and is stored as one
+    g.add_event(np.str_("Q"), ["a"], ["b"], (0, 1))
+    assert type(g.events[-1].predicate) is str and list(g.predicates) == ["P", "Q"]
+
+
+def test_the_events_of_one_predicate_share_one_name_object():
+    g = TemporalHypergraph()
+    for i in range(3):
+        g.add_event("".join(["Pu", "t"]), [f"a{i}"], ["b"], (0, 1))
+    first = g.events[0].predicate
+    assert all(e.predicate is first for e in g.events)
+    assert all(key[0] is first for key in g.shape_index)
+
+
 def test_span():
     g = small_graph()
     span = g.span()
@@ -174,7 +197,7 @@ def test_shape_index_equals_scan_and_b_graph_flips_on_first_multi_tail(raw_event
         seen_multi_tail = seen_multi_tail or len(tails) > 1
         assert g.is_b_graph() == (not seen_multi_tail)
 
-    scanned: dict[tuple[int, int, int], list[int]] = {}
+    scanned: dict[tuple[str, int, int], list[int]] = {}
     for event in g.events:
         shape = (event.predicate, len(event.heads), len(event.tails))
         scanned.setdefault(shape, []).append(event.event_id)
@@ -295,10 +318,10 @@ def graph_state(g):
     """Everything a rejected event must leave as it was."""
     return (
         list(g.entities.names), dict(g.entities._ids),
-        list(g.predicates.names), dict(g.predicates._ids),
+        list(g.predicates.items()),
         list(g.events), {x: list(ids) for x, ids in g.head_index.items()},
         {shape: list(ids) for shape, ids in g.shape_index.items()},
-        list(g.tail_arity), g.is_b_graph(),
+        g.is_b_graph(),
     )
 
 
@@ -328,8 +351,8 @@ def rejected_events(draw, g):
     else:
         # a declared predicate with any other tail count: a multi-tail event
         # against a single-tail predicate, or the other way round
-        pred = draw(st.sampled_from(g.predicates.names))
-        declared = g.tail_arity[g.predicates.id_of(pred)]
+        pred = draw(st.sampled_from(list(g.predicates)))
+        declared = g.predicates[pred]
         count = draw(st.sampled_from([n for n in (1, 2, 3) if n != declared]))
         tails = draw(st.lists(names, min_size=count, max_size=count, unique=True))
     return pred, heads, tails, interval
