@@ -1,7 +1,7 @@
 """Graph converters: clique expansion, time-point ablation, snapshot KGs."""
 from __future__ import annotations
 
-from .hypergraph import Interval, TemporalHypergraph, gc_paused
+from .hypergraph import Interval, TemporalHypergraph
 
 SAME_ENTITY_PREDICATE = "IsSameEnt"
 
@@ -39,8 +39,9 @@ def temporal_kg_adapt(snapshots) -> TemporalHypergraph:
     Entities present in two consecutive snapshots are bridged by a single
     IsSameEnt edge spanning the two time points; bridges chain but are not
     transitively closed.  The events of one snapshot share one `Interval`,
-    as do the bridges between two snapshots, and the graph is built under
-    `hypergraph.gc_paused`.
+    as do the bridges between two snapshots.  The build leaves the garbage
+    collector alone: `cli.main` pauses it around each whole command (see
+    `hypergraph`).
 
     `snapshots` is a list of (time_point, [(head, predicate, tail), ...])
     with strictly increasing time points.
@@ -51,21 +52,20 @@ def temporal_kg_adapt(snapshots) -> TemporalHypergraph:
 
     graph = TemporalHypergraph()
     present: list[set[str]] = []
-    with gc_paused():
-        for tau, triples in snapshots:
-            interval = Interval(tau, tau)
-            seen: set[str] = set()
-            for head, pred, tail in triples:
-                graph.add_event(pred, (f"{head}@{tau}",), (f"{tail}@{tau}",), interval)
-                seen.add(head)
-                seen.add(tail)
-            present.append(seen)
+    for tau, triples in snapshots:
+        interval = Interval(tau, tau)
+        seen: set[str] = set()
+        for head, pred, tail in triples:
+            graph.add_event(pred, (f"{head}@{tau}",), (f"{tail}@{tau}",), interval)
+            seen.add(head)
+            seen.add(tail)
+        present.append(seen)
 
-        for i in range(len(snapshots) - 1):
-            tau_a, tau_b = times[i], times[i + 1]
-            interval = Interval(tau_a, tau_b)
-            for name in sorted(present[i] & present[i + 1]):
-                graph.add_event(
-                    SAME_ENTITY_PREDICATE, (f"{name}@{tau_a}",), (f"{name}@{tau_b}",), interval
-                )
+    for i in range(len(snapshots) - 1):
+        tau_a, tau_b = times[i], times[i + 1]
+        interval = Interval(tau_a, tau_b)
+        for name in sorted(present[i] & present[i + 1]):
+            graph.add_event(
+                SAME_ENTITY_PREDICATE, (f"{name}@{tau_a}",), (f"{name}@{tau_b}",), interval
+            )
     return graph

@@ -13,9 +13,12 @@ rejected inside names, on load as on save; a predicate name must be a
 `NAME_TOKEN`, as rule files carry it and a line that begins with `#` is a
 comment.  A corpus is a directory of `*.thg` files read in filename order.
 
-The loaders check each distinct name once.  `load_graph` reads the whole
-file in one call and builds under `hypergraph.gc_paused`; events with equal
-raw time fields share one `Interval`.
+`load_graph` reads the whole file in one call, and events with equal raw
+time fields share one `Interval`.  It checks each distinct predicate once,
+and an entity name only on a line that holds a tab: the `|`, `,` and newline
+splits leave no other reserved character in a name, and it rejects an empty
+one itself.  It leaves the garbage collector alone: `cli.main` pauses it
+around each whole command (see `hypergraph`).
 """
 from __future__ import annotations
 
@@ -23,7 +26,7 @@ import os
 import re
 from contextlib import contextmanager
 
-from .hypergraph import GraphError, Interval, TemporalHypergraph, gc_paused
+from .hypergraph import GraphError, Interval, TemporalHypergraph
 
 HEADER = "#thg v1"
 RESERVED = ("|", ",", "\n", "\t")
@@ -118,14 +121,13 @@ def load_graph(
 
     `#label` is read only when whitespace or the end of the line follows it,
     and a second `#label` line is a DataFormatError.  Each distinct
-    predicate, entity name and raw time field is checked once, at the first
-    line that holds it, so an error names that line.
+    predicate and raw time field is checked once, at the first line that
+    holds it, so an error names that line.
     """
     graph = TemporalHypergraph()
     label: str | None = None
-    entities, checked = graph.entities.names, 0  # entities[:checked] are checked
     intervals: dict[str, Interval] = {}  # raw time field -> its interval
-    with gc_paused(), open_text(path) as fh:
+    with open_text(path) as fh:
         for lineno, raw in enumerate(fh.read().split("\n"), start=1):
             line = raw.strip()
             if not line:
@@ -180,6 +182,9 @@ def load_graph(
                 )
             if pred not in graph.predicates:
                 check_predicate(pred, f"{path}:{lineno}")
+            if "\t" in line:
+                for name in (*heads, *tails):
+                    check_name(name, f"{path}:{lineno}")
             try:
                 if len(tails) == 1:
                     graph.add_event(pred, heads, tails, interval)
@@ -190,13 +195,6 @@ def load_graph(
                         graph.add_event(pred, heads, [tail], interval)
             except GraphError as exc:
                 raise DataFormatError(f"{path}:{lineno}: {exc}") from None
-            if len(entities) != checked:
-                # the graph interns each name once, so checking the names this
-                # line brought into it checks each distinct name once
-                where = f"{path}:{lineno}"
-                for name in entities[checked:]:
-                    check_name(name, where)
-                checked = len(entities)
     return graph, label
 
 

@@ -66,13 +66,14 @@ def build_event_queries(
 
     With `negatives=False` the negatives are left out; `split_queries` cuts
     positives under their own sub-seed, so their split is the same.  A
-    positive predicate the graph lacks is a DataFormatError, and so is a
-    graph whose every event is positive, unless `negatives=False`.
+    positive predicate the graph lacks is a DataFormatError naming the first
+    such one given, and so is a graph whose every event is positive, unless
+    `negatives=False`.
     """
-    positive_predicates = set(positive_predicates)
     for name in positive_predicates:
         if name not in graph.predicates:
             raise DataFormatError(f"predicate {name!r} not present in the graph")
+    positive_predicates = set(positive_predicates)
     positives: list[Query] = []
     others: list[Query] = []
     for event in graph.events:

@@ -29,16 +29,20 @@ in ascending event-id order:
   that shape, the candidate lists of rule grounding;
 - a count of multi-tail events, so `is_b_graph` is O(1).
 
-`gc_paused` pauses the cyclic garbage collector; `dataio.load_graph` and
-`convert.temporal_kg_adapt`, the bulk builders, run under it.
+An entity gets one `(id,)` tuple when it is interned, and every event whose
+head or tail set is that entity alone shares it.
+
+A graph holds no reference cycles, yet its `Event` and `Interval` tuples stay
+tracked by the cyclic garbage collector, so each collection during a build
+would rescan the graph and free nothing.  No builder pauses the collector
+itself: `cli.main` pauses it around each whole command, which makes no
+cycles either.
 """
 from __future__ import annotations
 
-import gc
 import sys
 from collections import namedtuple
 from collections.abc import Set
-from contextlib import contextmanager
 from operator import index
 from typing import NamedTuple
 
@@ -114,6 +118,7 @@ class TemporalHypergraph:
         self.events: list[Event] = []
         self.head_index: dict[int, list[int]] = {}
         self.shape_index: dict[tuple[str, int, int], list[int]] = {}
+        self._units: list[tuple[int]] = []  # entity id -> its shared (id,) tuple
         self._multi_tail_events = 0
 
     # -- construction -----------------------------------------------------
@@ -130,18 +135,33 @@ class TemporalHypergraph:
         A new predicate declares its tail count; the heads are interned
         first and then the tails, each in the given order.  A new entity
         gets its empty `head_index` slot when it is interned.  An interval
-        may be given as a pair of ticks.  A GraphError leaves the graph
-        unchanged.
+        may be given as a pair of ticks.  A GraphError, an unhashable entity
+        name's included, leaves the graph unchanged.
         """
         n_heads, n_tails = len(heads), len(tails)
         if not n_heads:
             raise GraphError("event requires at least one head entity")
         if not n_tails:
             raise GraphError("event requires at least one tail entity")
-        if n_heads > 1 and len(set(heads)) != n_heads:
-            raise GraphError(f"duplicate head entity in {heads!r}")
-        if n_tails > 1 and len(set(tails)) != n_tails:
-            raise GraphError(f"duplicate tail entity in {tails!r}")
+        # every name is hashed before the graph changes: a lone name by its
+        # lookup, the names of a larger set by the duplicate check
+        entity_ids = self.entities._ids
+        try:
+            if n_heads == 1:
+                head = entity_ids.get(heads[0])
+            elif len(set(heads)) != n_heads:
+                raise GraphError(f"duplicate head entity in {heads!r}")
+            if n_tails == 1:
+                tail = entity_ids.get(tails[0])
+            elif len(set(tails)) != n_tails:
+                raise GraphError(f"duplicate tail entity in {tails!r}")
+        except TypeError:
+            for name in (*heads, *tails):
+                try:
+                    hash(name)
+                except TypeError:
+                    raise GraphError(f"entity name {name!r} is not hashable") from None
+            raise
         if not isinstance(interval, Interval):
             try:
                 interval = Interval(*interval)
@@ -163,15 +183,14 @@ class TemporalHypergraph:
             )
         # lookups are inlined, as this runs once per event of every graph
         # built; only a new entity name costs a call
-        entity_ids = self.entities._ids
         head_index = self.head_index
+        units = self._units
         event_id = len(self.events)
         if n_heads == 1:
-            ident = entity_ids.get(heads[0])
-            if ident is None:
-                ident = self._intern_entity(heads[0])
-            head_index[ident].append(event_id)
-            head_ids = (ident,)
+            if head is None:
+                head = self._intern_entity(heads[0])
+            head_index[head].append(event_id)
+            head_ids = units[head]
         else:
             ids = []
             for name in heads:
@@ -183,10 +202,9 @@ class TemporalHypergraph:
             ids.sort()
             head_ids = tuple(ids)
         if n_tails == 1:
-            ident = entity_ids.get(tails[0])
-            if ident is None:
-                ident = self._intern_entity(tails[0])
-            tail_ids = (ident,)
+            if tail is None:  # the heads may have interned it since its lookup
+                tail = self._intern_entity(tails[0])
+            tail_ids = units[tail]
         else:
             ids = []
             for name in tails:
@@ -200,15 +218,24 @@ class TemporalHypergraph:
         self.events.append(
             _new_tuple(Event, (event_id, predicate, head_ids, tail_ids, interval))
         )
-        self.shape_index.setdefault((predicate, n_heads, n_tails), []).append(event_id)
+        shape = (predicate, n_heads, n_tails)
+        same_shape = self.shape_index.get(shape)
+        if same_shape is None:
+            self.shape_index[shape] = [event_id]
+        else:
+            same_shape.append(event_id)
         return event_id
 
     def _intern_entity(self, name: str) -> int:
-        """A new entity's id, with its empty `head_index` slot."""
+        """The id of `name`; a new name first gets one, with its empty
+        `head_index` slot and its `(id,)` tuple."""
         entities = self.entities
-        ident = entities._ids[name] = len(entities._names)
-        entities._names.append(name)
-        self.head_index[ident] = []
+        ident = entities._ids.get(name)
+        if ident is None:
+            ident = entities._ids[name] = len(entities._names)
+            entities._names.append(name)
+            self.head_index[ident] = []
+            self._units.append((ident,))
         return ident
 
     # -- queries ----------------------------------------------------------
@@ -263,20 +290,3 @@ class TemporalHypergraph:
 
     def __len__(self) -> int:
         return len(self.events)
-
-
-@contextmanager
-def gc_paused():
-    """The cyclic garbage collector off for the `with` body, then as it was.
-
-    Every bulk builder of a graph runs under it: a graph holds no reference
-    cycles, so each collection would rescan the growing graph and free
-    nothing.
-    """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()

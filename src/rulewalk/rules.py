@@ -116,10 +116,11 @@ def trace_network(graph: TemporalHypergraph, trace: list[int]) -> IANetwork:
     holds no event until an event names its start, and that event carries
     the start itself.  So the sub-walks that hold events are the groups of
     trace events joined by shared entities, built in trace order, whatever
-    the start set.  Each event joins the groups it touches with
-    `merge_paths` and is observed against the joined group with one
-    `observe`.  The groups are then laid out in trace order, and cells
-    between groups that never met stay FULL_SET.
+    the start set.  Each event is observed, with one `observe`, against the
+    network of the group it touches, against an empty network when it
+    touches none, and against the `merge_paths` join of the groups it
+    touches when it touches several.  The groups are then laid out in trace
+    order, and cells between groups that never met stay FULL_SET.
     """
     def interval_of(eid: int):
         return graph.events[eid].interval
@@ -132,7 +133,12 @@ def trace_network(graph: TemporalHypergraph, trace: list[int]) -> IANetwork:
         groups = [g for g in groups if entities.isdisjoint(g[0])]
         entities.update(*(ents for ents, _ in touched))
         nets = [net for _, net in touched]
-        net = merge_paths(nets, [k for n in nets for k in n.keys])
+        if len(nets) == 1:
+            net = nets[0]
+        elif not nets:
+            net = IANetwork([])
+        else:
+            net = merge_paths(nets, [k for n in nets for k in n.keys])
         groups.append((entities, observe(net, eid, interval_of)))
     return merge_paths([net for _, net in groups], trace)
 

@@ -153,31 +153,37 @@ def _sample_satisfying_intervals(rule: TemporalRule, grid: _Grid, rng) -> list[I
     pick above it.  So the search is exhaustive: it fails only when no
     assignment of grid intervals satisfies the rule.
     """
-    cells = rule.time_net.cells
     placed: list[Interval] = []
-
-    def extend() -> bool:
-        j = len(placed)
-        if j == len(rule.body):
-            return True
-        admissible = np.ones(len(grid.starts), dtype=bool)
-        for i, interval in enumerate(placed):
-            if cells[i][j] != allen.FULL_SET:
-                relations = allen.classify_grid(interval, grid.starts, grid.ends)
-                admissible &= grid.admits[i][j][relations]
-        for k in _lazy_shuffle(np.flatnonzero(admissible).tolist(), rng):
-            placed.append(grid.interval(k))
-            if extend():
-                return True
-            placed.pop()
-        return False
-
-    if not extend():
+    if not _extend(placed, rule.time_net.cells, grid, rng):
         raise GenerationError(
             f"the planted constraints admit no interval assignment within "
             f"a span of {grid.ends[-1]} ticks"
         )
     return placed
+
+
+def _extend(placed: list[Interval], cells, grid: _Grid, rng) -> bool:
+    """Place the atoms after `placed`, one per row of `cells`: one depth of
+    `_sample_satisfying_intervals`' search.
+
+    It is not nested in its caller: a nested function that calls itself
+    holds itself through its closure, and that reference cycle would keep
+    each search's intervals and `rng` alive until a collection.
+    """
+    j = len(placed)
+    if j == len(cells):
+        return True
+    admissible = np.ones(len(grid.starts), dtype=bool)
+    for i, interval in enumerate(placed):
+        if cells[i][j] != allen.FULL_SET:
+            relations = allen.classify_grid(interval, grid.starts, grid.ends)
+            admissible &= grid.admits[i][j][relations]
+    for k in _lazy_shuffle(np.flatnonzero(admissible).tolist(), rng):
+        placed.append(grid.interval(k))
+        if _extend(placed, cells, grid, rng):
+            return True
+        placed.pop()
+    return False
 
 
 def _add_planted_events(graph, rule, intervals) -> None:

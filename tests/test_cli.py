@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit codes, end-to-end determinism."""
 import filecmp
+import gc
 import hashlib
 import json
 import os
@@ -9,9 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from rulewalk.cli import main
+from rulewalk.cli import build_parser, main
 from rulewalk.dataio import load_corpus, load_graph
 from rulewalk.evaluation import build_event_queries, score_pools, split_queries
+from rulewalk.hypergraph import TemporalHypergraph
 from rulewalk.learner import load_model
 from rulewalk.rules import parse_rule, read_rules
 from rulewalk.synthetic import MAX_SPAN
@@ -1147,3 +1149,91 @@ def test_multi_head_sub_walk_networks_are_pinned(tmp_path, capsys):
     # closure derived C before A from C before J and J before A
     assert any(line.startswith("w=0.0 M(X0,X1->X2) <- C(X0->X3) , A(X1->X4) ,"
                                " J(X3,X4->X2) | 0 {BEFORE} 1 ; ") for line in lines)
+
+
+def _graph_commands(tmp_path, rule_file):
+    """argv of every command that builds a graph, on small inputs, in an
+    order in which each exits 0."""
+    corpus, events, snapshots = (str(tmp_path / n) for n in ("corpus", "events.thg", "toy.tkg"))
+    _alternating_event_graph(Path(events))
+    Path(snapshots).write_text("1 | alice | likes | bob\n2 | alice | likes | carol\n")
+    task = ["--data", corpus, "--target-label", "Target", "--seed", "1"]
+    rules, model = str(tmp_path / "rules.txt"), str(tmp_path / "model.txt")
+    return [
+        ["gen", "--rule", rule_file, "--out", corpus, "--num-pos", "6", "--num-neg", "6",
+         "--seed", "1"],
+        ["convert", "--in", snapshots, "--out", str(tmp_path / "kg.thg"), "--from-tkg"],
+        ["convert", "--in", events, "--out", str(tmp_path / "flat.thg"), "--clique-expand"],
+        ["inspect", "--data", corpus],
+        ["mine", *task, "--walks", "50", "--out", str(tmp_path / "mined.txt")],
+        ["train", *task, "--walks", "50", "--out", rules, "--model-out", model],
+        ["eval", *task, "--rules", rules, "--model", model],
+        ["mine", "--data", events, "--positive-predicates", "B", "--walks", "20",
+         "--out", str(tmp_path / "event-mined.txt")],
+    ]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_commands_build_graphs_with_the_gc_paused_and_leave_it_as_found(
+    tmp_path, rule_file, monkeypatch, capsys, enabled
+):
+    seen = []
+    add_event = TemporalHypergraph.add_event
+
+    def spy(self, *args):
+        seen.append(gc.isenabled())
+        return add_event(self, *args)
+
+    monkeypatch.setattr(TemporalHypergraph, "add_event", spy)
+    reversed_interval = tmp_path / "reversed.thg"
+    reversed_interval.write_text("#thg v1\nGet | b | a | 0 1\nPut | a | b | 2 1\n")
+    commands = [(argv, 0) for argv in _graph_commands(tmp_path, rule_file)] + [
+        (["inspect", "--data", str(reversed_interval)], 2),
+        (["mine", "--data", str(tmp_path / "events.thg"), "--positive-predicates", "Q",
+          "--out", str(tmp_path / "q.txt")], 2),
+        # no --target-label for a corpus: a usage error, before any graph is built
+        (["mine", "--data", str(tmp_path / "corpus"), "--out", str(tmp_path / "q.txt")], 1),
+    ]
+    before = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        for argv, code in commands:
+            seen.clear()
+            assert main(argv) == code, argv
+            assert gc.isenabled() == enabled, argv
+            assert (bool(seen), any(seen)) == (code != 1, False), argv
+    finally:
+        (gc.enable if before else gc.disable)()
+
+
+def test_no_command_leaves_garbage_for_the_collector(tmp_path, rule_file, capsys):
+    # a command runs with the collector paused, so any reference cycle it
+    # made would hold its memory until a later collection; `build_parser`'s
+    # own argparse cycles, which every command makes, are the floor
+    before = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        build_parser()
+        floor = gc.collect()
+        for argv in _graph_commands(tmp_path, rule_file):
+            assert main(argv) == 0, argv
+            assert gc.collect() <= floor, argv
+    finally:
+        if before:
+            gc.enable()
+
+
+def test_a_missing_positive_predicate_is_the_first_one_given_whatever_the_hash_seed(tmp_path):
+    graph = tmp_path / "events.thg"
+    _alternating_event_graph(graph)
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    for seed in range(1, 6):
+        done = subprocess.run(
+            [sys.executable, "-m", "rulewalk.cli", "mine", "--data", str(graph),
+             "--positive-predicates", "Q1,Q2,Q3", "--out", str(tmp_path / "rules.txt")],
+            capture_output=True, text=True, env={**env, "PYTHONHASHSEED": str(seed)},
+            timeout=120,
+        )
+        assert (done.returncode, done.stderr) == (
+            2, "rulewalk: error: predicate 'Q1' not present in the graph\n"), seed

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rulewalk.cli import main
 from rulewalk.convert import clique_expand, temporal_kg_adapt, to_time_points
 from rulewalk.hypergraph import GraphError, Interval, TemporalHypergraph
 
@@ -132,7 +133,14 @@ def test_temporal_kg_adapt_gives_each_event_its_snapshot_or_bridge_interval(trip
 
 
 @pytest.mark.parametrize("enabled", [True, False])
-def test_temporal_kg_adapt_pauses_the_gc_and_leaves_it_as_it_found_it(monkeypatch, enabled):
+def test_temporal_kg_adapt_pauses_the_gc_and_leaves_it_as_it_found_it(
+    tmp_path, monkeypatch, capsys, enabled
+):
+    # the pause belongs to the command that calls `temporal_kg_adapt`
+    src = tmp_path / "toy.tkg"
+    src.write_text("".join(
+        f"{tau} | {h} | {p} | {t}\n" for tau, triples in snapshots() for h, p, t in triples
+    ))
     seen = []
     add_event = TemporalHypergraph.add_event
 
@@ -143,15 +151,10 @@ def test_temporal_kg_adapt_pauses_the_gc_and_leaves_it_as_it_found_it(monkeypatc
     monkeypatch.setattr(TemporalHypergraph, "add_event", spy)
     before = gc.isenabled()
     try:
-        if enabled:
-            gc.enable()
-        else:
-            gc.disable()
-        temporal_kg_adapt(snapshots())
+        (gc.enable if enabled else gc.disable)()
+        argv = ["convert", "--in", str(src), "--out", str(tmp_path / "kg.thg"), "--from-tkg"]
+        assert main(argv) == 0
         assert gc.isenabled() == enabled
     finally:
-        if before:
-            gc.enable()
-        else:
-            gc.disable()
+        (gc.enable if before else gc.disable)()
     assert seen and not any(seen)

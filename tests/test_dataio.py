@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rulewalk.cli import main
 from rulewalk.dataio import (
     DataFormatError,
     check_name,
@@ -323,8 +324,10 @@ def test_a_second_label_line_is_a_data_error(tmp_path):
 @pytest.mark.parametrize("enabled", [True, False])
 @pytest.mark.parametrize("line", ["Put | a | b | 1 2", "Put | a | b | 2 1"])
 def test_load_graph_pauses_the_gc_and_leaves_it_as_it_found_it(
-    tmp_path, monkeypatch, enabled, line
+    tmp_path, monkeypatch, capsys, enabled, line
 ):
+    # the pause belongs to the command that calls `load_graph`, and it is
+    # lifted also when the file turns out bad (a reversed interval: exit 2)
     path = tmp_path / "g.thg"
     path.write_text(f"#thg v1\nGet | b | a | 0 1\n{line}\n")
     seen = []
@@ -337,21 +340,11 @@ def test_load_graph_pauses_the_gc_and_leaves_it_as_it_found_it(
     monkeypatch.setattr(TemporalHypergraph, "add_event", spy)
     before = gc.isenabled()
     try:
-        if enabled:
-            gc.enable()
-        else:
-            gc.disable()
-        if line.endswith("2 1"):
-            with pytest.raises(DataFormatError):
-                load_graph(path)
-        else:
-            load_graph(path)
+        (gc.enable if enabled else gc.disable)()
+        assert main(["inspect", "--data", str(path)]) == (2 if line.endswith("2 1") else 0)
         assert gc.isenabled() == enabled
     finally:
-        if before:
-            gc.enable()
-        else:
-            gc.disable()
+        (gc.enable if before else gc.disable)()
     assert seen and not any(seen)
 
 

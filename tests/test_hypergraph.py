@@ -330,7 +330,7 @@ def rejected_events(draw, g):
     """(predicate, heads, tails, interval) that `add_event` must reject."""
     names = st.sampled_from("abcdefxyz")  # x, y, z are never in the graph
     kinds = ["empty heads", "empty tails", "duplicate head", "duplicate tail",
-             "reversed interval"]
+             "reversed interval", "unhashable head", "unhashable tail"]
     if len(g.predicates):
         kinds.append("tail arity")
     kind = draw(st.sampled_from(kinds))
@@ -348,6 +348,11 @@ def rejected_events(draw, g):
         tails = tails + [draw(st.sampled_from(tails))]
     elif kind == "reversed interval":
         interval = (draw(st.integers(1, 9)), 0)
+    elif kind in ("unhashable head", "unhashable tail"):
+        # a lone name or one of several, new to the graph or not
+        side = heads if kind == "unhashable head" else tails
+        at = draw(st.integers(0, len(side) - 1))
+        side[at] = [side[at]]
     else:
         # a declared predicate with any other tail count: a multi-tail event
         # against a single-tail predicate, or the other way round
