@@ -334,11 +334,20 @@ def cmd_eval(args) -> int:
         # with no rule every candidate ties, which would score as a number
         raise DataFormatError(f"{args.rules}: no rule line found; nothing to score with")
     targets = {q.predicate for q in query_set.positives}
+    # a head of another shape grounds no query, so every candidate would tie
+    shapes = {(q.predicate, len(q.heads), len(q.tails)) for q in query_set.positives}
     for rule in rules:
         if rule.head.predicate not in targets:
             raise DataFormatError(
                 f"{args.rules}: rule {rule.signature} predicts {rule.head.predicate!r}, "
                 f"not this task's {', '.join(map(repr, sorted(targets)))}"
+            )
+        if rule.head.shape not in shapes:
+            predicate, heads, tails = rule.head.shape
+            raise DataFormatError(
+                f"{args.rules}: rule {rule.signature} can ground no query: its head atom "
+                f"has {heads} head and {tails} tail variables, and no {predicate!r} query "
+                "of this task has as many heads and tails"
             )
     params = learner.load_model(args.model, rules) if args.model is not None else None
     scores = evaluation.score_pools(rules, graphs, test_set, params, args.features)

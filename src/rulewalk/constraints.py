@@ -9,20 +9,20 @@ inconsistent.  A PC-2 worklist would revisit fewer triangles, but the miner
 closes only small networks, a few hundred per benchmark rep, whose sweeps
 compose little, so the plain sweep is the whole solver.
 
-Closed-input contract: `observe` is the only operation that closes a
-network.  It appends one node with the observed relations of its interval
-and closes the whole result; `rules.trace_network` observes each trace
-event against its group, `rules.Lift.network` each class atom against
-every node.  Every cell then holds the relation of the graph's own
-intervals, which realise the network (Allen 1983), so the closure never
-empties a cell; `observe` raises if it ever does.  The other operations
-take closed networks and only copy or OR their cells, since the result is
-closed as it stands.  Composition distributes over union, so each cell of
-a cellwise union of two closed networks lies inside the composition of the
-union's legs (Mackworth 1977): `generalize`, which widens a rule network to
-admit another grounding, is that union.  `merge_paths` joins networks that
-share no node with FULL_SET cells between them, and composing a non-empty
-set with FULL_SET gives FULL_SET, so no cross cell tightens anything.
+Closed-input contract: a lift is closed once, after its last observation.
+`observe` only appends a node's observed relations; `rules.trace_network`
+observes each trace event against its group and each class event against
+every node, then closes the network with one `resolve_time`.  The cells
+outside the observed ones are FULL_SET, so the graph's own intervals
+realise the network (Allen 1983) and the closure never empties a cell;
+`trace_network` raises if it ever does.  The closure of a fixed set of
+cells is unique (Mackworth 1977), so closing once equals closing after each
+observation.  `merge_paths` joins any networks that share no node with
+FULL_SET cells between them, and composing a non-empty set with FULL_SET
+gives FULL_SET, so a join of closed networks is closed.  `generalize`
+widens a closed rule network by its cellwise union with another closed
+network; composition distributes over union, so the union is closed as it
+stands (Mackworth 1977).
 """
 from __future__ import annotations
 
@@ -122,12 +122,12 @@ def resolve_time(net: IANetwork) -> tuple[bool, IANetwork]:
 
 
 def merge_paths(nets: Sequence[IANetwork], keys: Sequence[Hashable]) -> IANetwork:
-    """Join closed networks that share no key, their nodes laid out in `keys` order.
+    """Join networks that share no key, their nodes laid out in `keys` order.
 
     Cells within each input are copied and cells between inputs are
-    FULL_SET, so the join is closed (see above).  Raises KeyMismatchError
-    when `keys` names a node twice, when two networks share a key, or when a
-    network key and `keys` do not name the same nodes.
+    FULL_SET, so a join of closed networks is closed (see above).  Raises
+    KeyMismatchError when `keys` names a node twice, when two networks share
+    a key, or when a network key and `keys` do not name the same nodes.
     """
     _check_distinct(keys)
     free = {k: i for i, k in enumerate(keys)}
@@ -150,15 +150,12 @@ def merge_paths(nets: Sequence[IANetwork], keys: Sequence[Hashable]) -> IANetwor
 
 
 def observe(net: IANetwork, key: Hashable, interval_of: Callable) -> IANetwork:
-    """A closed `net` extended by node `key`, observed against every earlier node.
+    """`net` extended by node `key`, observed against every earlier node.
 
     The cell between `key` and each earlier node is the singleton relation
-    of their intervals, as `interval_of` gives them; the whole result is
-    then closed by `resolve_time`'s PC-1 sweeps, old triangles included.
-    Those are few: a lift observes a handful of nodes.  Raises
-    KeyMismatchError when `key` is already a node, and ValueError if the
-    closure empties a cell, which observed relations of real intervals
-    never do.
+    of their intervals, as `interval_of` gives them.  No cell is closed: the
+    caller closes the network once, after its last observation.  Raises
+    KeyMismatchError when `key` is already a node.
     """
     keys = net.keys + [key]
     _check_distinct(keys)
@@ -166,10 +163,7 @@ def observe(net: IANetwork, key: Hashable, interval_of: Callable) -> IANetwork:
     rels = [allen.classify(interval_of(k), b) for k in net.keys]
     cells = [row + [1 << rel] for row, rel in zip(net.cells, rels)]
     cells.append([_CONVERSE[rel] for rel in rels] + [_EQUAL])
-    consistent, closed = resolve_time(IANetwork(keys, cells))
-    if not consistent:
-        raise ValueError(f"observed network over {keys!r} is inconsistent")
-    return closed
+    return IANetwork(keys, cells)
 
 
 def generalize(rule_net: IANetwork, observed_net: IANetwork) -> IANetwork:

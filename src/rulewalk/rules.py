@@ -5,8 +5,8 @@ and a constraint network over body positions.  Rules reference predicates
 by name so they can travel between graphs; variables are canonicalized at
 construction so that isomorphic traces produce byte-identical signatures.
 A walk trace carries no network: `trace_to_rule` lifts a trace to its
-atoms and signature, and the lift's `network()` builds the network with
-`trace_network` from the graph's intervals.
+atoms and signature, and the lift's `network()` builds and closes the
+network once with `trace_network` from the graph's intervals.
 
 Text format, one rule per line::
 
@@ -109,23 +109,25 @@ def render_atom(atom: Atom) -> str:
 # -- trace to rule ---------------------------------------------------------
 
 
-def trace_network(graph: TemporalHypergraph, trace: list[int]) -> IANetwork:
-    """The path-consistent network of a walk trace, keyed by its event ids.
+def trace_network(graph: TemporalHypergraph, trace: list[int],
+                  class_events: list[int]) -> IANetwork:
+    """The closed network of a lift, keyed by its trace, then class, event ids.
 
     A multi-start walk opens one sub-walk per start entity, but a sub-walk
     holds no event until an event names its start, and that event carries
     the start itself.  So the sub-walks that hold events are the groups of
     trace events joined by shared entities, built in trace order, whatever
-    the start set.  Each event is observed, with one `observe`, against the
-    network of the group it touches, against an empty network when it
-    touches none, and against the `merge_paths` join of the groups it
-    touches when it touches several.  The groups are then laid out in trace
-    order, and cells between groups that never met stay FULL_SET.
+    the start set.  Each event is observed against the network of the group
+    it touches, an empty network when it touches none, or the `merge_paths`
+    join of the groups it touches.  The groups are laid out in trace order,
+    FULL_SET between groups that never met, each class event is observed
+    against every node, and one `resolve_time` closes the result.  Raises
+    ValueError if that empties a cell, as observed real intervals never do.
     """
     def interval_of(eid: int):
         return graph.events[eid].interval
 
-    groups: list[tuple[set[int], IANetwork]] = []  # (entities, closed network)
+    groups: list[tuple[set[int], IANetwork]] = []  # (entities, observed network)
     for eid in trace:
         event = graph.events[eid]
         entities = set(event.heads).union(event.tails)
@@ -140,7 +142,13 @@ def trace_network(graph: TemporalHypergraph, trace: list[int]) -> IANetwork:
         else:
             net = merge_paths(nets, [k for n in nets for k in n.keys])
         groups.append((entities, observe(net, eid, interval_of)))
-    return merge_paths([net for _, net in groups], trace)
+    net = merge_paths([net for _, net in groups], trace)
+    for eid in class_events:
+        net = observe(net, eid, interval_of)
+    consistent, closed = resolve_time(net)
+    if not consistent:
+        raise ValueError(f"observed network over {net.keys!r} is inconsistent")
+    return closed
 
 
 class Lift(NamedTuple):
@@ -157,12 +165,8 @@ class Lift(NamedTuple):
     class_events: list[int]
 
     def network(self) -> IANetwork:
-        """The trace's `trace_network` with the class atoms observed against
-        it, keyed by body indices."""
-        graph = self.graph
-        net = trace_network(graph, self.trace)
-        for eid in self.class_events:
-            net = observe(net, eid, lambda e: graph.events[e].interval)
+        """The lift's `trace_network`, keyed by body indices."""
+        net = trace_network(self.graph, self.trace, self.class_events)
         return IANetwork(range(len(self.body)), net.cells)
 
     def rule(self) -> TemporalRule:
@@ -365,13 +369,11 @@ def _set_bindings(
     for perm in permutations(entities):
         spend()
         bound = dict(base)
-        ok = True
         for var, ent in zip(variables, perm):
             if bound.get(var, ent) != ent:
-                ok = False
                 break
             bound[var] = ent
-        if ok:
+        else:
             yield bound
 
 
@@ -388,19 +390,16 @@ def _match_body(
     for eid in _narrowed(graph, atom, candidates[pos], binding):
         event = graph.events[eid]
         spend()
-        ok_temporal = True
         for other_pos, other_eid in enumerate(chosen):
             rel = allen.classify(graph.events[other_eid].interval, event.interval)
             if not net[other_pos][pos] & (1 << rel):
-                ok_temporal = False
                 break
-        if not ok_temporal:
-            continue
-        for head_bind in _set_bindings(atom.head_vars, event.heads, binding, spend):
-            for bind in _set_bindings(atom.tail_vars, event.tails, head_bind, spend):
-                chosen.append(eid)
-                yield from _match_body(rule, graph, candidates, bind, chosen, spend)
-                chosen.pop()
+        else:
+            for head_bind in _set_bindings(atom.head_vars, event.heads, binding, spend):
+                for bind in _set_bindings(atom.tail_vars, event.tails, head_bind, spend):
+                    chosen.append(eid)
+                    yield from _match_body(rule, graph, candidates, bind, chosen, spend)
+                    chosen.pop()
 
 
 # -- time-span coverage ------------------------------------------------------
@@ -546,8 +545,10 @@ def write_rules(path, rules) -> None:
 
 def read_rules(path) -> list[TemporalRule]:
     """A `write_rules` file's rules; a bad support line is a DataFormatError, a bad rule
-    line a RuleError, and a rule with no support line before it gets support 0."""
+    line a RuleError, and a rule with no support line before it gets support 0.  A
+    signature on a second line is a DataFormatError: a model weights it only once."""
     rules = []
+    first_line: dict[str, int] = {}  # the line each signature was read at
     support = 0
     with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -568,6 +569,10 @@ def read_rules(path) -> list[TemporalRule]:
                 rule = parse_rule(line)
             except RuleError as exc:
                 raise RuleError(f"{path}:{lineno}: {exc}") from None
+            if rule.signature in first_line:
+                raise DataFormatError(f"{path}:{lineno}: rule {rule.signature} was already "
+                                      f"read at line {first_line[rule.signature]}")
+            first_line[rule.signature] = lineno
             rule.support = support
             support = 0
             rules.append(rule)

@@ -326,6 +326,33 @@ def test_eval_with_rules_mined_for_another_task_exits_2(tmp_path, rule_file, cap
     assert not metrics.exists()
 
 
+@pytest.mark.parametrize("task", ["classification", "event"])
+def test_eval_with_a_rule_whose_head_grounds_no_query_exits_2(tmp_path, rule_file, capsys,
+                                                                task):
+    # the head predicate is the task's, but its head and tail counts are
+    # those of no query, so the rule grounds none and every candidate ties
+    rules, metrics = tmp_path / "rules.txt", tmp_path / "metrics.json"
+    if task == "classification":
+        corpus = str(tmp_path / "corpus")
+        assert main(["gen", "--rule", rule_file, "--out", corpus,
+                     "--num-pos", "8", "--num-neg", "8", "--seed", "1"]) == 0
+        args = ["--data", corpus, "--target-label", "Target"]
+        signature, shape = "Target(X0->X1) <- A(X0->X1)", "1 head and 1 tail variables"
+    else:
+        graph = tmp_path / "events.thg"
+        _alternating_event_graph(graph)
+        args = ["--data", str(graph), "--positive-predicates", "B"]
+        signature, shape = "B() <- A(X0->X1)", "0 head and 0 tail variables"
+    rules.write_text(f"# support=3\nw=0.0 {signature}\n")
+    capsys.readouterr()
+    assert main(["eval", *args, "--seed", "1", "--rules", str(rules),
+                 "--out", str(metrics)]) == 2
+    err = _one_error_line(capsys)
+    assert err.startswith(f"rulewalk: error: {rules}: rule {signature} can ground no query: ")
+    assert f"its head atom has {shape}, and no {signature.split('(')[0]!r} query" in err
+    assert not metrics.exists()
+
+
 def test_train_with_no_surviving_rule_exits_2(tmp_path, rule_file, capsys):
     corpus = str(tmp_path / "corpus")
     rules = tmp_path / "rules.txt"
@@ -569,6 +596,26 @@ def test_eval_with_a_model_of_other_rules_exits_2(tmp_path, rule_file, capsys):
         assert f"rulewalk: error: {model_file}: " in err and repr(signature) in err
         assert "Traceback" not in err
         assert not out.exists()
+
+
+def test_eval_with_a_signature_on_two_rule_lines_exits_2(tmp_path, rule_file, capsys):
+    # a model weights a signature once, so both lines would score with the
+    # one weight: a model fit on two rules would score three
+    corpus, rules, model, _ = run_pipeline(tmp_path, rule_file)
+    lines = Path(rules).read_text().splitlines()
+    signature = "Target() <- A(X0->X1) , B(X1->X2)"
+    first = next(n for n, l in enumerate(lines, start=1) if f" {signature} | " in l)
+    with open(rules, "a", encoding="utf-8") as fh:
+        fh.write(f"w=0.0 {signature} | 0 {{AFTER}} 1\n")
+    metrics = tmp_path / "again.json"
+    capsys.readouterr()
+    assert main(["eval", "--data", corpus, "--target-label", "Target", "--rules", rules,
+                 "--model", model, "--seed", "7", "--out", str(metrics)]) == 2
+    assert _one_error_line(capsys) == (
+        f"rulewalk: error: {rules}:{len(lines) + 1}: rule {signature} was already "
+        f"read at line {first}\n"
+    )
+    assert not metrics.exists()
 
 
 @pytest.mark.parametrize("unbuffered", [False, True])

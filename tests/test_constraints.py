@@ -141,14 +141,19 @@ def test_observe_rejects_a_key_named_twice():
         observe(IANetwork(["b", "a"]), "b", interval_of)
 
 
-def test_observe_raises_when_the_closure_empties_a_cell():
+def test_observe_leaves_the_closure_to_its_caller():
     # the old cell says a BEFORE b, but the intervals put a after b, and c
-    # lies between them: a AFTER c and c AFTER b force a AFTER b
+    # lies between them; closing would empty the a-b cell, and observe only
+    # appends c's observed cells
     net = IANetwork(["a", "b"])
     net.set_pair(0, 1, rel_set(R.BEFORE))
     intervals = {"a": Interval(5, 6), "b": Interval(0, 1), "c": Interval(2, 3)}
-    with pytest.raises(ValueError, match="inconsistent"):
-        observe(net, "c", intervals.__getitem__)
+    observed = observe(net, "c", intervals.__getitem__)
+    assert observed.keys == ["a", "b", "c"]
+    assert observed.cells[0] == [rel_set(R.EQUAL), rel_set(R.BEFORE), rel_set(R.AFTER)]
+    assert observed.cells[1][2] == rel_set(R.BEFORE)
+    assert observed.cells[2] == [rel_set(R.BEFORE), rel_set(R.AFTER), rel_set(R.EQUAL)]
+    assert not resolve_time(observed)[0]
 
 
 def test_generalize_unions_cells():
@@ -328,4 +333,4 @@ def test_observe_on_a_widened_closed_network_matches_the_from_scratch_closure(da
         full.set_pair(i, old, 1 << allen.classify(interval_of(i), interval_of(old)))
     expected_ok, expected = resolve_time(full)
     assert expected_ok
-    assert observe(closed, old, interval_of) == expected
+    assert resolve_time(observe(closed, old, interval_of)) == (True, expected)

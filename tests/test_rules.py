@@ -114,9 +114,9 @@ def test_trace_network_relates_groups_only_through_an_event_that_joins_them():
     g.add_event("A", ["a"], ["x"], (10, 11))
     g.add_event("J", ["x", "y"], ["c"], (4, 5))
     # C and A share no entity: before J they are two groups, cell FULL_SET
-    assert trace_network(g, [0, 1]).cells[0][1] == FULL_SET
+    assert trace_network(g, [0, 1], []).cells[0][1] == FULL_SET
     # J is observed against both; closure derives C before A through it
-    net = trace_network(g, [0, 1, 2])
+    net = trace_network(g, [0, 1, 2], [])
     assert net.keys == [0, 1, 2]
     assert net.cells[0][2] == rel_set(R.BEFORE) and net.cells[1][2] == rel_set(R.AFTER)
     assert net.cells[0][1] == rel_set(R.BEFORE)
@@ -133,7 +133,7 @@ def test_trace_network_observes_each_group_before_it_meets_another():
     g.add_event("J", ["u", "v"], ["c"], (7, 8))
     g.add_event("E", ["c"], ["w"], (8, 9))
     trace = [0, 1, 2, 3, 4, 5]
-    net = trace_network(g, trace)
+    net = trace_network(g, trace, [])
     assert net == lift_network_bruteforce(g, trace)
     # closure derives D BEFORE B through J; C and A, both after J, were
     # never observed together, so C MEETS A is not derived
@@ -166,7 +166,7 @@ def multi_head_traces(draw):
 @given(multi_head_traces())
 def test_trace_network_matches_the_per_event_lift(case):
     g, trace = case
-    net = trace_network(g, trace)
+    net = trace_network(g, trace, [])
     expected = lift_network_bruteforce(g, trace)
     assert net.keys == expected.keys == trace
     assert net.cells == expected.cells
@@ -191,6 +191,63 @@ def test_lift_network_observes_each_class_event_against_every_node(case):
     lift = trace_to_rule(g, trace, Query("T", tuple(range(len(g.entities)))))
     expected = lift_network_bruteforce(g, trace, lift.class_events)
     assert lift.network().cells == expected.cells
+
+
+def test_lift_network_closes_once_at_every_binding(monkeypatch):
+    # C and A start two groups that J joins, and a and c carry class labels:
+    # each event and class event is observed, and the lift is closed once
+    import sys
+
+    from rulewalk import constraints
+
+    original, closed = constraints.resolve_time, []
+
+    def counted(net):
+        closed.append(list(net.keys))
+        return original(net)
+
+    patched = set()
+    for name, module in list(sys.modules.items()):
+        if name.startswith("rulewalk.") and getattr(module, "resolve_time", None) is original:
+            monkeypatch.setattr(module, "resolve_time", counted)
+            patched.add(name)
+    assert {"rulewalk.constraints", "rulewalk.rules"} <= patched
+
+    g = TemporalHypergraph()
+    g.add_event("C", ["b"], ["y"], (2, 3))
+    g.add_event("A", ["a"], ["x"], (10, 11))
+    g.add_event("J", ["x", "y"], ["c"], (4, 5))
+    g.add_event("L", ["a"], ["a"], (0, 20))
+    g.add_event("L", ["c"], ["c"], (6, 7))
+    trace = [0, 1, 2]
+    lift = trace_to_rule(g, trace, Query("T", (g.entities.id_of("a"), g.entities.id_of("b"))))
+    assert lift.class_events == [3, 4]
+    net = lift.network()
+    assert closed == [[0, 1, 2, 3, 4]]
+    assert net.cells == lift_network_bruteforce(g, trace, lift.class_events).cells
+
+
+def test_lift_network_raises_when_the_closure_empties_a_cell(monkeypatch):
+    # P BEFORE Q BEFORE R, but the stand-in for observe turns R's cell with
+    # P into P AFTER R: the closure empties it
+    from rulewalk import rules
+
+    real = rules.observe
+
+    def contradicting(net, key, interval_of):
+        out = real(net, key, interval_of)
+        if out.n == 3:
+            out.set_pair(0, 2, rel_set(R.AFTER))
+        return out
+
+    monkeypatch.setattr(rules, "observe", contradicting)
+    g = TemporalHypergraph()
+    g.add_event("P", ["a"], ["b"], (0, 1))
+    g.add_event("Q", ["b"], ["c"], (2, 3))
+    g.add_event("R", ["c"], ["d"], (4, 5))
+    lift = trace_to_rule(g, [0, 1, 2], Query("T"))
+    with pytest.raises(ValueError, match="inconsistent"):
+        lift.network()
 
 
 def test_empty_trace_rejected():
@@ -624,6 +681,18 @@ def test_rule_file_round_trip_keeps_support(tmp_path):
         (rule.signature, 12), (other.signature, 0)
     ]
     assert loaded[0].time_net.cells == rule.time_net.cells
+
+
+def test_read_rules_refuses_a_second_line_with_one_signature(tmp_path):
+    # the cells may differ; a model weights a signature once, so both lines
+    # would score with one weight
+    signature = "Target() <- A(X0->X1) , B(X1->X2)"
+    path = tmp_path / "rules.txt"
+    path.write_text(f"# support=3\nw=0.0 {signature} | 0 {{BEFORE}} 1\n"
+                    f"w=0.0 Other() <- A(X0->X1)\n# support=1\nw=0.0 {signature}\n")
+    with pytest.raises(DataFormatError) as err:
+        read_rules(path)
+    assert str(err.value) == f"{path}:5: rule {signature} was already read at line 2"
 
 
 def test_write_rules_refuses_a_predicate_read_rules_cannot_parse(tmp_path):

@@ -177,7 +177,7 @@ def test_walk_time_net_is_observed_chain():
     state = init_walk(g, {g.entities.id_of("a")})
     rng = random.Random(3)
     state = step(g, step(g, state, rng), rng)
-    net = trace_network(g, state.trace)
+    net = trace_network(g, state.trace, [])
     assert net.keys == [0, 1]
     from rulewalk.allen import Relation, rel_set
 
@@ -200,7 +200,7 @@ def test_multi_start_paths_merge_via_join_edge():
                 break
             state = succ
         if len(state.trace) == 3:
-            net = trace_network(g, state.trace)
+            net = trace_network(g, state.trace, [])
             # the join event was observed against both paths: one group
             join = state.trace.index(2)
             assert all(net.cells[join][i].bit_count() == 1 for i in range(3))
@@ -277,8 +277,8 @@ def test_sample_walks_seeded_determinism():
     first = sample_walks(g, query, params)
     second = sample_walks(g, query, params)
     assert first == second
-    assert ([trace_network(g, t).cells for t, _ in first]
-            == [trace_network(g, t).cells for t, _ in second])
+    assert ([trace_network(g, t, []).cells for t, _ in first]
+            == [trace_network(g, t, []).cells for t, _ in second])
 
 
 def test_sample_walks_classification_mode_runs_full_length():
@@ -333,7 +333,7 @@ def test_returned_time_nets_are_closed_and_nonempty():
         results = sample_walks(g, goal(g, ["a", "b"], "w"), params)
         assert results
         for trace, _ in results:
-            net = trace_network(g, trace)
+            net = trace_network(g, trace, [])
             assert all(
                 net.cells[i][j] != EMPTY_SET
                 for i in range(net.n)
@@ -357,7 +357,7 @@ def _assert_matches_replay(g, query, params):
     for trace, net in replayed:
         grouped.setdefault(tuple(trace), []).append(net)
     assert [tuple(trace) for trace, _ in results] == list(grouped)
-    assert [[trace_network(g, trace)] * walks for trace, walks in results] == list(
+    assert [[trace_network(g, trace, [])] * walks for trace, walks in results] == list(
         grouped.values())
     assert diag == expected_diag
     return results, diag
