@@ -257,6 +257,29 @@ def _load_task(args, negatives: bool = True):
     )
 
 
+def _refuse_overwrite(args, outputs, inputs) -> None:
+    """A UsageError when an output option names the same file as another
+    output or an input option: writing it would destroy that file."""
+    for i, dest in enumerate(outputs):
+        for other in (*outputs[i + 1:], *inputs):
+            path, other_path = getattr(args, dest), getattr(args, other)
+            if path is not None and other_path is not None and _same_file(path, other_path):
+                raise UsageError(
+                    f"--{dest.replace('_', '-')} and --{other.replace('_', '-')} "
+                    f"name the same file {path}", args.parser
+                )
+
+
+def _same_file(a, b) -> bool:
+    """True iff paths `a` and `b` name one file, whether or not it exists."""
+    if os.path.realpath(a) == os.path.realpath(b):
+        return True
+    try:
+        return os.path.samefile(a, b)  # a hard link
+    except OSError:
+        return False
+
+
 def _mine(args, graphs, query_set):
     train_set, _ = evaluation.split_queries(query_set, args.train_frac, args.seed)
     params = MiningParams(
@@ -272,6 +295,7 @@ def _mine(args, graphs, query_set):
 
 
 def cmd_mine(args) -> int:
+    _refuse_overwrite(args, ("out",), ("data",))
     # mining walks only the train positives
     graphs, query_set = _load_task(args, negatives=False)
     rules, _, diag = _mine(args, graphs, query_set)
@@ -286,6 +310,7 @@ def cmd_mine(args) -> int:
 
 
 def cmd_train(args) -> int:
+    _refuse_overwrite(args, ("out", "model_out"), ("data",))
     graphs, query_set = _load_task(args)
     rules, train_set, diag = _mine(args, graphs, query_set)
     if not rules:
@@ -315,6 +340,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    _refuse_overwrite(args, ("out",), ("rules", "model", "data"))
     graphs, query_set = _load_task(args)
     _, test_set = evaluation.split_queries(query_set, args.train_frac, args.seed)
     if not test_set.positives:

@@ -39,9 +39,7 @@ def temporal_kg_adapt(snapshots) -> TemporalHypergraph:
     Entities present in two consecutive snapshots are bridged by a single
     IsSameEnt edge spanning the two time points; bridges chain but are not
     transitively closed.  The events of one snapshot share one `Interval`,
-    as do the bridges between two snapshots.  The build leaves the garbage
-    collector alone: `cli.main` pauses it around each whole command (see
-    `hypergraph`).
+    as do the bridges between two snapshots.
 
     `snapshots` is a list of (time_point, [(head, predicate, tail), ...])
     with strictly increasing time points.

@@ -17,8 +17,7 @@ comment.  A corpus is a directory of `*.thg` files read in filename order.
 time fields share one `Interval`.  It checks each distinct predicate once,
 and an entity name only on a line that holds a tab: the `|`, `,` and newline
 splits leave no other reserved character in a name, and it rejects an empty
-one itself.  It leaves the garbage collector alone: `cli.main` pauses it
-around each whole command (see `hypergraph`).
+one itself.
 """
 from __future__ import annotations
 
@@ -95,7 +94,7 @@ def save_graph(graph: TemporalHypergraph, path, label: str | None = None) -> Non
     Every predicate and interned entity name comes from an event, so checking
     them checks each name of every event, once.
     """
-    entities = graph.entities.names
+    entities = graph.entity_names
     for name in graph.predicates:
         check_predicate(name, path)
     for name in entities:

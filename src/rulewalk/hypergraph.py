@@ -3,7 +3,9 @@
 Events are directed hyperedges: a non-empty head entity set, a non-empty
 tail entity set, and a closed integer time interval.  Entities are
 interned to dense integer ids on first sight, which the walks and
-`head_index` need.  Predicates stay names, as rules and queries carry
+`head_index` need: `entities` maps each name to its id, in id order, and
+`entity_names` maps each id back to its name.  An unknown name is a
+`KeyError` of `entities`.  Predicates stay names, as rules and queries carry
 them from graph to graph: `predicates` maps each name to the tail count
 its events declare, in first-seen order, and the events of one predicate
 share one `str` object.  The graph is append-only; after loading it is
@@ -31,12 +33,6 @@ in ascending event-id order:
 
 An entity gets one `(id,)` tuple when it is interned, and every event whose
 head or tail set is that entity alone shares it.
-
-A graph holds no reference cycles, yet its `Event` and `Interval` tuples stay
-tracked by the cyclic garbage collector, so each collection during a build
-would rescan the graph and free nothing.  No builder pauses the collector
-itself: `cli.main` pauses it around each whole command, which makes no
-cycles either.
 """
 from __future__ import annotations
 
@@ -48,7 +44,7 @@ from typing import NamedTuple
 
 
 class GraphError(ValueError):
-    """Raised on malformed events or unknown symbols."""
+    """Raised on malformed events or unknown entity ids."""
 
 
 class Interval(namedtuple("Interval", "start end")):
@@ -84,36 +80,12 @@ class Event(NamedTuple):
 _new_tuple = tuple.__new__
 
 
-class SymbolTable:
-    """Bijective entity name <-> dense id table; `TemporalHypergraph.add_event` fills it."""
-
-    def __init__(self) -> None:
-        self._ids: dict[str, int] = {}
-        self._names: list[str] = []
-
-    def id_of(self, name: str) -> int:
-        try:
-            return self._ids[name]
-        except KeyError:
-            raise GraphError(f"unknown symbol {name!r}") from None
-
-    @property
-    def names(self) -> list[str]:
-        """Every name, indexed by id; read-only, since the table owns it."""
-        return self._names
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._ids
-
-    def __len__(self) -> int:
-        return len(self._names)
-
-
 class TemporalHypergraph:
     """Event store plus the head and shape indices used by walks and grounding."""
 
     def __init__(self) -> None:
-        self.entities = SymbolTable()
+        self.entities: dict[str, int] = {}  # name -> id, in id order
+        self.entity_names: list[str] = []  # id -> name
         self.predicates: dict[str, int] = {}  # name -> declared tail count
         self.events: list[Event] = []
         self.head_index: dict[int, list[int]] = {}
@@ -145,7 +117,7 @@ class TemporalHypergraph:
             raise GraphError("event requires at least one tail entity")
         # every name is hashed before the graph changes: a lone name by its
         # lookup, the names of a larger set by the duplicate check
-        entity_ids = self.entities._ids
+        entity_ids = self.entities
         try:
             if n_heads == 1:
                 head = entity_ids.get(heads[0])
@@ -229,11 +201,10 @@ class TemporalHypergraph:
     def _intern_entity(self, name: str) -> int:
         """The id of `name`; a new name first gets one, with its empty
         `head_index` slot and its `(id,)` tuple."""
-        entities = self.entities
-        ident = entities._ids.get(name)
+        ident = self.entities.get(name)
         if ident is None:
-            ident = entities._ids[name] = len(entities._names)
-            entities._names.append(name)
+            ident = self.entities[name] = len(self.entity_names)
+            self.entity_names.append(name)
             self.head_index[ident] = []
             self._units.append((ident,))
         return ident
@@ -281,7 +252,7 @@ class TemporalHypergraph:
 
     def event_names(self, event_id: int) -> tuple[str, tuple[str, ...], tuple[str, ...]]:
         e = self.events[event_id]
-        names = self.entities.names
+        names = self.entity_names
         return (
             e.predicate,
             tuple(names[h] for h in e.heads),

@@ -143,7 +143,7 @@ def _reference_graph():
 
 def test_criterion_4_walk_probability_agreement():
     g = _reference_graph()
-    starts = {g.entities.id_of("a"), g.entities.id_of("b")}
+    starts = {g.entities["a"], g.entities["b"]}
     probe = init_walk(g, starts)
     enabled = g.enabled_edges(probe.arrival_mass.keys(), set())
     # the raw weight: min over the event's heads of arrival mass / out-degree
@@ -173,7 +173,7 @@ def test_criterion_4_walk_probability_agreement():
     g2.add_event("P", ["b"], ["x2"], (0, 1))
     g2.add_event("P", ["b"], ["x3"], (0, 1))
     g2.add_event("P", ["b"], ["x4"], (0, 1))
-    probe2 = init_walk(g2, {g2.entities.id_of("a"), g2.entities.id_of("b")})
+    probe2 = init_walk(g2, {g2.entities["a"], g2.entities["b"]})
     step(g2, probe2, random.Random("c4"))
     enabled2, weights2, _ = probe2.options
     assert weights2[enabled2.index(0)] == min(1 / 2, 1 / 4) == 0.25
@@ -378,7 +378,7 @@ def test_criterion_9_temporal_kg_adapter():
     }
 
     # a walk can only reach carol@2 from alice@1 through an IsSameEnt bridge
-    query = Query("Reaches", (g.entities.id_of("alice@1"),), (g.entities.id_of("carol@2"),))
+    query = Query("Reaches", (g.entities["alice@1"],), (g.entities["carol@2"],))
     params = WalkParams(max_steps=4, num_walks=400, seed=9)
     results = sample_walks(g, query, params)
     crossing = [

@@ -549,6 +549,41 @@ def test_a_usage_error_in_a_command_prints_its_usage(tmp_path, monkeypatch, caps
     assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 
+_EVENTS = ["--data", "events.thg", "--positive-predicates", "A"]
+
+
+@pytest.mark.parametrize("argv, clash", [
+    (["mine", *_EVENTS, "--out", "./events.thg"], "--out and --data"),
+    (["train", *_CORPUS_TASK, "--out", "rules.txt", "--model-out", "rules.txt"],
+     "--out and --model-out"),
+    (["train", *_CORPUS_TASK, "--out", "./rules.txt", "--model-out", "rules.txt"],
+     "--out and --model-out"),
+    (["train", *_EVENTS, "--out", "rules.txt", "--model-out", "events.thg"],
+     "--model-out and --data"),
+    (["eval", *_CORPUS_TASK, "--rules", "rules.txt", "--out", "rules.txt"],
+     "--out and --rules"),
+    (["eval", *_CORPUS_TASK, "--rules", "rules.txt", "--model", "model.txt",
+      "--out", "./model.txt"], "--out and --model"),
+    (["eval", *_EVENTS, "--rules", "rules.txt", "--out", "events.thg"], "--out and --data"),
+], ids=["mine-data", "train-out-model", "train-dot-slash", "train-model-data",
+        "eval-rules", "eval-model", "eval-data"])
+def test_an_output_naming_another_path_of_its_command_is_usage_error(
+        tmp_path, monkeypatch, capsys, rule_file, argv, clash):
+    monkeypatch.chdir(tmp_path)
+    assert main(["gen", "--rule", rule_file, "--out", "corpus",
+                 "--num-pos", "6", "--num-neg", "6", "--seed", "1"]) == 0
+    assert main(["train", *_CORPUS_TASK, "--walks", "20", "--out", "rules.txt",
+                 "--model-out", "model.txt"]) == 0
+    (tmp_path / "events.thg").write_text("#thg v1\n" + "A | a | b | 0 1\nB | b | c | 2 3\n" * 5)
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines()[0].startswith(f"usage: rulewalk {argv[0]} ")
+    assert f"rulewalk: error: {clash} name the same file" in err
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+
 def test_mine_on_a_corpus_without_negatives_exits_2(tmp_path, rule_file, capsys):
     corpus = str(tmp_path / "corpus")
     assert main(["gen", "--rule", rule_file, "--out", corpus,

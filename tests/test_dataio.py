@@ -192,7 +192,7 @@ def graph_state(graph):
             (e.event_id, e.predicate, e.heads, e.tails, (e.interval.start, e.interval.end))
             for e in graph.events
         ],
-        "entities": list(graph.entities.names),
+        "entities": list(graph.entity_names),
         # a list, since dict equality ignores the first-seen order
         "predicates": list(graph.predicates.items()),
         "head_index": sorted(graph.head_index.items()),
@@ -229,7 +229,7 @@ def test_load_rebuilds_the_graph_add_event_built(tmp_path_factory, raw_events,
         for name in heads + tails:
             first_seen.setdefault(name, None)
     # entities are interned heads first, then tails, each in the given order
-    assert list(g.entities.names) == list(first_seen)
+    assert list(g.entity_names) == list(first_seen)
     expected = TemporalHypergraph()
     for e in g.events:
         pred, heads, tails = g.event_names(e.event_id)

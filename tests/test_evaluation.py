@@ -68,7 +68,7 @@ def event_queries_by_names(graph, positive_predicates):
     positives, negatives = [], []
     for event in graph.events:
         pred, heads, tails = graph.event_names(event.event_id)
-        heads, tails = (tuple(map(graph.entities.id_of, names)) for names in (heads, tails))
+        heads, tails = (tuple(graph.entities[n] for n in names) for names in (heads, tails))
         query = Query(pred, heads, tails, event_id=event.event_id)
         (positives if pred in positive_predicates else negatives).append(query)
     return positives, negatives

@@ -46,7 +46,7 @@ def test_heads_stored_sorted_with_set_semantics():
     g.add_event("Mix", ["c", "a", "b"], ["z"], (0, 1))
     ids = g.events[0].heads
     assert list(ids) == sorted(ids)
-    assert {g.entities.names[i] for i in ids} == {"a", "b", "c"}
+    assert {g.entity_names[i] for i in ids} == {"a", "b", "c"}
 
 
 def test_out_degree_counts_head_appearances():
@@ -54,10 +54,10 @@ def test_out_degree_counts_head_appearances():
     g.add_event("P", ["a"], ["b"], (0, 1))
     g.add_event("P", ["a"], ["c"], (0, 1))
     g.add_event("Q", ["b"], ["a"], (0, 1))
-    assert g.out_degree(g.entities.id_of("a")) == 2
-    assert g.out_degree(g.entities.id_of("b")) == 1
+    assert g.out_degree(g.entities["a"]) == 2
+    assert g.out_degree(g.entities["b"]) == 1
     # c appears only as a tail
-    assert g.out_degree(g.entities.id_of("c")) == 0
+    assert g.out_degree(g.entities["c"]) == 0
 
 
 def test_out_degree_unknown_entity():
@@ -76,7 +76,7 @@ def test_is_b_graph():
 
 def test_enabled_edges_requires_all_heads():
     g = small_graph()
-    ids = {n: g.entities.id_of(n) for n in ("onion", "garlic", "oil", "bacon")}
+    ids = {n: g.entities[n] for n in ("onion", "garlic", "oil", "bacon")}
     partial = {ids["onion"], ids["garlic"]}
     assert 1 not in g.enabled_edges(partial, set())
     full = {ids["onion"], ids["garlic"], ids["oil"]}
@@ -88,7 +88,7 @@ def test_enabled_edges_ascending_order():
     g = TemporalHypergraph()
     for i in range(5):
         g.add_event("P", ["a"], [f"t{i}"], (0, 1))
-    a = g.entities.id_of("a")
+    a = g.entities["a"]
     assert g.enabled_edges({a}, set()) == [0, 1, 2, 3, 4]
     assert g.enabled_edges({a}, {1, 3}) == [0, 2, 4]
 
@@ -156,6 +156,10 @@ def test_index_round_trip(raw_events):
     assert rebuilt_heads == g.head_index
     for x in g.head_index:
         assert g.out_degree(x) == len(g.head_index[x])
+    # the two entity fields are inverse, and the name map runs in id order
+    for name in g.entities:
+        assert g.entity_names[g.entities[name]] == name
+    assert list(g.entities) == g.entity_names
 
 
 @given(events_strategy, st.sets(st.sampled_from("abcdef")))
@@ -164,8 +168,8 @@ def test_enabled_edges_monotone_in_reached(raw_events, extra):
     for pred, heads, tail, (s, e) in raw_events:
         g.add_event(pred, heads, [tail], (min(s, e), max(s, e)))
     interned = [n for n in "abc" if n in g.entities]
-    reached = {g.entities.id_of(n) for n in interned}
-    bigger = reached | {g.entities.id_of(n) for n in extra if n in g.entities}
+    reached = {g.entities[n] for n in interned}
+    bigger = reached | {g.entities[n] for n in extra if n in g.entities}
     small = set(g.enabled_edges(reached, set()))
     large = set(g.enabled_edges(bigger, set()))
     assert small <= large
@@ -317,7 +321,7 @@ def test_an_event_is_the_tuple_of_its_fields():
 def graph_state(g):
     """Everything a rejected event must leave as it was."""
     return (
-        list(g.entities.names), dict(g.entities._ids),
+        list(g.entity_names), dict(g.entities),
         list(g.predicates.items()),
         list(g.events), {x: list(ids) for x, ids in g.head_index.items()},
         {shape: list(ids) for shape, ids in g.shape_index.items()},

@@ -331,7 +331,7 @@ def test_the_reach_feature_is_capped_at_exactly_1():
     g = TemporalHypergraph()
     g.add_event("p1", ["a"], ["b"], (0, 1))
     g.add_event("p2", ["c"], ["b"], (2, 3))
-    a, b, c = (g.entities.id_of(name) for name in "abc")
+    a, b, c = (g.entities[name] for name in "abc")
     assert reach_probability(g, {a}, 1) == {b: 1.0}
     assert reach_probability(g, {a, c}, 2) == {b: 2.0}
     rules = [parse_rule(EVENT_RULES[0]), parse_rule(EVENT_RULES[3])]
@@ -346,8 +346,8 @@ def test_the_grounding_budget_bounds_one_search_per_rule_and_query_head(monkeypa
     for i in range(10):
         g.add_event("p1", ["a"], [f"b{i}"], (i, i + 1))
     rule = parse_rule(EVENT_RULES[0])
-    a = g.entities.id_of("a")
-    queries = [Query("p0", (a,), (g.entities.id_of(f"b{i}"),)) for i in range(10)]
+    a = g.entities["a"]
+    queries = [Query("p0", (a,), (g.entities[f"b{i}"],)) for i in range(10)]
 
     def least_budget(run):
         for budget in range(1, 100):

@@ -159,7 +159,7 @@ def test_link_prediction_mining_targets_query_tail():
     g.add_event("P", ["a"], ["b"], (0, 1))
     g.add_event("Q", ["b"], ["c"], (2, 3))
     g.add_event("Goal", ["a"], ["c"], (0, 3))
-    a, b, c = (g.entities.id_of(n) for n in ("a", "b", "c"))
+    a, b, c = (g.entities[n] for n in ("a", "b", "c"))
     qs = QuerySet(
         [Query("Goal", (a,), (c,), 0, 2)],
         [Query("P", (a,), (b,), 0, 0)],

@@ -48,7 +48,7 @@ def cooking_graph():
 
 def cooked_query(g):
     """Cooked(bacon -> pan), by the entity ids of `g`."""
-    return Query("Cooked", (g.entities.id_of("bacon"),), (g.entities.id_of("pan"),))
+    return Query("Cooked", (g.entities["bacon"],), (g.entities["pan"],))
 
 
 def cooked_rule():
@@ -66,7 +66,7 @@ def test_trace_to_rule_cooked_example():
 def test_single_edge_trace():
     g = TemporalHypergraph()
     g.add_event("Put", ["a"], ["b"], (1, 2))
-    a, b = g.entities.id_of("a"), g.entities.id_of("b")
+    a, b = g.entities["a"], g.entities["b"]
     rule = trace_to_rule(g, [0], Query("Goal", (a,), (b,))).rule()
     assert len(rule.body) == 1
     assert rule.time_net.n == 1
@@ -86,7 +86,7 @@ def test_signature_invariant_under_entity_renaming():
         g.add_event("Zzz", [names["noise"]], [names["noise2"]], (0, 0))
         g.add_event("Mix", [names["onion"], names["garlic"]], [names["bowl"]], (1, 2))
         g.add_event("Heat", [names["bowl"]], [names["soup"]], (4, 5))
-        ids = {n: g.entities.id_of(name) for n, name in names.items()}
+        ids = {n: g.entities[name] for n, name in names.items()}
         q = Query("Done", (ids["onion"], ids["garlic"]), (ids["soup"],))
         return trace_to_rule(g, [1, 2], q)
 
@@ -176,7 +176,7 @@ def test_trace_network_matches_the_per_event_lift(case):
 def labelled_multi_head_traces(draw):
     """A `multi_head_traces` case whose entities carry 0-2 class labels each."""
     g, trace = draw(multi_head_traces())
-    for name in list(g.entities.names):
+    for name in list(g.entity_names):
         for _ in range(draw(st.integers(0, 2))):
             start = draw(st.integers(0, 8))
             g.add_event("L", [name], [name], (start, start + draw(st.integers(0, 4))))
@@ -220,7 +220,7 @@ def test_lift_network_closes_once_at_every_binding(monkeypatch):
     g.add_event("L", ["a"], ["a"], (0, 20))
     g.add_event("L", ["c"], ["c"], (6, 7))
     trace = [0, 1, 2]
-    lift = trace_to_rule(g, trace, Query("T", (g.entities.id_of("a"), g.entities.id_of("b"))))
+    lift = trace_to_rule(g, trace, Query("T", (g.entities["a"], g.entities["b"])))
     assert lift.class_events == [3, 4]
     net = lift.network()
     assert closed == [[0, 1, 2, 3, 4]]
@@ -259,7 +259,7 @@ def test_empty_trace_rejected():
 def test_trace_to_rule_rejects_an_entity_id_the_graph_lacks():
     g = cooking_graph()
     g.add_event("Wash", ["cloth"], ["sink"], (0, 1))
-    pan = g.entities.id_of("pan")
+    pan = g.entities["pan"]
     for ghost in (len(g.entities), -1):
         # a connected trace, and one whose Wash event shares no entity
         for trace in ([0, 1], [0, 2]):
@@ -273,7 +273,7 @@ def test_disconnected_trace_rejected():
     g.add_event("Q", ["c"], ["d"], (2, 3))
     assert trace_to_rule(g, [0, 1], Query("L")) is None
     # the query's entities can seed the chain
-    a, c, d = (g.entities.id_of(n) for n in ("a", "c", "d"))
+    a, c, d = (g.entities[n] for n in ("a", "c", "d"))
     assert trace_to_rule(g, [0, 1], Query("L", (a, c), (d,))) is not None
 
 
@@ -355,8 +355,8 @@ def test_evaluate_full_net_is_relational_only():
 def test_evaluate_unknown_query_entity_is_false():
     g, rule = cooked_rule()
     ghost = len(g.entities)  # an id the graph has not interned
-    assert not evaluate(rule, g, Query("Cooked", (ghost,), (g.entities.id_of("pan"),)))
-    assert not evaluate(rule, g, Query("Cooked", (-1,), (g.entities.id_of("pan"),)))
+    assert not evaluate(rule, g, Query("Cooked", (ghost,), (g.entities["pan"],)))
+    assert not evaluate(rule, g, Query("Cooked", (-1,), (g.entities["pan"],)))
 
 
 def _budget_rule_and_graph():
@@ -523,7 +523,7 @@ def test_evaluate_with_bound_query_entities_agrees_with_bruteforce_oracle():
                     chosen = rng.sample(list(Relation), rng.randint(2, 8))
                     net.set_pair(i, j, rel_set(*chosen))
         rule = TemporalRule(head, body, net)
-        known = [g.entities.id_of(n) for n in entities if n in g.entities]
+        known = [g.entities[n] for n in entities if n in g.entities]
         if len(known) < n_heads:
             continue
         query = Query("Goal", tuple(rng.sample(known, n_heads)), (rng.choice(known),))

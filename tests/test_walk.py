@@ -50,12 +50,12 @@ def recorded_weight(g, state, event_id):
 
 def goal(g, heads, tail):
     """A target-mode query for `g`: its head entities and its tail, by id."""
-    return Query("Goal", tuple(map(g.entities.id_of, heads)), (g.entities.id_of(tail),))
+    return Query("Goal", tuple(g.entities[n] for n in heads), (g.entities[tail],))
 
 
 def test_init_walk_masses():
     g = chain_graph()
-    a = g.entities.id_of("a")
+    a = g.entities["a"]
     state = init_walk(g, {a})
     assert state.arrival_mass.keys() == {a}
     assert state.arrival_mass[a] == 1.0
@@ -64,7 +64,7 @@ def test_init_walk_masses():
 
 def test_init_walk_multi_start_unit_mass_each():
     g = chain_graph()
-    ids = {g.entities.id_of("a"), g.entities.id_of("b")}
+    ids = {g.entities["a"], g.entities["b"]}
     state = init_walk(g, ids)
     assert all(state.arrival_mass[s] == 1.0 for s in ids)
 
@@ -77,16 +77,16 @@ def test_init_walk_errors():
         init_walk(g, {999})
     g.add_event("Multi", ["a"], ["b", "c"], (0, 1))
     with pytest.raises(GraphError):
-        init_walk(g, {g.entities.id_of("a")})
+        init_walk(g, {g.entities["a"]})
 
 
 def test_edge_weight_examples():
     g = chain_graph()
-    state = init_walk(g, {g.entities.id_of("a")})
+    state = init_walk(g, {g.entities["a"]})
     assert recorded_weight(g, state, 0) == 1.0
 
     g2 = two_head_graph()
-    state2 = init_walk(g2, {g2.entities.id_of("a"), g2.entities.id_of("b")})
+    state2 = init_walk(g2, {g2.entities["a"], g2.entities["b"]})
     assert recorded_weight(g2, state2, 0) == 0.25  # min(1/2, 1/4)
 
 
@@ -96,7 +96,7 @@ def test_edge_weight_halved_mass():
     g.add_event("P", ["s"], ["b"], (0, 1))
     g.add_event("Q", ["a"], ["c"], (2, 3))
     g.add_event("Q", ["a"], ["d"], (2, 3))
-    s, a = g.entities.id_of("s"), g.entities.id_of("a")
+    s, a = g.entities["s"], g.entities["a"]
     for seed in range(20):
         state = step(g, init_walk(g, {s}), random.Random(seed))
         if state.trace == [0]:  # walked s -> a: mass(a) = 1/2, out_degree(a) = 2
@@ -110,7 +110,7 @@ def test_edge_weight_halved_mass():
 def test_step_records_the_chosen_edges_weight():
     g = two_head_graph()
     g.add_event("P", ["x1"], ["z"], (2, 3))
-    starts = {g.entities.id_of("a"), g.entities.id_of("b")}
+    starts = {g.entities["a"], g.entities["b"]}
     for seed in range(30):
         state = init_walk(g, starts)
         rng = random.Random(seed)
@@ -130,14 +130,14 @@ def test_step_records_the_chosen_edges_weight():
 
 def test_step_returns_the_memoised_successor():
     g = chain_graph()
-    a = g.entities.id_of("a")
+    a = g.entities["a"]
     root = init_walk(g, {a})
     rng = random.Random(1)
     first = step(g, root, rng)
     state = step(g, first, rng)
     assert state.trace == [0, 1]
     assert state.arrival_mass.keys() == {
-        g.entities.id_of(n) for n in ("a", "b", "c")
+        g.entities[n] for n in ("a", "b", "c")
     }
     assert step(g, state, rng) is DEAD_END
     # the parents are left as they were
@@ -152,7 +152,7 @@ def test_step_returns_the_memoised_successor():
 def test_step_dead_end_on_empty_graph():
     g = TemporalHypergraph()
     g.add_event("P", ["a"], ["b"], (0, 1))  # intern a
-    state = init_walk(g, {g.entities.id_of("b")})
+    state = init_walk(g, {g.entities["b"]})
     assert step(g, state, random.Random(0)) is DEAD_END
 
 
@@ -160,7 +160,7 @@ def test_b_edge_never_sampled_before_heads_reached():
     g = TemporalHypergraph()
     g.add_event("Mix", ["onion", "garlic", "oil"], ["bowl"], (0, 1))
     g.add_event("P", ["onion"], ["garlic"], (0, 1))
-    onion = g.entities.id_of("onion")
+    onion = g.entities["onion"]
     for seed in range(50):
         state = init_walk(g, {onion})
         rng = random.Random(seed)
@@ -174,7 +174,7 @@ def test_b_edge_never_sampled_before_heads_reached():
 
 def test_walk_time_net_is_observed_chain():
     g = chain_graph()
-    state = init_walk(g, {g.entities.id_of("a")})
+    state = init_walk(g, {g.entities["a"]})
     rng = random.Random(3)
     state = step(g, step(g, state, rng), rng)
     net = trace_network(g, state.trace, [])
@@ -189,7 +189,7 @@ def test_multi_start_paths_merge_via_join_edge():
     g.add_event("P", ["a"], ["c"], (0, 1))
     g.add_event("Q", ["b"], ["d"], (4, 5))
     g.add_event("Join", ["c", "d"], ["z"], (8, 9))
-    starts = {g.entities.id_of("a"), g.entities.id_of("b")}
+    starts = {g.entities["a"], g.entities["b"]}
     # drive the walk deterministically until all three edges are taken
     for seed in range(30):
         state = init_walk(g, starts)
@@ -215,26 +215,26 @@ def test_reach_probability_examples():
     # one expansion scores every reached tail, keyed by entity id
     g = TemporalHypergraph()
     g.add_event("P", ["a"], ["b"], (0, 1))
-    a, b = g.entities.id_of("a"), g.entities.id_of("b")
+    a, b = g.entities["a"], g.entities["b"]
     assert reach_probability(g, {a}, 1) == {b: 1.0}
 
     g2 = TemporalHypergraph()
     g2.add_event("P", ["a"], ["b"], (0, 1))
     g2.add_event("P", ["a"], ["c"], (0, 1))
-    a2, b2, c2 = (g2.entities.id_of(n) for n in "abc")
+    a2, b2, c2 = (g2.entities[n] for n in "abc")
     assert reach_probability(g2, {a2}, 1) == {b2: 0.5, c2: 0.5}
 
     g3 = two_head_graph()
-    ids = {g3.entities.id_of("a"), g3.entities.id_of("b")}
+    ids = {g3.entities["a"], g3.entities["b"]}
     scores = reach_probability(g3, ids, 1)
-    assert scores[g3.entities.id_of("z")] == 0.25
-    assert {g3.entities.names[e]: s for e, s in scores.items()} == {
+    assert scores[g3.entities["z"]] == 0.25
+    assert {g3.entity_names[e]: s for e, s in scores.items()} == {
         "z": 0.25, "x1": 0.5, "x2": 0.25, "x3": 0.25, "x4": 0.25}
 
 
 def test_reach_probability_respects_horizon():
     g = chain_graph()
-    a, b, c = (g.entities.id_of(n) for n in "abc")
+    a, b, c = (g.entities[n] for n in "abc")
     assert c not in reach_probability(g, {a}, 1)
     assert reach_probability(g, {a}, 2) == {b: 1.0, c: 1.0}
     with pytest.raises(ValueError):
@@ -252,7 +252,7 @@ def test_sample_walks_finds_unique_path():
 
 def test_sample_walks_rejects_entity_ids_the_graph_lacks():
     g = chain_graph()
-    a, c = g.entities.id_of("a"), g.entities.id_of("c")
+    a, c = g.entities["a"], g.entities["c"]
     params = WalkParams(max_steps=3, num_walks=5, seed=5)
     for heads, tails in (((len(g.entities),), (c,)), ((a,), (len(g.entities),)),
                          ((a,), (-1,)), ((a,), (c, a))):
